@@ -11,7 +11,6 @@ test:
 
 smoke:
 	$(PYTHON) scripts/smoke_cache.py
-	$(PYTHON) scripts/smoke_exec_engine.py
 	$(PYTHON) scripts/smoke_jit.py
 	$(PYTHON) scripts/smoke_telemetry.py
 	$(PYTHON) scripts/smoke_trace.py

@@ -1,19 +1,19 @@
-"""Execution-engine benchmark — naive vs specialized vs jit throughput.
+"""Execution-engine benchmark — naive vs jit throughput.
 
 Runs the fig8 workload set end to end (DBT + functional execution, trace
-collection off) under all three ``VMConfig.exec_engine`` settings and
-writes per-workload and aggregate wall times to ``BENCH_exec.json`` in
-the repo root.  Each measurement is the best of ``REPS`` runs after a
-warm-up pass, so one-time costs (imports, decode-cache population, jit
-source compilation) don't pollute the engine comparison.
+collection off) under both ``VMConfig.exec_engine`` settings and writes
+per-workload and aggregate wall times to ``BENCH_exec.json`` in the repo
+root.  Each measurement is the best of ``REPS`` runs after a warm-up
+pass, so one-time costs (imports, decode-cache population, jit source
+compilation) don't pollute the engine comparison.
 
-The same file carries the telemetry overhead gate: the specialized
-timings above run with ``VMConfig.telemetry`` off (the default), so if a
-prior ``BENCH_exec.json`` from the *same machine* exists, the fresh
+The same file carries the telemetry overhead gate: the jit timings
+above run with ``VMConfig.telemetry`` off (the default), so if a prior
+``BENCH_exec.json`` from the *same machine* exists, the fresh
 telemetry-off total must stay within :data:`TELEMETRY_OFF_LIMIT` of it —
 the no-op telemetry path may cost at most 2%.  A telemetry-*on* pass is
-also measured and recorded under the default jit engine (informational;
-the live instrumentation is allowed to cost real time).
+also measured and recorded under the jit engine (informational; the
+live instrumentation is allowed to cost real time).
 
 ``REPRO_BENCH_BUDGET`` overrides the V-ISA budget per run (``make
 bench-quick`` uses this); the aggregate-speedup and overhead assertions
@@ -31,11 +31,10 @@ from repro.harness.runner import run_vm
 from repro.vm.config import VMConfig
 
 WORKLOADS = ("gzip", "mcf", "twolf", "vortex")
-ENGINES = ("naive", "specialized", "jit")
+ENGINES = ("naive", "jit")
 REPS = 5
 OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_exec.json"
-MIN_AGGREGATE_SPEEDUP = 1.5
-#: The tier-2 engine's hard floor over naive.  The committed record runs
+#: The jit engine's hard floor over naive.  The committed record runs
 #: well above this (>5x); the in-run assertion is looser so CI jitter
 #: cannot flake it, while ``repro bench-compare`` against the committed
 #: record still gates the recorded speedup within its 5% tolerance.
@@ -110,9 +109,7 @@ def test_exec_engine_speedup():
         rows.append({
             "workload": workload,
             "naive_seconds": round(times["naive"], 4),
-            "specialized_seconds": round(times["specialized"], 4),
             "jit_seconds": round(times["jit"], 4),
-            "speedup": round(times["naive"] / times["specialized"], 2),
             "jit_speedup": round(times["naive"] / times["jit"], 2),
         })
 
@@ -122,7 +119,6 @@ def test_exec_engine_speedup():
         telemetry_total += _best_time(workload, "jit", budget,
                                       telemetry=True)
 
-    aggregate = totals["naive"] / totals["specialized"]
     jit_aggregate = totals["naive"] / totals["jit"]
     telemetry_ratio = telemetry_total / totals["jit"]
     prior = _prior_record(budget)
@@ -133,9 +129,7 @@ def test_exec_engine_speedup():
         "reps": REPS,
         "rows": rows,
         "naive_total_seconds": round(totals["naive"], 4),
-        "specialized_total_seconds": round(totals["specialized"], 4),
         "jit_total_seconds": round(totals["jit"], 4),
-        "aggregate_speedup": round(aggregate, 2),
         "jit_aggregate_speedup": round(jit_aggregate, 2),
         "telemetry_on_total_seconds": round(telemetry_total, 4),
         "telemetry_on_ratio": round(telemetry_ratio, 3),
@@ -147,29 +141,23 @@ def test_exec_engine_speedup():
     print()
     for row in rows:
         print(f"{row['workload']:8s} naive {row['naive_seconds']:.3f}s, "
-              f"specialized {row['specialized_seconds']:.3f}s "
-              f"({row['speedup']:.2f}x), "
               f"jit {row['jit_seconds']:.3f}s "
               f"({row['jit_speedup']:.2f}x)")
-    print(f"aggregate speedup: specialized {aggregate:.2f}x, "
-          f"jit {jit_aggregate:.2f}x -> {output.name}")
+    print(f"aggregate speedup: jit {jit_aggregate:.2f}x -> {output.name}")
     print(f"telemetry on (jit): {telemetry_total:.3f}s "
           f"({telemetry_ratio:.2f}x of telemetry-off)")
 
     if budget >= BENCH_BUDGET:
-        assert aggregate >= MIN_AGGREGATE_SPEEDUP, (
-            f"specialized engine only {aggregate:.2f}x faster than naive "
-            f"(need >= {MIN_AGGREGATE_SPEEDUP}x)")
         assert jit_aggregate >= MIN_JIT_AGGREGATE_SPEEDUP, (
             f"jit engine only {jit_aggregate:.2f}x faster than naive "
             f"(need >= {MIN_JIT_AGGREGATE_SPEEDUP}x)")
         if prior is not None:
-            baseline = prior["specialized_total_seconds"]
+            baseline = prior["jit_total_seconds"]
             limit = baseline * TELEMETRY_OFF_LIMIT + TELEMETRY_OFF_SLACK_S
-            print(f"telemetry-off gate: {totals['specialized']:.3f}s vs "
+            print(f"telemetry-off gate: {totals['jit']:.3f}s vs "
                   f"prior {baseline:.3f}s (limit {limit:.3f}s)")
-            assert totals["specialized"] <= limit, (
-                f"telemetry-off run {totals['specialized']:.3f}s exceeds "
+            assert totals["jit"] <= limit, (
+                f"telemetry-off run {totals['jit']:.3f}s exceeds "
                 f"{TELEMETRY_OFF_LIMIT:.0%} of the prior record "
                 f"{baseline:.3f}s — the disabled-telemetry path must stay "
                 f"within 2%")

@@ -24,7 +24,7 @@ from repro.isa.instruction import Instruction
 from repro.obs.events import EventKind
 from repro.vm import CoDesignedVM, VMConfig
 
-ENGINES = ("naive", "specialized", "jit")
+ENGINES = ("naive", "jit")
 
 #: Patch ``slot:`` exactly once (iteration r2==3) with a donor word kept
 #: in the data segment, out of the loop's own way.
@@ -87,8 +87,8 @@ def main():
     oneshot_ref = _reference(_oneshot_program)
     for engine in ENGINES:
         vm = CoDesignedVM(_oneshot_program(),
-                          VMConfig(threshold=4, jit_threshold=1,
-                                   exec_engine=engine, telemetry=True))
+                          VMConfig(threshold=4, exec_engine=engine,
+                                   telemetry=True))
         vm.run(max_v_instructions=100_000)
         label = f"oneshot/{engine}"
         if not vm.halted:
@@ -114,8 +114,7 @@ def main():
     deopts = 0
     for engine in ENGINES:
         vm = CoDesignedVM(assemble(HOTSTORE),
-                          VMConfig(threshold=4, jit_threshold=1,
-                                   exec_engine=engine))
+                          VMConfig(threshold=4, exec_engine=engine))
         vm.run(max_v_instructions=100_000)
         label = f"hotstore/{engine}"
         if not vm.halted:

@@ -154,7 +154,7 @@ def build_parser():
                              help="comma-separated engine axis for the "
                                   "oracle engine stage (default: "
                                   "naive,jit; each is compared against "
-                                  "the specialized reference)")
+                                  "the naive reference)")
     fuzz_parser.add_argument("--shrink", action="store_true",
                              help="shrink each finding to a minimal "
                                   "reproducer")
@@ -326,33 +326,23 @@ def _add_vm_arguments(parser):
     parser.add_argument("--accumulators", type=int, default=4)
     parser.add_argument("--budget", type=int, default=200_000)
     parser.add_argument("--fuse-memory", action="store_true")
-    parser.add_argument("--exec-engine",
-                        choices=("jit", "specialized", "naive"),
+    parser.add_argument("--exec-engine", choices=("jit", "naive"),
                         default="jit",
-                        help="compile hot fragments to generated Python "
-                             "(jit, the default), run pre-compiled step "
-                             "closures (specialized), or the reference "
-                             "dispatch (naive)")
-    parser.add_argument("--jit-threshold", type=_positive_int,
-                        default=None, metavar="N",
-                        help="fragment visits before the jit engine "
-                             "promotes a body to tier-2 generated code")
+                        help="compile fragments to generated Python on "
+                             "first entry (jit, the default) or run the "
+                             "reference dispatch (naive)")
     parser.add_argument("--telemetry", action="store_true",
                         help="enable the repro.obs telemetry subsystem "
                              "(metrics, events, fragment profiling)")
 
 
 def _config_from(args):
-    overrides = {}
-    if getattr(args, "jit_threshold", None) is not None:
-        overrides["jit_threshold"] = args.jit_threshold
     return VMConfig(fmt=_FORMATS[args.fmt],
                     policy=_POLICIES[args.policy],
                     n_accumulators=args.accumulators,
                     fuse_memory=args.fuse_memory,
                     exec_engine=args.exec_engine,
-                    telemetry=getattr(args, "telemetry", False),
-                    **overrides)
+                    telemetry=getattr(args, "telemetry", False))
 
 
 def _command_workloads(_args, out):
@@ -589,7 +579,7 @@ def _command_fuzz(args, out):
         engines = tuple(name.strip() for name in args.engines.split(",")
                         if name.strip())
         for name in engines:
-            if name not in ("jit", "specialized", "naive"):
+            if name not in ("jit", "naive"):
                 print(f"unknown engine {name!r} in --engines", file=out)
                 return 2
     tracer = Tracer(thread_name="fuzz") if args.trace_out else None

@@ -4,7 +4,7 @@
 ``repro serve`` socket and redraws a terminal dashboard on every
 ``snapshot`` frame: request throughput and latency quantiles (computed
 client-side from the streamed histogram buckets), dedup/cache
-effectiveness, persistent-store warm-hit rate, tier-2 promotions,
+effectiveness, persistent-store warm-hit rate, jit promotions,
 degradation counters, the hottest fragments and the most recent
 completions.  It is a pure *consumer* — everything it shows comes off
 the frame stream, so running it costs the server one subscriber queue
@@ -147,7 +147,7 @@ def render_dashboard(state, socket_path=""):
     lines.append(
         f"persist    warm {warm_hits}/{warm_hits + warm_misses} "
         f"({warm_pct:.0f}%)   saved {values.get('persist.records_saved', 0)}"
-        f"   tier-2 promotions {values.get('jit.promotions', 0)}")
+        f"   jit promotions {values.get('jit.promotions', 0)}")
     faults = {name.split('.', 1)[1]: value
               for name, value in values.items()
               if name.startswith("faults.") and value}

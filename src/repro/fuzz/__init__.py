@@ -1,11 +1,11 @@
 """Seeded Alpha-subset program fuzzer with differential oracles.
 
 The fuzzer turns the repository's three independent execution semantics
-(pure interpreter, naive VM engine, specialized VM engine) plus the
-chaos layer into a generative correctness harness: a deterministic
-seeded generator emits structured random V-ISA programs, an oracle stack
-runs each one through interpreter-vs-VM co-simulation, the
-specialized-vs-naive engine differential and (optionally) a seeded
+(pure interpreter, naive VM engine, jit VM engine) plus the chaos layer
+into a generative correctness harness: a deterministic seeded generator
+emits structured random V-ISA programs, an oracle stack runs each one
+through interpreter-vs-VM co-simulation, the jit-vs-naive engine
+differential and (optionally) a seeded
 fault schedule, and any divergence in architectural state, console
 output, data memory, committed counts or ``VMStats`` is a finding.
 Findings shrink to minimal reproducers and every program serialises to

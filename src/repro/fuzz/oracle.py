@@ -3,15 +3,15 @@
 Every generated program is judged by agreement between independent
 semantics, never by a hand-written expectation:
 
-* **cosim** — the co-designed VM (specialized interpreter engine) must
-  reproduce the naive pure interpreter bit for bit: final PC, all 32
-  registers, console output, the data buffer, the committed-instruction
-  count, and — on a trap — the trap kind and precise V-PC;
-* **engine** — the VM run again under every other execution engine (the
-  ``engines`` axis, default naive *and* jit) must match the specialized
-  run, including every ``VMStats`` counter (``vars()`` equality); jit
-  runs use a low promotion threshold so tier-2 generated code actually
-  executes on short fuzz loops;
+* **cosim** — the co-designed VM (naive engine) must reproduce the naive
+  pure interpreter bit for bit: final PC, all 32 registers, console
+  output, the data buffer, the committed-instruction count, and — on a
+  trap — the trap kind and precise V-PC;
+* **engine** — the VM run again under each other engine on the
+  ``engines`` axis (by default the jit) must match the naive run,
+  including every ``VMStats`` counter (``vars()`` equality); the jit
+  compiles every fragment on first entry, so its generated code
+  executes even on short fuzz loops;
 * **chaos** (optional) — the VM under a seeded fault schedule must still
   converge to the fault-free reference.
 
@@ -41,11 +41,6 @@ ORACLE_BUDGET = 200_000
 #: usually the inner ones — actually reach translated code.
 ORACLE_THRESHOLD = 8
 
-#: Jit promotion threshold for oracle runs: fuzz loops are short, so the
-#: default (16) could leave tier-2 code cold; 2 promotes on the second
-#: visit, making the engine stage exercise generated code.
-ORACLE_JIT_THRESHOLD = 2
-
 #: Chaos-stage fault schedule (the same default ``repro chaos`` uses).
 CHAOS_SPEC = ";".join(DEFAULT_CHAOS_SPECS)
 
@@ -58,7 +53,11 @@ HOSTILE_CHAOS_SPEC = ";".join(DEFAULT_CHAOS_SPECS + HOSTILE_CHAOS_SPECS)
 
 STAGES = ("cosim", "engine", "chaos")
 
-#: Engines the engine stage compares against the specialized reference.
+#: The engine the oracle's VM runs use as the reference.
+REFERENCE_ENGINE = "naive"
+
+#: Engines the engine stage compares; each one other than
+#: :data:`REFERENCE_ENGINE` is run against the reference.
 ENGINE_AXIS = ("naive", "jit")
 
 
@@ -133,12 +132,11 @@ def run_reference(fprog, budget=ORACLE_BUDGET):
                    trap_kind=trap_kind, trap_vpc=trap_vpc, insns=steps)
 
 
-def oracle_config(exec_engine="specialized", faults=None, fault_seed=0,
+def oracle_config(exec_engine=REFERENCE_ENGINE, faults=None, fault_seed=0,
                   telemetry=False, trace=False):
     """The VM configuration oracle stages run under."""
     return VMConfig(threshold=ORACLE_THRESHOLD, collect_trace=False,
-                    exec_engine=exec_engine,
-                    jit_threshold=ORACLE_JIT_THRESHOLD, faults=faults,
+                    exec_engine=exec_engine, faults=faults,
                     fault_seed=fault_seed, telemetry=telemetry,
                     trace=trace)
 
@@ -215,7 +213,7 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
     """Run the oracle stack over one program.
 
     ``engines`` is the engine stage's comparison axis: each listed
-    engine is run against the specialized reference with full
+    engine is run against the naive reference with full
     ``VMStats`` equality.  Returns a report dict: ``failures`` is a
     list of ``{stage, reason}`` records (empty means the program agrees
     everywhere), ``inconclusive`` lists stages skipped for budget
@@ -227,13 +225,13 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
     inconclusive = []
 
     reference = run_reference(fprog, budget=budget)
-    specialized = None
-    _svm = None
+    naive = None
+    naive_vm = None
 
     if "cosim" in stages:
-        specialized, _svm = run_vm_outcome(fprog, oracle_config(),
-                                           budget=budget)
-        reasons = compare_outcomes(reference, specialized)
+        naive, naive_vm = run_vm_outcome(fprog, oracle_config(),
+                                         budget=budget)
+        reasons = compare_outcomes(reference, naive)
         if reasons is None:
             inconclusive.append("cosim")
         else:
@@ -241,15 +239,15 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
                             for reason in reasons)
 
     if "engine" in stages:
-        if specialized is None:
-            specialized, _svm = run_vm_outcome(fprog, oracle_config(),
-                                               budget=budget)
+        if naive is None:
+            naive, naive_vm = run_vm_outcome(fprog, oracle_config(),
+                                             budget=budget)
         for engine in engines:
-            if engine == "specialized":
+            if engine == REFERENCE_ENGINE:
                 continue  # comparing the reference with itself
             other, other_vm = run_vm_outcome(
                 fprog, oracle_config(exec_engine=engine), budget=budget)
-            reasons = compare_outcomes(specialized, other)
+            reasons = compare_outcomes(naive, other)
             if reasons is None:
                 if "engine" not in inconclusive:
                     inconclusive.append("engine")
@@ -257,10 +255,10 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
             failures.extend({"stage": "engine",
                              "reason": f"[{engine}] {reason}"}
                             for reason in reasons)
-            if vars(other_vm.stats) != vars(_svm.stats):
-                diffs = _stats_diff(_svm.stats, other_vm.stats)
+            if vars(other_vm.stats) != vars(naive_vm.stats):
+                diffs = _stats_diff(naive_vm.stats, other_vm.stats)
                 failures.extend({"stage": "engine",
-                                 "reason": f"stats.{name}: specialized "
+                                 "reason": f"stats.{name}: naive "
                                            f"{a}, {engine} {b}"}
                                 for name, a, b in diffs)
 

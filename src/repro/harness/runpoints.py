@@ -43,7 +43,10 @@ from repro.vm.config import VMConfig
 #: 5: the hostile-guest work grew ``VMStats.resilience()`` (smc/mmu
 #: counters inside every cached summary's ``resilience`` block) and made
 #: superblock digests content-aware; pre-MMU entries must not replay.
-SCHEMA_VERSION = 5
+#: 6: the jit compiles every fragment on first entry instead of after a
+#: visit threshold, so the cached ``jit.promotions`` counter and
+#: ``jit_promoted`` events change; threshold-era entries must not replay.
+SCHEMA_VERSION = 6
 
 
 class EvalSpec:

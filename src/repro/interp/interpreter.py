@@ -104,7 +104,7 @@ class Interpreter:
         self.decode_misses = 0
         #: the engine is chosen once; ``step`` is re-bound per instance so
         #: the hot loop pays no per-step engine check.  The jit engine
-        #: only tiers *fragments* — single-step interpretation has no hot
+        #: only compiles *fragments* — single-step interpretation has no hot
         #: bodies to compile, so it shares the specialized step path.
         self.step = self._step_naive if exec_engine == "naive" \
             else self._step_specialized

@@ -2,8 +2,8 @@
 
 ``CALL_PAL`` grew beyond halt/putc/gentrap into a small syscall dispatch
 (:data:`repro.isa.opcodes.PAL_SYSCALLS`), implemented once here so the
-pure interpreter, the naive executor, the specialized closures and the
-tier-2 jit are observationally identical by construction:
+interpreter, the executor's reference body walk and the jit's generated
+code are observationally identical by construction:
 
 ``getc``
     read the next byte of the program's scripted input into R0

@@ -9,13 +9,9 @@ During interpretation, counters are kept for *trace start candidates*:
 When a candidate's counter reaches the threshold, the interpreted path that
 follows is collected as a superblock ("most recently executed tail").
 
-This profiler decides *translation* (tier 0 -> tier 1).  The later
-tier-1 -> tier-2 jit promotion is a separate, cheaper policy: the
-executor counts fragment entries directly (``Fragment.execution_count``
-against ``VMConfig.jit_threshold`` in
-``FragmentExecutor._run_jit``), because by then the candidate set is
-exactly the translated fragments and no candidate-kind analysis is
-needed.
+This profiler decides *translation*.  Compilation to generated code
+needs no policy of its own: the jit engine compiles a fragment the first
+time it is entered (``FragmentExecutor.run``).
 """
 
 import enum

@@ -19,7 +19,7 @@ drive two pieces of VM bookkeeping:
   self-modifying-code invalidation works (``docs/robustness.md``).
 
 The fast paths are three lazily/eagerly maintained page dicts whose
-``get`` methods the tier-2 jit binds at compile time, so they are stable
+``get`` methods the jit binds at compile time, so they are stable
 attributes that are mutated in place and never reassigned:
 
 ``_read_ok``

@@ -63,7 +63,7 @@ class EventKind:
     PC_BLACKLISTED = "pc_blacklisted"
     TCACHE_FULL = "tcache_full"
     FRAGMENT_CORRUPTED = "fragment_corrupted"
-    # tier-2 jit promotion (docs/performance.md)
+    # a fragment compiled by the jit (docs/performance.md)
     JIT_PROMOTED = "jit_promoted"
     # a guest store hit translated code (docs/robustness.md)
     SMC_DETECTED = "smc_detected"

@@ -6,7 +6,7 @@ produced them, *before* ``TranslationCache.add`` laid the body out and
 applied chaining patches (``add`` can patch a fragment's own self-loop
 exit, so a post-install snapshot would bake in absolute addresses that
 can never validate on restore).  Layout addresses, checksums and
-compiled closures are all rebuilt by the normal install path.
+generated code are all rebuilt by the normal install path.
 
 Codegen consults the translation cache only to decide, per direct exit
 and per ``push-dual-address-RAS``, whether the target V-PC is already

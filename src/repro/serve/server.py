@@ -593,7 +593,7 @@ class FragmentServer:
     def _executed_record(self, point, summary, cid, queue_wait_seconds):
         """The ``lifecycle/executed`` frame payload for one run point:
         latencies plus the run highlights a dashboard wants (hot
-        fragments, tier-2 promotions, persist activity, faults)."""
+        fragments, jit promotions, persist activity, faults)."""
         telemetry = summary.get("telemetry") or {}
         counters = telemetry.get("counters", {})
         record = {

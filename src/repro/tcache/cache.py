@@ -22,6 +22,7 @@ from repro.obs.telemetry import NULL_TELEMETRY
 from repro.obs.trace import NULL_TRACER
 from repro.tcache.dispatch import build_dispatch_code
 from repro.tcache.fragment import ExitKind
+from repro.utils.weak import weak_method
 
 #: Base address of the translation cache region.
 DEFAULT_TCACHE_BASE = 0x100_0000
@@ -78,7 +79,7 @@ class TranslationCache:
         self.patches_applied = 0
         self._next_fid = 0
         self.flush_count = 0
-        #: cumulative compiled-closure invalidations caused by in-place
+        #: cumulative generated-code invalidations caused by in-place
         #: chaining patches (never reset — like fragment ids, statistics
         #: keyed on it must survive flushes)
         self.invalidations = 0
@@ -137,14 +138,15 @@ class TranslationCache:
     def attach_memory(self, memory):
         """Watch guest stores in ``memory`` for self-modifying code.
 
-        Installs :meth:`_on_code_write` as the memory's code-write hook;
+        Installs :meth:`_on_code_write` as the memory's code-write hook
+        (weakly: the cache already holds the memory);
         from then on every page a fragment translates from is
         write-watched while fragments cover it, so a guest store landing
         on translated code precisely invalidates the overlapping
         fragments (and only those).
         """
         self._memory = memory
-        memory.set_code_write_hook(self._on_code_write)
+        memory.set_code_write_hook(weak_method(self, "_on_code_write"))
         for page in self._by_page:
             memory.watch_page(page)
 
@@ -347,7 +349,7 @@ class TranslationCache:
             events.emit(EventKind.FRAGMENT_CHAINED, fid=fragment.fid,
                         to_fid=new_fragment.fid, vtarget=vpc,
                         instr_index=exit_record.instr_index)
-            # the in-place binary patch invalidates any compiled closures
+            # the in-place binary patch invalidates any generated code
             self._invalidate(fragment, clean)
         for fragment, index in self._pending_ras.pop(vpc, []):
             clean = self._is_clean(fragment)
@@ -371,7 +373,7 @@ class TranslationCache:
         return fragment.compute_checksum() == fragment.checksum
 
     def _invalidate(self, fragment, clean=True):
-        """Drop a fragment's compiled closures after an in-place patch."""
+        """Drop a fragment's generated code after an in-place patch."""
         fragment.invalidate_compiled()
         if self.verify:
             if clean:

@@ -83,28 +83,22 @@ class Fragment:
         #: Entry verification is amortised: checked once, then trusted
         #: until an in-place patch resets this flag.
         self.verified = False
-        #: step closures compiled by :mod:`repro.vm.specialize`, managed by
-        #: ``FragmentExecutor._code_for``: the key identifies the executor
-        #: the code was compiled for, the two slots hold the trace-off and
-        #: trace-on variants.
-        self._compiled_key = None
-        self._compiled = [None, None]
-        #: tier-2 code compiled by :mod:`repro.vm.jit`, keyed the same
-        #: way; ``_jit_failed`` pins fragments whose compile raised so a
-        #: hot loop doesn't retry every visit.
+        #: generated code compiled by :mod:`repro.vm.jit`, managed by
+        #: ``FragmentExecutor._jit_for``: the key identifies the executor
+        #: the code was compiled for; ``_jit_failed`` pins fragments whose
+        #: compile raised so a hot loop doesn't retry every visit.
         self._jit_key = None
         self._jit_code = None
         self._jit_failed = False
 
     def invalidate_compiled(self):
-        """Drop compiled code (all tiers) after an in-place body patch.
+        """Drop generated code after an in-place body patch.
 
         Chaining patches and corruption recovery rewrite body
-        instructions; both the tier-1 step closures and the tier-2
-        generated function bake the old semantics in, so both must go.
-        The next hot visit recompiles against the patched body.
+        instructions; the generated function bakes the old semantics
+        in, so it must go.  The next visit recompiles against the
+        patched body.
         """
-        self._compiled = [None, None]
         self._jit_code = None
         self._jit_failed = False
 

@@ -1,4 +1,5 @@
-"""Small shared utilities: 64-bit two's complement helpers and a seeded RNG."""
+"""Small shared utilities: 64-bit two's complement helpers, a seeded RNG
+and weak callbacks."""
 
 from repro.utils.bitops import (
     MASK64,

@@ -7,12 +7,6 @@ from repro.translator.chaining import ChainingPolicy
 DEFAULT_MAX_SUPERBLOCK = 200
 DEFAULT_THRESHOLD = 50
 
-#: Fragment visits before the jit engine promotes a body to tier-2
-#: generated code (tuned with benchmarks/bench_exec_engine.py: low
-#: enough that benchmark loops promote almost immediately, high enough
-#: that one-shot fragments never pay a compile).
-DEFAULT_JIT_THRESHOLD = 16
-
 
 class VMConfig:
     """All the knobs of the DBT system and its functional machine.
@@ -36,7 +30,6 @@ class VMConfig:
                  flush_window=5_000,
                  flush_rate_factor=4.0,
                  exec_engine="jit",
-                 jit_threshold=DEFAULT_JIT_THRESHOLD,
                  telemetry=False,
                  trace=False,
                  faults=None,
@@ -54,12 +47,10 @@ class VMConfig:
             raise ValueError("hot threshold must be positive")
         if max_superblock < 1:
             raise ValueError("superblock size must be positive")
-        if exec_engine not in ("jit", "specialized", "naive"):
+        if exec_engine not in ("jit", "naive"):
             raise ValueError(
                 f"unknown exec engine {exec_engine!r} "
-                "(expected 'jit', 'specialized' or 'naive')")
-        if jit_threshold < 1:
-            raise ValueError("jit threshold must be positive")
+                "(expected 'jit' or 'naive')")
         if tcache_capacity_bytes is not None and tcache_capacity_bytes < 1:
             raise ValueError("tcache capacity must be positive")
         if max_host_steps is not None and max_host_steps < 1:
@@ -105,19 +96,15 @@ class VMConfig:
         self.flush_window = flush_window
         self.flush_rate_factor = flush_rate_factor
         #: How the interpreter and fragment executor run instructions:
-        #: ``"jit"`` (the default) additionally compiles hot fragments to
-        #: generated Python source (:mod:`repro.vm.jit`) on top of the
-        #: pre-bound step closures, ``"specialized"`` executes only the
-        #: closures built once at decode/translation time, ``"naive"``
-        #: re-dispatches each instruction through the reference if/elif
-        #: chains.  All engines are observationally identical (the
-        #: differential suites assert full ``VMStats`` equality); the
-        #: naive engine is kept as the readable reference.
+        #: ``"jit"`` (the default) interprets through pre-bound step
+        #: closures (:mod:`repro.interp.specialize`) and compiles each
+        #: fragment to generated Python source on its first entry
+        #: (:mod:`repro.vm.jit`); ``"naive"`` re-dispatches each
+        #: instruction through the reference if/elif chains.  The two
+        #: are observationally identical (the differential suites
+        #: assert full ``VMStats`` equality); the naive engine is kept
+        #: as the readable reference.
         self.exec_engine = exec_engine
-        #: Fragment visit count at which the jit engine promotes a body
-        #: to tier-2 generated code.  Purely an internal tiering knob:
-        #: it cannot change any architected result or ``VMStats`` field.
-        self.jit_threshold = jit_threshold
         #: Enable the :mod:`repro.obs` telemetry subsystem: metrics
         #: registry, structured event stream, phase timers and
         #: hot-fragment profiling.  Off by default — the disabled path is
@@ -200,7 +187,6 @@ class VMConfig:
             flush_window=self.flush_window,
             flush_rate_factor=self.flush_rate_factor,
             exec_engine=self.exec_engine,
-            jit_threshold=self.jit_threshold,
             telemetry=self.telemetry,
             trace=self.trace,
             faults=self.faults,
@@ -218,11 +204,8 @@ class VMConfig:
 
         ``collect_trace`` is excluded: trace collection is observational
         and cannot change the architected run or any derived metric.
-        ``exec_engine`` is excluded for the same reason: all engines
+        ``exec_engine`` is excluded for the same reason: both engines
         produce bit-identical results, so cached summaries are shared.
-        ``jit_threshold`` rides on that exclusion — promotion timing is
-        engine-internal, and reconstructed cache points always run the
-        default threshold, so cached summaries stay coherent.
         ``telemetry`` likewise: the no-op-parity tests assert that
         telemetry on/off produces identical ``VMStats``.  ``trace`` (span
         tracing) is observational wall-clock data and excluded for the
@@ -248,7 +231,6 @@ class VMConfig:
         fields = self.to_dict()
         del fields["collect_trace"]
         del fields["exec_engine"]
-        del fields["jit_threshold"]
         del fields["telemetry"]
         del fields["trace"]
         del fields["faults"]

@@ -12,6 +12,15 @@ so execution walks fragment bodies by index and follows entry addresses
 across fragments without leaving the executor.  It returns to the VM only
 when translated code runs out (``call-translator`` or a dispatch miss),
 the program halts, or a trap must be delivered.
+
+There are two execution engines (``VMConfig.exec_engine``).  ``naive``
+is the reference: every fragment visit walks the body instruction by
+instruction through the readable ``_execute`` dispatch.  ``jit``, the
+default, runs each fragment as one generated Python function
+(:mod:`repro.vm.jit`), compiled on the fragment's first entry; visits
+the generated code cannot serve — trace collection on, or a compile
+failure — take the same reference walk.  Both produce identical
+architected state, traces and ``VMStats``.
 """
 
 import enum
@@ -37,15 +46,15 @@ _ALPHA_WEIGHTS = {
 
 _MUL_OPS = frozenset({"mull", "mulq", "umulh"})
 
-#: Serial numbers identifying which executor a fragment's compiled closure
-#: lists belong to (see ``FragmentExecutor._code_for``).
+#: The register-state copies Table 2 counts (``IInstruction.is_copy``).
+_COPY_IOPS = frozenset({IOp.COPY_TO_GPR, IOp.COPY_FROM_GPR})
+
+#: Serial numbers identifying which executor a fragment's generated
+#: code belongs to (see ``FragmentExecutor._jit_for``).
 _EXECUTOR_SERIALS = itertools.count()
 
-#: Lazily bound ``repro.vm.specialize.compile_fragment`` (that module
+#: Lazily bound ``repro.vm.jit.compile_fragment_jit`` (that module
 #: imports this one, so it cannot be imported at the top).
-_compile_fragment = None
-
-#: Lazily bound ``repro.vm.jit.compile_fragment_jit`` (same import cycle).
 _compile_fragment_jit = None
 
 #: jit code-size histogram buckets (generated source lines per fragment).
@@ -105,11 +114,11 @@ class FragmentExecutor:
         self.ras = []
         #: modified-format staleness tracking (strict mode)
         self._stale = set()
-        #: identity under which fragments cache compiled closures for us
+        #: identity under which fragments cache generated code for us
         self._compile_key = next(_EXECUTOR_SERIALS)
-        #: body index of the instruction whose tier-2 guard last raised a
-        #: trap (set by generated code, read by ``_run_jit`` to build the
-        #: precise ``ExecResult``)
+        #: body index of the instruction whose generated guard last
+        #: raised a trap (set by generated code, read by ``run`` to build
+        #: the precise ``ExecResult``)
         self._jit_pei = None
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
@@ -180,57 +189,82 @@ class FragmentExecutor:
         register list is the GPR file (operational + architected in one,
         with staleness assertions for the modified format).
 
-        ``VMConfig.exec_engine`` selects how fragment bodies run: the jit
-        engine (default) promotes hot fragments to tier-2 generated
-        source (see :mod:`repro.vm.jit`) over the specialized engine's
-        pre-compiled step closures (:mod:`repro.vm.specialize`); the
-        naive engine is the readable per-instruction dispatch below.
-        All are observationally identical.
+        Each fragment visit runs one of two ways.  Under the default
+        ``jit`` engine an untraced visit calls the fragment's generated
+        function (:mod:`repro.vm.jit`), compiling it on first entry.
+        Every other visit — trace collection on, a fragment whose
+        compile failed, or ``exec_engine="naive"`` — walks the body
+        through the reference ``_execute`` dispatch.  The two are
+        observationally identical: generated code batches exactly the
+        statistics the walk counts per instruction, flushed before
+        every point where they can be observed.
         """
-        engine = self.config.exec_engine
-        if engine == "jit":
-            return self._run_jit(fragment, state, max_instructions)
-        if engine == "specialized":
-            return self._run_specialized(fragment, state, max_instructions)
-        if self.verify and not self._integrity_ok(fragment):
+        verify = self.verify
+        if verify and not self._integrity_ok(fragment):
             return ExecResult(ExitReason.CORRUPT, vpc=fragment.entry_vpc,
                               fragment=fragment)
         regs = state.regs
+        stats = self.stats
+        iop_counts = stats.iop_counts
+        execute = self._execute
+        jit = self.trace is None and self.config.exec_engine == "jit"
+        key = self._compile_key
         self._stale.clear()
         frag = fragment
         frag.execution_count += 1
-        index = 0
-        executed_v = 0
-        stats = self.stats
+        start_v = stats.source_instructions_executed
         prof = self._prof
         if prof is not None:
             self._note_entry(frag, stats)
 
         while True:
-            instr = frag.body[index]
-            fmt = frag.fmt
-            executed_v += instr.v_weight
-            stats.count_iinstr(instr, fmt,
-                               _ALPHA_WEIGHTS.get(instr.iop, 1)
-                               if fmt is IFormat.ALPHA else 1)
-            iop = instr.iop
-
-            try:
-                outcome = self._execute(instr, iop, frag, index, regs, fmt,
-                                        state)
-            except Trap as trap:
-                trap.vpc = instr.vpc
-                if prof is not None:
-                    prof.leave(ExitReason.TRAP.value, stats)
-                return ExecResult(ExitReason.TRAP, vpc=instr.vpc,
-                                  fragment=frag, body_index=index,
-                                  trap=trap)
-            if outcome is None:
-                index += 1
-                continue
+            jfn = None
+            if jit:
+                if frag._jit_key == key:
+                    jfn = frag._jit_code
+                if jfn is None:
+                    jfn = self._jit_for(frag)
+            if jfn is not None:
+                try:
+                    outcome = jfn(self, regs, state)
+                except Trap as trap:
+                    if self._jit_deopts is not None:
+                        self._jit_deopts.inc()
+                    if prof is not None:
+                        prof.leave(ExitReason.TRAP.value, stats)
+                    return ExecResult(ExitReason.TRAP, vpc=trap.vpc,
+                                      fragment=frag,
+                                      body_index=self._jit_pei, trap=trap)
+            else:
+                body = frag.body
+                fmt = frag.fmt
+                alpha = fmt is IFormat.ALPHA
+                index = 0
+                while True:
+                    instr = body[index]
+                    iop = instr.iop
+                    # VMStats' four per-instruction counters, inlined
+                    stats.iinstructions_executed += \
+                        _ALPHA_WEIGHTS.get(iop, 1) if alpha else 1
+                    iop_counts[iop] += 1
+                    if iop in _COPY_IOPS:
+                        stats.copies_executed += 1
+                    stats.source_instructions_executed += instr.v_weight
+                    try:
+                        outcome = execute(instr, iop, regs, fmt)
+                    except Trap as trap:
+                        trap.vpc = instr.vpc
+                        if prof is not None:
+                            prof.leave(ExitReason.TRAP.value, stats)
+                        return ExecResult(ExitReason.TRAP, vpc=instr.vpc,
+                                          fragment=frag, body_index=index,
+                                          trap=trap)
+                    if outcome is not None:
+                        break
+                    index += 1
             kind, value = outcome
             if kind == "goto":
-                frag, index = value
+                frag = value[0]
                 # A fragment transition is a synchronisation point: the
                 # redirect gives the machine time to make the architected
                 # file visible, so staleness tracking restarts here.  The
@@ -238,7 +272,7 @@ class FragmentExecutor:
                 # reads of non-operational values, which would be genuine
                 # usage-analysis bugs.
                 self._stale.clear()
-                if self.verify and not self._integrity_ok(frag):
+                if verify and not self._integrity_ok(frag):
                     state.pc = frag.entry_vpc
                     if prof is not None:
                         prof.leave(ExitReason.CORRUPT.value, stats)
@@ -246,98 +280,6 @@ class FragmentExecutor:
                                       vpc=frag.entry_vpc, fragment=frag)
                 # Budget checks happen only at fragment boundaries, where
                 # the architected state is complete (all live-outs copied).
-                if max_instructions is not None and executed_v >= \
-                        max_instructions:
-                    state.pc = frag.entry_vpc
-                    if prof is not None:
-                        prof.leave(ExitReason.BUDGET.value, stats)
-                    return ExecResult(ExitReason.BUDGET,
-                                      vpc=frag.entry_vpc, fragment=frag)
-                frag.execution_count += 1
-                if prof is not None:
-                    self._transfer_counter.inc()
-                    prof.switch(frag, stats)
-            elif kind == "exit":
-                state.pc = value.vpc if value.vpc is not None else state.pc
-                if prof is not None:
-                    prof.leave(value.reason.value, stats)
-                return value
-            else:  # pragma: no cover
-                raise AssertionError(kind)
-
-    # -- specialized engine ------------------------------------------------------
-
-    def _code_for(self, frag, traced):
-        """The fragment's compiled closure list for this executor.
-
-        Compiled code is keyed per executor: closures pre-resolve branch
-        targets through *our* translation cache and reflect *our* config,
-        and a fragment can be handed to a different executor (tests do
-        this after hand-mutating instructions), so a key mismatch simply
-        recompiles.  Chaining patches call ``invalidate_compiled``.
-        """
-        global _compile_fragment
-        if frag._compiled_key != self._compile_key:
-            frag._compiled_key = self._compile_key
-            frag._compiled = [None, None]
-        code = frag._compiled[traced]
-        if code is None:
-            if _compile_fragment is None:
-                from repro.vm.specialize import compile_fragment
-                _compile_fragment = compile_fragment
-            code = _compile_fragment(self, frag, traced)
-            frag._compiled[traced] = code
-        return code
-
-    def _run_specialized(self, fragment, state, max_instructions=None):
-        """The ``run`` loop over pre-compiled step closures.
-
-        Per-instruction statistics live inside the closures; the V-ISA
-        budget is charged from the ``source_instructions_executed`` delta,
-        which the closures advance exactly as the naive loop's local
-        counter would.
-        """
-        if self.verify and not self._integrity_ok(fragment):
-            return ExecResult(ExitReason.CORRUPT, vpc=fragment.entry_vpc,
-                              fragment=fragment)
-        regs = state.regs
-        stats = self.stats
-        traced = self.trace is not None
-        self._stale.clear()
-        frag = fragment
-        frag.execution_count += 1
-        code = self._code_for(frag, traced)
-        index = 0
-        start_v = stats.source_instructions_executed
-        prof = self._prof
-        if prof is not None:
-            self._note_entry(frag, stats)
-
-        while True:
-            try:
-                outcome = code[index](self, regs, state)
-            except Trap as trap:
-                vpc = frag.body[index].vpc
-                trap.vpc = vpc
-                if prof is not None:
-                    prof.leave(ExitReason.TRAP.value, stats)
-                return ExecResult(ExitReason.TRAP, vpc=vpc, fragment=frag,
-                                  body_index=index, trap=trap)
-            if outcome is None:
-                index += 1
-                continue
-            kind, value = outcome
-            if kind == "goto":
-                frag, index = value
-                # Fragment transitions restart staleness tracking and are
-                # the only budget checkpoints — see ``run`` for why.
-                self._stale.clear()
-                if self.verify and not self._integrity_ok(frag):
-                    state.pc = frag.entry_vpc
-                    if prof is not None:
-                        prof.leave(ExitReason.CORRUPT.value, stats)
-                    return ExecResult(ExitReason.CORRUPT,
-                                      vpc=frag.entry_vpc, fragment=frag)
                 if max_instructions is not None and \
                         stats.source_instructions_executed - start_v >= \
                         max_instructions:
@@ -350,7 +292,6 @@ class FragmentExecutor:
                 if prof is not None:
                     self._transfer_counter.inc()
                     prof.switch(frag, stats)
-                code = self._code_for(frag, traced)
             elif kind == "exit":
                 state.pc = value.vpc if value.vpc is not None else state.pc
                 if prof is not None:
@@ -359,14 +300,18 @@ class FragmentExecutor:
             else:  # pragma: no cover
                 raise AssertionError(kind)
 
-    # -- jit engine --------------------------------------------------------------
+    # -- jit -----------------------------------------------------------------
 
     def _jit_for(self, frag):
-        """The fragment's tier-2 function for this executor, or ``None``.
+        """Compile the fragment's generated function for this executor.
 
-        Mirrors ``_code_for``'s per-executor keying.  A compile failure
-        pins the fragment to tier 1 (``_jit_failed``) instead of retrying
-        every hot visit; ``Fragment.invalidate_compiled`` clears both the
+        Returns ``None`` when the fragment cannot be compiled.  Generated
+        code is keyed per executor: it binds *our* translation cache,
+        memory and config, and a fragment can be handed to a different
+        executor (tests do this after hand-mutating instructions), so a
+        key mismatch simply recompiles.  A compile failure pins the
+        fragment to the body walk (``_jit_failed``) instead of retrying
+        every visit; ``Fragment.invalidate_compiled`` clears both the
         code and the pin, so patched bodies get a fresh chance.
         """
         global _compile_fragment_jit
@@ -387,8 +332,7 @@ class FragmentExecutor:
             else:
                 fn = _compile_fragment_jit(self, frag)
         except Exception:
-            # degrade, never die: the fragment keeps running on tier-1
-            # closures, which are semantically complete
+            # degrade, never die: the body walk is semantically complete
             frag._jit_failed = True
             if self._jit_compile_failures is not None:
                 self._jit_compile_failures.inc()
@@ -401,103 +345,6 @@ class FragmentExecutor:
                               entry_vpc=frag.entry_vpc,
                               lines=fn._jit_lines)
         return fn
-
-    def _run_jit(self, fragment, state, max_instructions=None):
-        """The three-tier ``run`` loop: tier-2 code when a fragment is
-        hot, tier-1 step closures otherwise.
-
-        Guards deopt cleanly to tier 1: trace-collecting visits never use
-        generated code (the trace-on closures stay byte-identical to the
-        naive engine), traps surface with the precise body index recorded
-        by the generated guard, and entry/transition CRC verification is
-        identical to ``_run_specialized``.  Statistics are batched inside
-        tier-2 code but exact at every boundary, so the budget check
-        below sees the same ``source_instructions_executed`` deltas.
-        """
-        verify = self.verify
-        if verify and not self._integrity_ok(fragment):
-            return ExecResult(ExitReason.CORRUPT, vpc=fragment.entry_vpc,
-                              fragment=fragment)
-        regs = state.regs
-        stats = self.stats
-        traced = self.trace is not None
-        self._stale.clear()
-        frag = fragment
-        frag.execution_count += 1
-        key = self._compile_key
-        threshold = self.config.jit_threshold
-        start_v = stats.source_instructions_executed
-        prof = self._prof
-        if prof is not None:
-            self._note_entry(frag, stats)
-
-        while True:
-            jfn = None
-            if not traced:
-                if frag._jit_key == key:
-                    jfn = frag._jit_code
-                if jfn is None and frag.execution_count >= threshold:
-                    jfn = self._jit_for(frag)
-            if jfn is not None:
-                try:
-                    outcome = jfn(self, regs, state)
-                except Trap as trap:
-                    if self._jit_deopts is not None:
-                        self._jit_deopts.inc()
-                    if prof is not None:
-                        prof.leave(ExitReason.TRAP.value, stats)
-                    return ExecResult(ExitReason.TRAP, vpc=trap.vpc,
-                                      fragment=frag,
-                                      body_index=self._jit_pei, trap=trap)
-            else:
-                code = self._code_for(frag, traced)
-                index = 0
-                while True:
-                    try:
-                        outcome = code[index](self, regs, state)
-                    except Trap as trap:
-                        vpc = frag.body[index].vpc
-                        trap.vpc = vpc
-                        if prof is not None:
-                            prof.leave(ExitReason.TRAP.value, stats)
-                        return ExecResult(ExitReason.TRAP, vpc=vpc,
-                                          fragment=frag, body_index=index,
-                                          trap=trap)
-                    if outcome is None:
-                        index += 1
-                        continue
-                    break
-            kind, value = outcome
-            if kind == "goto":
-                frag = value[0]
-                # Fragment transitions restart staleness tracking and are
-                # the only budget checkpoints — see ``run`` for why.
-                self._stale.clear()
-                if verify and not self._integrity_ok(frag):
-                    state.pc = frag.entry_vpc
-                    if prof is not None:
-                        prof.leave(ExitReason.CORRUPT.value, stats)
-                    return ExecResult(ExitReason.CORRUPT,
-                                      vpc=frag.entry_vpc, fragment=frag)
-                if max_instructions is not None and \
-                        stats.source_instructions_executed - start_v >= \
-                        max_instructions:
-                    state.pc = frag.entry_vpc
-                    if prof is not None:
-                        prof.leave(ExitReason.BUDGET.value, stats)
-                    return ExecResult(ExitReason.BUDGET,
-                                      vpc=frag.entry_vpc, fragment=frag)
-                frag.execution_count += 1
-                if prof is not None:
-                    self._transfer_counter.inc()
-                    prof.switch(frag, stats)
-            elif kind == "exit":
-                state.pc = value.vpc if value.vpc is not None else state.pc
-                if prof is not None:
-                    prof.leave(value.reason.value, stats)
-                return value
-            else:  # pragma: no cover
-                raise AssertionError(kind)
 
     def _integrity_ok(self, frag):
         """Checksum-verify a fragment, amortised via ``frag.verified``.
@@ -526,7 +373,7 @@ class FragmentExecutor:
 
     # -- single-instruction semantics -------------------------------------------
 
-    def _execute(self, instr, iop, frag, index, regs, fmt, state):
+    def _execute(self, instr, iop, regs, fmt):
         if iop is IOp.ALU:
             self._do_alu(instr, regs, fmt)
         elif iop is IOp.LOAD:

@@ -1,9 +1,9 @@
-"""Tier-2 JIT: lower hot fragments to straight-line Python source.
+"""JIT: lower fragments to straight-line Python source on first entry.
 
-The closure-specialized engine (:mod:`repro.vm.specialize`) still pays a
-Python call, three statistics increments and an outcome check for every
-executed I-ISA instruction.  This module removes all of that for hot
-fragments: the whole body is emitted as *one* generated Python function —
+The reference body walk (``FragmentExecutor.run`` over ``_execute``)
+pays an if/elif dispatch, four statistics increments and an outcome
+check for every executed I-ISA instruction.  This module removes all of
+that: the whole body is emitted as *one* generated Python function —
 operands pre-resolved to ``regs[i]``/``_accs[i]`` index expressions, ALU
 semantics inlined where an expression reproduces the :data:`IALU_OPS`
 formula exactly (everything else calls the very same table function),
@@ -13,16 +13,16 @@ compile-time constants, so one flush of four attribute additions replaces
 dozens of per-step increments.
 
 The generated function has the signature ``fn(ex, regs, state)`` and
-returns the same outcome protocol as a tier-1 step closure: ``("goto",
-(fragment, 0))`` for an intra-cache transfer or ``("exit", ExecResult)``
-(never ``None`` — control cannot fall off a laid-out fragment).
+returns the outcome protocol of ``_execute``: ``("goto", (fragment,
+0))`` for an intra-cache transfer or ``("exit", ExecResult)`` (never
+``None`` — control cannot fall off a laid-out fragment).
 
 Exactness guarantees (the engine-differential suites assert full
-``vars(VMStats)`` equality against the tier-1 engines):
+``vars(VMStats)`` equality against the naive engine):
 
-* statistics are flushed before every point tier 1 could observe them —
-  conditional and unconditional exits, the RAS/dispatch helpers (which
-  call ``stats.count_ras``/``count_dispatch``), and trap raises;
+* statistics are flushed before every point the body walk could observe
+  them — conditional and unconditional exits, the RAS/dispatch helpers
+  (which call ``stats.count_ras``/``count_dispatch``), and trap raises;
 * each potentially-excepting instruction (LOAD/STORE) sits in its own
   ``try/except Trap`` whose *cold* handler performs the catch-up flush
   (including the trapping instruction), records the body index for
@@ -32,14 +32,15 @@ Exactness guarantees (the engine-differential suites assert full
   time*: control only enters fragments at index 0 and bodies are
   straight-line, so the stale set at each instruction is static.  A
   simulated violation compiles to the same :class:`StalenessError` raise
-  tier 1 would perform at run time; valid fragments carry no tracking
+  the walk would perform at run time; valid fragments carry no tracking
   code at all.
 
-Deoptimisation back to tier 1 is handled by the caller
-(``FragmentExecutor._run_jit``): trace-on visits never use tier-2 code,
-traps surface as precise ``ExecResult`` records, and chaining patches,
-corruption recovery and cache flushes drop compiled functions through
-``Fragment.invalidate_compiled`` exactly like the tier-1 closures.
+The caller (``FragmentExecutor.run``) compiles a fragment the first time
+an untraced jit executor enters it and falls back to the body walk for
+trace-collecting visits and for fragments whose compile failed.  Traps
+surface as precise ``ExecResult`` records, and chaining patches,
+corruption recovery and cache flushes drop generated functions through
+``Fragment.invalidate_compiled``.
 """
 
 from repro.ildp_isa.opcodes import IFormat, IOp
@@ -49,7 +50,6 @@ from repro.memory.image import PAGE_MASK, PAGE_SHIFT
 from repro.utils.bitops import MASK64, sext
 from repro.vm.executor import _ALPHA_WEIGHTS, ExecResult, ExitReason, \
     StalenessError
-from repro.vm.specialize import _resolve_goto
 
 _ZERO_REG = 31
 
@@ -95,6 +95,21 @@ _BRANCH_EXPRS = {
 
 _STALE_MESSAGE = ("r{index} read while operationally stale (usage "
                   "analysis marked it non-operational)")
+
+
+def _resolve_goto(tcache, target):
+    """Pre-resolved ``("goto", ...)`` outcome for a direct transfer.
+
+    Fragment entry addresses are stable for the life of the translation
+    cache (a flush drops every fragment, including the one being
+    compiled), and any patch that rewrites a branch drops the generated
+    code (see ``TranslationCache._apply_patches``).
+    """
+    fragment = tcache.fragment_at(target)
+    if fragment is None:  # pragma: no cover - layout guarantees entries
+        raise AssertionError(
+            f"control transfer to non-entry address {target:#x}")
+    return ("goto", (fragment, 0))
 
 
 class _Stale(Exception):
@@ -207,7 +222,8 @@ class _Emitter:
         return None if dest == _ZERO_REG else dest
 
     def commit(self, instr, expr, masked, simple=False):
-        """Emit the acc-then-GPR result commit (mirrors ``_commit_fn``)."""
+        """Emit the acc-then-GPR result commit (mirrors
+        ``FragmentExecutor._commit_result``)."""
         acc = instr.acc
         dest = self._dest_gpr(instr)
         if acc is None and dest is None:
@@ -295,7 +311,7 @@ class _Emitter:
             self.emit("_ras.pop(0)", 2)
         elif iop is IOp.RET_RAS:
             # Inlined ``_do_ret_ras`` fast path: trace is always off in
-            # tier-2 code, so the helper reduces to pop-compare-count.
+            # generated code, so the helper reduces to pop-compare-count.
             self.check_gpr(instr.gpr)
             self.bind("_frag_at", self.ex.tcache.fragment_at)
             self.bind("_count_ras", self.ex.stats.count_ras)
@@ -345,7 +361,7 @@ class _Emitter:
             self.emit("_con.append(regs[16] & 0xFF)")
         elif iop is IOp.SYSCALL:
             # PAL syscalls read/write architected GPRs directly through
-            # the shared PalContext (every tier does); a protect call
+            # the shared PalContext (as the body walk does); a protect call
             # that invalidates fragments raises the internal RETRANSLATE
             # trap, so the call sits under a PEI handler like any load.
             pal = self.bind("_pal", self.ex.pal.call)
@@ -474,14 +490,14 @@ class _Emitter:
             try:
                 self.emit_instr(index, instr)
             except _Stale as stale:
-                # tier 1 counts the instruction, then the operand getter
+                # the walk counts the instruction, then ``_read_gpr``
                 # raises; straight-line bodies make this a static fact
                 self.flush()
                 self.emit("raise _StalenessError("
                           f"{_STALE_MESSAGE.format(index=stale.index)!r})")
                 self.done = True
         if not self.done:
-            # control fell off the body: tier 1 indexes past the closure
+            # control fell off the body: the walk indexes past the body
             # list; raise the identical error with the stats caught up
             self.flush()
             self.emit('raise IndexError("list index out of range")')
@@ -505,7 +521,7 @@ class _Emitter:
 #: pure function of the body semantics — executor-specific values enter
 #: through the exec namespace, never the code — so repeated runs of the
 #: same program (benchmark repetitions, differential reruns, harness
-#: workers) skip the ``compile()`` call, which dominates tier-2 compile
+#: workers) skip the ``compile()`` call, which dominates the jit's compile
 #: cost.  Keying by content also makes staleness impossible: a patched
 #: body emits different source, hence a different key.
 _CODE_CACHE = {}

@@ -58,13 +58,6 @@ class VMStats:
 
     # -- hooks ---------------------------------------------------------------
 
-    def count_iinstr(self, instr, fmt, weight):
-        self.iinstructions_executed += weight
-        self.iop_counts[instr.iop] += 1
-        if instr.is_copy():
-            self.copies_executed += 1
-        self.source_instructions_executed += instr.v_weight
-
     def count_dispatch(self):
         self.dispatch_runs += 1
 

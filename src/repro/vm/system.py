@@ -32,6 +32,7 @@ from repro.translator.superblock import (
     SuperblockEntry,
     elided_by_translation,
 )
+from repro.utils.weak import weak_method
 from repro.vm.config import VMConfig
 from repro.vm.executor import ExitReason, FragmentExecutor
 from repro.vm.stats import VMStats
@@ -96,10 +97,11 @@ class CoDesignedVM:
             telemetry=self.telemetry, verify=verify,
             pal=self.interpreter.pal)
         # hostile-guest wiring: watch guest stores for self-modifying
-        # code, and let protect calls invalidate stale translations
+        # code, and let protect calls invalidate stale translations (weak
+        # hooks, so a finished VM is freed without a cyclic collection)
         self.tcache.attach_memory(program.memory)
-        self.tcache._smc_callback = self._on_smc
-        self.interpreter.pal.on_protect = self._on_protect
+        self.tcache._smc_callback = weak_method(self, "_on_smc")
+        self.interpreter.pal.on_protect = weak_method(self, "_on_protect")
         #: True while the fragment executor is running — an invalidation
         #: then must deopt the current stint (see ``_on_smc``)
         self._in_translated = False

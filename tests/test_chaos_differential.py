@@ -75,25 +75,24 @@ def test_faulted_vm_matches_interpreter(name, schedule):
 @pytest.mark.parametrize("name", ("gzip", "vortex", "gcc"))
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 def test_jit_chaos_matches_specialized(name, schedule):
-    """Under identical seeded fault schedules the tier-2 jit engine must
-    be ``VMStats``-bit-identical to the specialized engine: injections
+    """Under identical seeded fault schedules the jit engine must be
+    ``VMStats``-bit-identical to the naive reference engine: injections
     strike the same sites in the same order, corruption detection and
     chaining patches discard generated code without observable skew."""
     spec, seed = SCHEDULES[schedule]
     results = {}
-    for engine in ("specialized", "jit"):
-        config = VMConfig(faults=spec, fault_seed=seed,
-                          exec_engine=engine, jit_threshold=2)
+    for engine in ("naive", "jit"):
+        config = VMConfig(faults=spec, fault_seed=seed, exec_engine=engine)
         results[engine] = run_vm(name, config, budget=HALT_BUDGET,
                                  collect_trace=False)
-    jit, specialized = results["jit"], results["specialized"]
-    assert jit.vm.halted and specialized.vm.halted
+    jit, naive = results["jit"], results["naive"]
+    assert jit.vm.halted and naive.vm.halted
     assert jit.vm.injector.total_injected() > 0
-    assert jit.vm.state.pc == specialized.vm.state.pc
-    assert jit.vm.state.regs == specialized.vm.state.regs, \
-        jit.vm.state.diff(specialized.vm.state)
-    assert jit.vm.console_text() == specialized.vm.console_text()
-    assert vars(jit.stats) == vars(specialized.stats)
+    assert jit.vm.state.pc == naive.vm.state.pc
+    assert jit.vm.state.regs == naive.vm.state.regs, \
+        jit.vm.state.diff(naive.vm.state)
+    assert jit.vm.console_text() == naive.vm.console_text()
+    assert vars(jit.stats) == vars(naive.stats)
 
 
 @pytest.mark.parametrize("name", ("gzip", "crafty", "vortex"))

@@ -1,10 +1,10 @@
-"""Closure-specialized execution engine: selection, equivalence, caching.
+"""Execution engines: selection, equivalence, generated-code caching.
 
 The heavyweight differential guarantees live in
 ``test_cosim_differential.py`` (full workloads, both engines); these are
 the fast unit-level checks: engine selection and validation, interpreter
-decode-cache specialization, trace equivalence, budget behaviour, and the
-compiled-code invalidation that chaining patches must perform.
+decode-cache specialization, jit-vs-naive trace equivalence, budget
+behaviour, and compilation of every fragment on its first entry.
 """
 
 import pytest
@@ -46,8 +46,8 @@ class TestEngineSelection:
 
     def test_engines_share_result_cache_keys(self):
         naive = VMConfig(exec_engine="naive")
-        specialized = VMConfig(exec_engine="specialized")
-        assert naive.key_fields() == specialized.key_fields()
+        jit = VMConfig(exec_engine="jit")
+        assert naive.key_fields() == jit.key_fields()
         assert "exec_engine" not in naive.key_fields()
 
 
@@ -91,47 +91,41 @@ class TestExecutorSpecialization:
                               IFormat.ALPHA))
     def test_vm_engines_agree(self, fmt):
         naive = _run_vm(FIG2_KERNEL, "naive", fmt=fmt)
-        specialized = _run_vm(FIG2_KERNEL, "specialized", fmt=fmt)
-        assert specialized.halted and naive.halted
-        assert specialized.state.regs == naive.state.regs
-        assert vars(specialized.stats) == vars(naive.stats)
+        jit = _run_vm(FIG2_KERNEL, "jit", fmt=fmt)
+        assert jit.halted and naive.halted
+        assert jit.state.regs == naive.state.regs
+        assert vars(jit.stats) == vars(naive.stats)
 
     def test_traces_are_identical(self):
         naive = _run_vm(CALL_KERNEL, "naive", collect_trace=True)
-        specialized = _run_vm(CALL_KERNEL, "specialized",
-                              collect_trace=True)
-        assert len(specialized.trace) == len(naive.trace)
-        for ours, reference in zip(specialized.trace, naive.trace):
+        jit = _run_vm(CALL_KERNEL, "jit", collect_trace=True)
+        assert len(jit.trace) == len(naive.trace)
+        for ours, reference in zip(jit.trace, naive.trace):
             assert _record_fields(ours) == _record_fields(reference)
+        assert vars(jit.stats) == vars(naive.stats)
 
     def test_budget_behaviour_is_identical(self):
         naive = _run_vm(FIG2_KERNEL, "naive", budget=800)
-        specialized = _run_vm(FIG2_KERNEL, "specialized", budget=800)
-        assert not naive.halted and not specialized.halted
-        assert specialized.state.pc == naive.state.pc
-        assert specialized.state.regs == naive.state.regs
-        assert vars(specialized.stats) == vars(naive.stats)
+        jit = _run_vm(FIG2_KERNEL, "jit", budget=800)
+        assert not naive.halted and not jit.halted
+        assert jit.state.pc == naive.state.pc
+        assert jit.state.regs == naive.state.regs
+        assert vars(jit.stats) == vars(naive.stats)
 
 
 class TestCompiledCodeCache:
     def test_executed_fragments_carry_compiled_code(self):
-        vm = _run_vm(FIG2_KERNEL, "specialized")
+        """The jit compiles a fragment on its first entry: every
+        fragment that ever ran carries generated code."""
+        vm = _run_vm(FIG2_KERNEL, "jit")
         executed = [f for f in vm.tcache.fragments if f.execution_count]
         assert executed
-        compiled = [f for f in executed if f._compiled[False] is not None]
-        assert compiled, "no fragment was compiled to closures"
-
-    def test_invalidate_drops_compiled_code(self):
-        vm = _run_vm(FIG2_KERNEL, "specialized")
-        fragment = next(f for f in vm.tcache.fragments
-                        if f._compiled[False] is not None)
-        fragment.invalidate_compiled()
-        assert fragment._compiled == [None, None]
+        assert all(f._jit_code is not None for f in executed)
 
     def test_chaining_patch_invalidates_compiled_code(self):
         """A chaining patch rewrites a body instruction in place; stale
-        closures would keep exiting to the translator forever."""
-        vm = _run_vm(CALL_KERNEL, "specialized")
+        generated code would keep exiting to the translator forever."""
+        vm = _run_vm(CALL_KERNEL, "jit")
         assert vm.tcache.patches_applied > 0
         # patched fragments were recompiled and re-executed to completion:
         # the run halts only if patched branches actually chain
@@ -139,5 +133,5 @@ class TestCompiledCodeCache:
 
     def test_naive_engine_compiles_nothing(self):
         vm = _run_vm(FIG2_KERNEL, "naive")
-        assert all(f._compiled == [None, None]
-                   for f in vm.tcache.fragments)
+        assert vm.tcache.fragments
+        assert all(f._jit_code is None for f in vm.tcache.fragments)

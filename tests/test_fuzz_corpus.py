@@ -56,8 +56,8 @@ class TestCorpusContents:
 @pytest.mark.parametrize("entry", ENTRIES, ids=_entry_id)
 def test_corpus_entry_replays_clean(entry):
     """Every corpus program must agree across the naive interpreter and
-    both VM engines (the jit axis runs at the oracle's low promotion
-    threshold, so tier-2 generated code executes during replay)."""
+    both VM engines (the jit compiles every fragment on first entry, so
+    generated code executes during replay)."""
     fprog = program_from_entry(entry, shrunk=True)
     report = check_program(fprog, stages=("cosim", "engine"),
                            engines=("naive", "jit"))

@@ -90,8 +90,8 @@ class TestCompareOutcomes:
 def mutated_xor(monkeypatch):
     """Corrupt the I-ISA ``xor`` semantic — the table only *translated*
     code executes, so the pure interpreter stays correct and cosim must
-    notice.  Per-VM fragment closures bind the table entry at build
-    time, so no cache invalidation is needed."""
+    notice.  The naive executor looks the table entry up on every
+    execution, so no cache invalidation is needed."""
     monkeypatch.setitem(ildp_semantics.IALU_OPS, "xor",
                         lambda a, b: (a ^ b) ^ 0x10000)
 
@@ -144,7 +144,7 @@ class TestOracleSensitivity:
 class TestPalNoOpChaining:
     """Regression: a superblock ending on an *unknown* CALL_PAL (an
     architectural no-op) used to produce a fragment with no terminal
-    exit — the specialized executor ran off the end of the closure list
+    exit — the executor ran off the end of the fragment body
     (IndexError).  Found by the fuzzer's very first generated program."""
 
     def _program(self):
@@ -190,10 +190,10 @@ class TestCampaign:
                               shrink=True)
         assert not result.ok
         finding = result.findings[0]
-        # tier-1 closures bind the corrupted table entry, so cosim
+        # the naive walk looks up the corrupted table entry, so cosim
         # diverges from the pure interpreter; the jit inlines ``xor``
         # as a source template, so the engine stage flags the same
-        # mutation as a jit-vs-specialized split
+        # mutation as a jit-vs-naive split
         assert "cosim" in finding.stages
         assert finding.shrunk_words is not None
         assert any("shrunk" in line for line in result.render_lines())

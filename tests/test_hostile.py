@@ -5,7 +5,7 @@ Four angles on the robustness tentpole:
 * precise trap-payload parity — unaligned / unmapped / protection
   faults raised *from translated code* must carry the same
   ``(kind, vpc, address, access)`` and the same precise register file
-  under all three execution engines as under the pure interpreter;
+  under both execution engines as under the pure interpreter;
 * SMC precision — a self-patching kernel invalidates exactly the
   overlapping fragment (no whole-cache flush), and a hot-path
   self-store forces the translated stint to deopt through the internal
@@ -43,7 +43,7 @@ from repro.persist.store import FragmentStore
 from repro.vm import CoDesignedVM, VMConfig
 from repro.vm.traps import VMTrap
 
-ENGINES = ("naive", "specialized", "jit")
+ENGINES = ("naive", "jit")
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus", "hostile")
 ENTRIES = load_corpus(CORPUS_DIR)
@@ -52,7 +52,7 @@ ENTRY_IDS = [f"{entry['seed']}-{entry['index']}" for entry in ENTRIES]
 
 def _config(engine, **overrides):
     """A hot-trigger-happy config so short loops reach translated code."""
-    settings = dict(threshold=4, jit_threshold=1, exec_engine=engine)
+    settings = dict(threshold=4, exec_engine=engine)
     settings.update(overrides)
     return VMConfig(**settings)
 
@@ -626,12 +626,10 @@ def test_hostile_corpus_entry_is_warm_cold_deterministic(entry, tmp_path):
     fprog = program_from_entry(entry, shrunk=True)
     for engine in ENGINES:
         store = str(tmp_path / engine)
-        cold_cfg = VMConfig(threshold=8, jit_threshold=2,
-                            exec_engine=engine, persist_path=store,
-                            persist_mode="save")
-        warm_cfg = VMConfig(threshold=8, jit_threshold=2,
-                            exec_engine=engine, persist_path=store,
-                            persist_mode="load")
+        cold_cfg = VMConfig(threshold=8, exec_engine=engine,
+                            persist_path=store, persist_mode="save")
+        warm_cfg = VMConfig(threshold=8, exec_engine=engine,
+                            persist_path=store, persist_mode="load")
         cold_outcome, cold_vm = run_vm_outcome(fprog, cold_cfg)
         warm_outcome, warm_vm = run_vm_outcome(fprog, warm_cfg)
         assert _outcome_key(warm_outcome) == _outcome_key(cold_outcome), \
@@ -649,8 +647,7 @@ def test_hostile_corpus_exercises_the_hostile_surface():
     for entry in ENTRIES:
         fprog = program_from_entry(entry, shrunk=True)
         outcome, vm = run_vm_outcome(
-            fprog, VMConfig(threshold=8, jit_threshold=2,
-                            exec_engine="specialized"))
+            fprog, VMConfig(threshold=8, exec_engine="naive"))
         smc_hits += vm.stats.smc_detected
         protect_hits += vm.stats.protect_invalidations
         traps.add(outcome.trap_kind)

@@ -1,12 +1,12 @@
-"""Tier-2 JIT engine: promotion, parity, guarded deopt, invalidation.
+"""JIT engine: compilation, parity, guarded deopt, invalidation.
 
 The heavyweight engine-differential guarantees live in
-``test_cosim_differential.py`` (all workloads, all three engines) and in
-the fuzz corpus replay; these are the unit-level checks for the tier-2
-machinery itself: promotion policy, generated-source introspection,
-trap deoptimisation with precise state, compile-failure degradation,
-and the invalidation paths (chaining patches, corruption recovery) that
-must discard generated code.
+``test_cosim_differential.py`` (all workloads, both engines) and in the
+fuzz corpus replay; these are the unit-level checks for the jit
+machinery itself: generated-source introspection, trap deoptimisation
+with precise state, compile-failure degradation, and the invalidation
+paths (chaining patches, corruption recovery) that must discard
+generated code.
 """
 
 import pytest
@@ -20,8 +20,8 @@ from tests.conftest import ALL_FORMATS, CALL_KERNEL, FIG2_KERNEL
 from tests.test_traps import FAULTING_LOAD, GENTRAP_KERNEL
 
 
-def _config(engine="jit", fmt=IFormat.MODIFIED, threshold=2, **overrides):
-    return VMConfig(fmt=fmt, exec_engine=engine, jit_threshold=threshold,
+def _config(engine="jit", fmt=IFormat.MODIFIED, **overrides):
+    return VMConfig(fmt=fmt, exec_engine=engine,
                     collect_trace=overrides.pop("collect_trace", False),
                     **overrides)
 
@@ -45,27 +45,22 @@ def _promoted(vm):
 
 class TestPromotion:
     def test_hot_fragments_promote(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=2))
+        vm = _run(FIG2_KERNEL, _config())
         assert vm.halted
         promoted = _promoted(vm)
-        assert promoted, "no fragment reached tier 2"
+        assert promoted, "no fragment was compiled"
         for fragment in promoted:
             assert fragment._jit_key is not None
             assert fragment._jit_code._jit_lines > 0
 
-    def test_cold_fragments_stay_tier1(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=10**9))
-        assert vm.halted
-        assert not _promoted(vm)
-
-    @pytest.mark.parametrize("engine", ("naive", "specialized"))
+    @pytest.mark.parametrize("engine", ("naive",))
     def test_other_engines_never_promote(self, engine):
-        vm = _run(FIG2_KERNEL, _config(engine=engine, threshold=1))
+        vm = _run(FIG2_KERNEL, _config(engine=engine))
         assert vm.halted
         assert not _promoted(vm)
 
     def test_generated_source_is_introspectable(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=2))
+        vm = _run(FIG2_KERNEL, _config())
         source = _promoted(vm)[0]._jit_code._jit_source
         assert source.startswith("def _jit_f")
         # batched statistics: one compile-time-constant flush, not
@@ -75,12 +70,14 @@ class TestPromotion:
         assert "return" in source
 
     def test_compile_failure_degrades_to_tier1(self, monkeypatch):
+        """A fragment whose compile raises runs through the body walk
+        and still matches the naive engine exactly."""
         def broken(_ex, fragment):
             raise RuntimeError(f"no codegen for f{fragment.fid}")
 
         monkeypatch.setattr(executor_mod, "_compile_fragment_jit", broken)
-        vm = _run(FIG2_KERNEL, _config(threshold=2))
-        reference = _run(FIG2_KERNEL, _config(engine="specialized"))
+        vm = _run(FIG2_KERNEL, _config())
+        reference = _run(FIG2_KERNEL, _config(engine="naive"))
         assert vm.halted
         assert not _promoted(vm)
         assert any(f._jit_failed for f in vm.tcache.fragments), \
@@ -94,10 +91,10 @@ class TestParity:
     @pytest.mark.parametrize("source", (FIG2_KERNEL, CALL_KERNEL),
                              ids=("fig2", "call"))
     def test_kernels_match_naive(self, source, fmt):
-        jit = _run(source, _config(fmt=fmt, threshold=1))
+        jit = _run(source, _config(fmt=fmt))
         naive = _run(source, _config(engine="naive", fmt=fmt))
         assert jit.halted and naive.halted
-        assert _promoted(jit), "tier-2 code never ran"
+        assert _promoted(jit), "generated code never ran"
         assert jit.state.pc == naive.state.pc
         assert jit.state.regs == naive.state.regs, \
             jit.state.diff(naive.state)
@@ -105,7 +102,7 @@ class TestParity:
         assert vars(jit.stats) == vars(naive.stats)
 
     def test_budget_behaviour_is_identical(self):
-        jit = _run(FIG2_KERNEL, _config(threshold=1), budget=800)
+        jit = _run(FIG2_KERNEL, _config(), budget=800)
         naive = _run(FIG2_KERNEL, _config(engine="naive"), budget=800)
         assert not jit.halted and not naive.halted
         assert jit.state.pc == naive.state.pc
@@ -113,10 +110,10 @@ class TestParity:
         assert vars(jit.stats) == vars(naive.stats)
 
     def test_traced_visits_bypass_tier2(self):
-        """Trace-collecting runs must take the tier-1 trace-on closures:
-        the committed trace stays byte-identical to the naive engine and
-        no generated code is ever consulted."""
-        jit = _run(CALL_KERNEL, _config(threshold=1, collect_trace=True))
+        """Trace-collecting runs must walk the body through the reference
+        dispatch: the committed trace stays byte-identical to the naive
+        engine and no generated code is ever compiled."""
+        jit = _run(CALL_KERNEL, _config(collect_trace=True))
         naive = _run(CALL_KERNEL, _config(engine="naive",
                                           collect_trace=True))
         assert not _promoted(jit)
@@ -124,16 +121,16 @@ class TestParity:
         for ours, reference in zip(jit.trace, naive.trace):
             assert {s: getattr(ours, s) for s in ours.__slots__} == \
                 {s: getattr(reference, s) for s in reference.__slots__}
+        assert vars(jit.stats) == vars(naive.stats)
 
 
 class TestTrapDeopt:
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
     def test_faulting_load_matches_naive(self, fmt):
-        jit_trap, jit_vm = _run_trap(FAULTING_LOAD,
-                                     _config(fmt=fmt, threshold=1))
+        jit_trap, jit_vm = _run_trap(FAULTING_LOAD, _config(fmt=fmt))
         ref_trap, ref_vm = _run_trap(FAULTING_LOAD,
                                      _config(engine="naive", fmt=fmt))
-        assert _promoted(jit_vm), "trap never reached tier-2 code"
+        assert _promoted(jit_vm), "trap never reached generated code"
         assert jit_trap.trap.kind is TrapKind.ACCESS_VIOLATION
         assert jit_trap.trap.kind is ref_trap.trap.kind
         assert jit_trap.trap.vpc == ref_trap.trap.vpc
@@ -144,8 +141,7 @@ class TestTrapDeopt:
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
     def test_gentrap_matches_naive(self, fmt):
-        jit_trap, jit_vm = _run_trap(GENTRAP_KERNEL,
-                                     _config(fmt=fmt, threshold=1))
+        jit_trap, jit_vm = _run_trap(GENTRAP_KERNEL, _config(fmt=fmt))
         ref_trap, ref_vm = _run_trap(GENTRAP_KERNEL,
                                      _config(engine="naive", fmt=fmt))
         assert jit_trap.trap.kind is TrapKind.GENTRAP
@@ -155,18 +151,17 @@ class TestTrapDeopt:
         assert vars(jit_vm.stats) == vars(ref_vm.stats)
 
     def test_deopts_are_counted(self):
-        _trap, vm = _run_trap(FAULTING_LOAD,
-                              _config(threshold=1, telemetry=True))
+        _trap, vm = _run_trap(FAULTING_LOAD, _config(telemetry=True))
         counters = vm.telemetry.summary()["counters"]
         assert counters["jit.promotions"] >= 1
         assert counters["jit.deopts"] >= 1
 
 
 #: Two alternating hot loops under one outer loop.  The ``warm`` loop
-#: promotes to tier 2 while its fall-through exit still points at the
+#: is compiled while its fall-through exit still points at the
 #: untranslated ``cold`` region; when ``cold`` finally translates, the
-#: chaining patch rewrites the *promoted* fragment — and the outer loop
-#: then drives it hot again.
+#: chaining patch rewrites the *compiled* fragment — and the outer loop
+#: then enters it again.
 LATE_CHAIN_KERNEL = """
         .text
 _start: clr  r14
@@ -189,15 +184,14 @@ cold:   addq r13, 2, r13
 
 
 class TestInvalidation:
-    """Chaining patches and corruption recovery must discard tier-2 code
-    exactly like the tier-1 closures (the satellite regression)."""
+    """Chaining patches and corruption recovery must discard generated
+    code."""
 
     def test_chaining_patch_discards_then_recompiles(self):
         """A fragment promoted before its exit is patched must be
         recompiled against the patched body: the event stream shows
         promote -> chain -> promote again for the same fragment."""
-        config = VMConfig(threshold=2, exec_engine="jit", jit_threshold=1,
-                          telemetry=True)
+        config = VMConfig(threshold=2, exec_engine="jit", telemetry=True)
         vm = _run(LATE_CHAIN_KERNEL, config)
         assert vm.halted
         assert vm.tcache.patches_applied > 0
@@ -217,34 +211,33 @@ class TestInvalidation:
         assert patched_after_promotion, \
             "no promoted fragment was ever patched"
         assert repromoted, \
-            "patched fragments were never recompiled to tier 2"
+            "patched fragments were never recompiled"
         # and the generated code still computes the right answer
         reference = _run(LATE_CHAIN_KERNEL, _config(engine="naive"))
         assert vm.state.regs == reference.state.regs
         assert vm.console_text() == reference.console_text()
 
     def test_patch_drops_generated_code_immediately(self):
-        vm = _run(CALL_KERNEL, _config(threshold=1))
+        vm = _run(CALL_KERNEL, _config())
         fragment = _promoted(vm)[0]
         old_code = fragment._jit_code
         vm.tcache._invalidate(fragment)
         assert fragment._jit_code is None
         assert fragment._jit_failed is False
-        assert fragment._compiled == [None, None]
-        # the next hot visit recompiles against the (patched) body
+        # the next visit recompiles against the (patched) body
         new_code = vm.executor._jit_for(fragment)
         assert new_code is not None
         assert new_code is not old_code
         assert fragment._jit_code is new_code
 
     def test_corrupt_path_drops_generated_code(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=2))
+        vm = _run(FIG2_KERNEL, _config())
         fragment = _promoted(vm)[0]
         vm.tcache._corrupt(fragment)
         assert fragment._jit_code is None
 
     def test_compile_failure_pin_cleared_by_invalidate(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=2))
+        vm = _run(FIG2_KERNEL, _config())
         fragment = _promoted(vm)[0]
         fragment._jit_failed = True
         fragment.invalidate_compiled()
@@ -254,7 +247,7 @@ class TestInvalidation:
 
 class TestTelemetry:
     def test_jit_metrics_recorded(self):
-        vm = _run(FIG2_KERNEL, _config(threshold=2, telemetry=True))
+        vm = _run(FIG2_KERNEL, _config(telemetry=True))
         summary = vm.telemetry.summary()
         promotions = summary["counters"]["jit.promotions"]
         assert promotions >= 1
@@ -266,6 +259,6 @@ class TestTelemetry:
         assert host["timers"]["jit.compile"]["count"] == promotions
 
     def test_telemetry_is_noop_on_stats(self):
-        plain = _run(FIG2_KERNEL, _config(threshold=2))
-        observed = _run(FIG2_KERNEL, _config(threshold=2, telemetry=True))
+        plain = _run(FIG2_KERNEL, _config())
+        observed = _run(FIG2_KERNEL, _config(telemetry=True))
         assert vars(plain.stats) == vars(observed.stats)

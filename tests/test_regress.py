@@ -19,11 +19,11 @@ BASELINE = {
     "reps": 3,
     "rows": [
         {"workload": "gzip", "naive_seconds": 0.16,
-         "specialized_seconds": 0.06, "speedup": 2.8},
+         "jit_seconds": 0.06, "speedup": 2.8},
         {"workload": "mcf", "naive_seconds": 0.10,
-         "specialized_seconds": 0.04, "speedup": 2.3},
+         "jit_seconds": 0.04, "speedup": 2.3},
     ],
-    "specialized_total_seconds": 0.10,
+    "jit_total_seconds": 0.10,
     "aggregate_speedup": 2.51,
     "telemetry_on_ratio": 1.14,
     "run_points_executed": 16,
@@ -39,7 +39,7 @@ def doctored(**changes):
 
 class TestClassify:
     def test_suffix_rules(self):
-        assert classify("specialized_total_seconds") == "time"
+        assert classify("jit_total_seconds") == "time"
         assert classify("rows.gzip.naive_seconds") == "time"
         assert classify("elapsed") == "time"
         assert classify("aggregate_speedup") == "higher"
@@ -147,14 +147,14 @@ class TestCompare:
         assert not comparison.regressions
 
     def test_ten_percent_slowdown_regresses(self):
-        current = doctored(specialized_total_seconds=0.115)
+        current = doctored(jit_total_seconds=0.115)
         comparison = compare_benchmarks(BASELINE, current)
         assert not comparison.ok
         names = [d.name for d in comparison.regressions]
-        assert names == ["specialized_total_seconds"]
+        assert names == ["jit_total_seconds"]
 
     def test_small_jitter_tolerated(self):
-        current = doctored(specialized_total_seconds=0.104)
+        current = doctored(jit_total_seconds=0.104)
         assert compare_benchmarks(BASELINE, current).ok
 
     def test_speedup_drop_regresses(self):
@@ -180,7 +180,7 @@ class TestCompare:
 
     def test_machine_mismatch_warns_not_fails(self):
         current = doctored(machine={"python": "3.12.1", "cpu_count": 8},
-                           specialized_total_seconds=9.99)
+                           jit_total_seconds=9.99)
         comparison = compare_benchmarks(BASELINE, current)
         assert comparison.ok
         assert "different machines" in comparison.skipped
@@ -193,7 +193,7 @@ class TestCompare:
         assert "machine metadata" in comparison.skipped
 
     def test_context_mismatch_skips(self):
-        current = doctored(budget=10_000, specialized_total_seconds=9.99)
+        current = doctored(budget=10_000, jit_total_seconds=9.99)
         comparison = compare_benchmarks(BASELINE, current)
         assert comparison.ok
         assert "budget" in comparison.skipped
@@ -209,7 +209,7 @@ class TestCompare:
         lines = compare_benchmarks(BASELINE, BASELINE).render_lines()
         assert lines[-1].startswith("result: OK")
         lines = compare_benchmarks(
-            BASELINE, doctored(specialized_total_seconds=0.2)).render_lines()
+            BASELINE, doctored(jit_total_seconds=0.2)).render_lines()
         assert lines[-1].startswith("result: REGRESSED")
 
     def test_machine_metadata_shape(self):
@@ -238,7 +238,7 @@ class TestBenchCompareCli:
     def test_doctored_slowdown_exits_nonzero(self, tmp_path):
         base = self.write(tmp_path, "base.json", BASELINE)
         slow = self.write(tmp_path, "slow.json",
-                          doctored(specialized_total_seconds=0.115))
+                          doctored(jit_total_seconds=0.115))
         code, text = self.run_cli("bench-compare", base, slow)
         assert code == 1
         assert "regressed" in text
@@ -263,7 +263,7 @@ class TestBenchCompareCli:
         other = self.write(
             tmp_path, "other.json",
             doctored(machine={"python": "3.12.1", "cpu_count": 64},
-                     specialized_total_seconds=42.0))
+                     jit_total_seconds=42.0))
         code, text = self.run_cli("bench-compare", base, other)
         assert code == 0
         assert "gate skipped" in text
@@ -271,7 +271,7 @@ class TestBenchCompareCli:
     def test_tolerance_flag_widens_gate(self, tmp_path):
         base = self.write(tmp_path, "base.json", BASELINE)
         slow = self.write(tmp_path, "slow.json",
-                          doctored(specialized_total_seconds=0.115))
+                          doctored(jit_total_seconds=0.115))
         code, _text = self.run_cli("bench-compare", base, slow,
                                    "--tolerance", "0.25")
         assert code == 0

@@ -1,7 +1,11 @@
 """End-to-end VM tests across the full workload suite."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.harness.runner import run_vm
 from repro.ildp_isa.opcodes import IFormat
 from repro.interp import Interpreter
 from repro.translator.chaining import ChainingPolicy
@@ -119,3 +123,32 @@ class TestTranslationCost:
         assert cost.fragments == vm.stats.fragments_created
         assert cost.per_translated_instruction() > 0
         assert 0 < cost.phase_fraction("tcache_copy") < 1
+
+
+class TestRunLifetime:
+    def test_finished_traced_run_is_freed_without_collector(self):
+        """With the cyclic collector off, a finished traced VM, its
+        trace list and its translation cache die as soon as the caller
+        drops the result: none of the hooks wired between the VM, the
+        cache and guest memory refers back to its owner."""
+
+        class Marker:
+            pass
+
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_vm("twolf", VMConfig(), budget=20_000)
+            assert result.vm.stats.fragments_created > 0
+            assert result.trace
+            marker = Marker()
+            result.trace.append(marker)   # lives exactly as long as
+            trace_alive = weakref.ref(marker)   # the trace list
+            vm_alive = weakref.ref(result.vm)
+            tcache_alive = weakref.ref(result.tcache)
+            del marker, result
+            assert vm_alive() is None, "finished VM outlived its result"
+            assert trace_alive() is None, "trace outlived its result"
+            assert tcache_alive() is None, "tcache outlived its result"
+        finally:
+            gc.enable()
