@@ -17,8 +17,6 @@ smoke:
 	$(PYTHON) scripts/smoke_chaos.py
 	$(PYTHON) scripts/smoke_smc.py
 	$(PYTHON) scripts/smoke_fuzz.py
-	$(PYTHON) scripts/smoke_serve.py
-	$(PYTHON) scripts/smoke_stream.py
 
 # A longer differential-fuzzing pass than the smoke run: 200 seeded
 # programs through every oracle stage, with shrinking on any finding.
@@ -53,10 +51,6 @@ bench-gate:
 		benchmarks/bench_exec_engine.py -q -s
 	$(PYTHON) -m repro bench-compare BENCH_exec.json \
 		/tmp/BENCH_exec.fresh.json
-	REPRO_BENCH_OUTPUT=/tmp/BENCH_warmstart.fresh.json $(PYTHON) -m pytest \
-		benchmarks/bench_warm_start.py -q -s
-	$(PYTHON) -m repro bench-compare BENCH_warmstart.json \
-		/tmp/BENCH_warmstart.fresh.json
 
 report:
 	$(PYTHON) -m repro report -o results.md

@@ -170,85 +170,6 @@ def build_parser():
                              help="span-trace the campaign and write "
                                   "Chrome trace-event JSON")
 
-    serve_parser = sub.add_parser(
-        "serve", help="long-lived run-point server on a local unix "
-                      "socket (JSON-lines protocol; see docs/serving.md)")
-    serve_parser.add_argument("--socket", default="repro-serve.sock",
-                              metavar="PATH",
-                              help="unix socket path "
-                                   "(default repro-serve.sock)")
-    serve_parser.add_argument("--workers", type=_positive_int, default=1,
-                              help="worker processes per batch")
-    serve_parser.add_argument("--no-cache", action="store_true",
-                              help="skip the on-disk result cache")
-    serve_parser.add_argument("--cache-dir", default=None,
-                              help="result-cache directory")
-    serve_parser.add_argument("--persist-dir", default=None, metavar="DIR",
-                              help="fragment-store directory shared by "
-                                   "every served VM (AOT warm start)")
-    serve_parser.add_argument("--persist-mode",
-                              choices=("load", "save", "both"),
-                              default="both",
-                              help="fragment-store lifecycle half "
-                                   "(default both)")
-    serve_parser.add_argument("--batch-window", type=float, default=0.05,
-                              metavar="SECONDS",
-                              help="how long a batch collects requests "
-                                   "(default 0.05)")
-    serve_parser.add_argument("--max-batch", type=_positive_int,
-                              default=16,
-                              help="run points per batch (default 16)")
-    serve_parser.add_argument("--snapshot-interval", type=float,
-                              default=1.0, metavar="SECONDS",
-                              help="metric snapshot / stream cadence "
-                                   "(default 1.0)")
-    serve_parser.add_argument("--queue-depth", type=_positive_int,
-                              default=512,
-                              help="per-subscriber frame queue depth — "
-                                   "slow consumers drop frames past "
-                                   "this (default 512)")
-    serve_parser.add_argument("--log-json", action="store_true",
-                              help="emit structured JSON log lines "
-                                   "(with request correlation ids) "
-                                   "instead of plain text")
-
-    client_parser = sub.add_parser(
-        "client", help="drive a running `repro serve` server")
-    client_parser.add_argument("op",
-                               choices=("ping", "run", "stats",
-                                        "metrics", "shutdown"))
-    client_parser.add_argument("--socket", default="repro-serve.sock",
-                               metavar="PATH")
-    client_parser.add_argument("-w", "--workload", action="append",
-                               choices=WORKLOAD_NAMES, dest="workloads",
-                               help="workload(s) for op=run; repeatable, "
-                                    "duplicates allowed (they exercise "
-                                    "the server's request dedup)")
-    client_parser.add_argument("--budget", type=_positive_int,
-                               default=60_000,
-                               help="V-instruction budget for op=run")
-    client_parser.add_argument("--timeout", type=float, default=600.0,
-                               help="per-request socket timeout seconds")
-    client_parser.add_argument("--json", action="store_true",
-                               help="print full JSON responses instead "
-                                    "of summary lines")
-
-    top_parser = sub.add_parser(
-        "top", help="live dashboard over a running `repro serve` "
-                    "server's frame stream")
-    top_parser.add_argument("--socket", default="repro-serve.sock",
-                            metavar="PATH",
-                            help="unix socket of the server "
-                                 "(default repro-serve.sock)")
-    top_parser.add_argument("--frames", type=_positive_int, default=None,
-                            help="stop after this many frames (default: "
-                                 "run until Ctrl-C / server shutdown)")
-    top_parser.add_argument("--timeout", type=float, default=600.0,
-                            help="socket timeout seconds")
-    top_parser.add_argument("--no-clear", action="store_true",
-                            help="append dashboards instead of clearing "
-                                 "the screen between redraws")
-
     map_parser = sub.add_parser(
         "map", help="show a workload's translation-cache fragment map")
     _add_vm_arguments(map_parser)
@@ -600,84 +521,6 @@ def _command_fuzz(args, out):
     return 0 if result.ok else 1
 
 
-def _command_serve(args, out):
-    import asyncio
-    import os
-
-    from repro.harness.parallel import PointRunner
-    from repro.harness.resultcache import ResultCache
-    from repro.persist.store import ENV_PERSIST_DIR, ENV_PERSIST_MODE
-    from repro.serve.server import FragmentServer
-
-    if args.persist_dir:
-        # the environment overlay reaches run_vm in this process *and*
-        # in forked pool workers (persist fields are not run-point key
-        # fields, so the workers cannot receive them any other way)
-        os.environ[ENV_PERSIST_DIR] = args.persist_dir
-        os.environ[ENV_PERSIST_MODE] = args.persist_mode
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    runner = PointRunner(workers=args.workers, cache=cache)
-    server = FragmentServer(runner, args.socket,
-                            batch_window=args.batch_window,
-                            max_batch=args.max_batch, out=out,
-                            snapshot_interval=args.snapshot_interval,
-                            queue_depth=args.queue_depth,
-                            log_json=args.log_json)
-    try:
-        asyncio.run(server.serve())
-    except KeyboardInterrupt:
-        print("interrupted", file=out)
-    return 0
-
-
-def _command_client(args, out):
-    import json
-
-    from repro.serve.client import ServeError, request, run_many
-
-    try:
-        if args.op == "run":
-            workloads = args.workloads or ["gzip"]
-            payloads = [{"op": "run", "workload": name,
-                         "budget": args.budget} for name in workloads]
-            responses = run_many(args.socket, payloads,
-                                 timeout=args.timeout)
-            ok = True
-            for name, response in zip(workloads, responses):
-                if args.json:
-                    print(json.dumps(response), file=out)
-                elif response.get("ok"):
-                    summary = response["summary"]
-                    print(f"{name:8s} committed {summary['committed']} "
-                          f"halted={summary['halted']} "
-                          f"elapsed {summary.get('elapsed', 0.0):.2f}s",
-                          file=out)
-                else:
-                    print(f"{name:8s} FAILED: {response.get('error')}",
-                          file=out)
-                ok = ok and bool(response.get("ok"))
-            return 0 if ok else 1
-        response = request(args.socket, {"op": args.op},
-                           timeout=args.timeout)
-    except ServeError as exc:
-        print(f"client: {exc}", file=out)
-        return 2
-    if args.op == "metrics" and response.get("ok") and not args.json:
-        # the exposition text IS the output format — print it raw
-        print(response.get("text", ""), file=out, end="")
-        return 0
-    print(json.dumps(response, indent=2, sort_keys=True), file=out)
-    return 0 if response.get("ok") else 1
-
-
-def _command_top(args, out):
-    from repro.cli_top import command_top
-
-    return command_top(args.socket, frames=args.frames, out=out,
-                       clear=False if args.no_clear else None,
-                       timeout=args.timeout)
-
-
 def _command_map(args, out):
     from repro.tcache.dump import print_fragment_map
 
@@ -722,9 +565,6 @@ def main(argv=None, out=None):
         "bench-compare": _command_bench_compare,
         "chaos": _command_chaos,
         "fuzz": _command_fuzz,
-        "serve": _command_serve,
-        "client": _command_client,
-        "top": _command_top,
         "map": _command_map,
         "report": _command_report,
     }[args.command]

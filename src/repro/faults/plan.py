@@ -21,11 +21,6 @@ Sites (see ``docs/robustness.md`` for the degradation path each drives):
     by the entry checksum when verification is on);
 ``worker_crash`` / ``worker_timeout``
     a harness pool worker dies / stalls before returning its chunk;
-``persist_load``
-    a fragment-store load fails wholesale (the VM starts cold);
-``persist_corrupt``
-    individual fragment-store records are dropped at load time as if
-    their CRCs had failed;
 ``smc``
     a guest store that hit translated code invalidates *every* fragment
     on the written page instead of just the overlapping ones (spurious
@@ -58,8 +53,6 @@ class FaultSite:
     CORRUPT = "corrupt"
     WORKER_CRASH = "worker_crash"
     WORKER_TIMEOUT = "worker_timeout"
-    PERSIST_LOAD = "persist_load"
-    PERSIST_CORRUPT = "persist_corrupt"
     SMC = "smc"
     PROTECT = "protect"
 

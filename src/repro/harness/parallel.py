@@ -64,15 +64,11 @@ class RunObserver:
     """Per-point lifecycle callbacks a :class:`PointRunner` reports to.
 
     The default implementation is all no-ops, so observers override
-    only what they need.  Callbacks fire on the thread executing the
-    batch (the serve batcher's executor thread); observers living on an
-    event loop must hand off with ``call_soon_threadsafe``.  Points run
+    only what they need.  Only executed points are reported; a point
+    answered by the result cache never reaches the observer.  Points run
     in pool worker *processes* are reported post-hoc by the parent when
-    the chunk returns.
+    the chunk returns (``on_point_done`` only).
     """
-
-    def on_cache_hit(self, point):
-        """``point`` was answered by the result cache (no VM ran)."""
 
     def on_point_start(self, point):
         """``point`` is about to execute on the serial path."""
@@ -164,7 +160,7 @@ class PointRunner:
         #: every cache hit an instant marker.  Defaults to the no-op twin.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: optional :class:`RunObserver` receiving per-point lifecycle
-        #: callbacks (the serve streaming layer's request-lifecycle tap)
+        #: callbacks (per-point timing, golden summary digests)
         self.observer = observer
         self.report = RunReport()
         #: report delta for the most recent :meth:`run` call
@@ -204,8 +200,6 @@ class PointRunner:
                 self.report.cache_hits += 1
                 self.tracer.instant(f"cache-hit {point.label()}",
                                     cat="harness")
-                if self.observer is not None:
-                    self.observer.on_cache_hit(point)
             else:
                 pending.append(index)
 

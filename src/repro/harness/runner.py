@@ -17,36 +17,6 @@ from repro.workloads import get_workload
 
 DEFAULT_BUDGET = 250_000
 
-#: Process-global run lifecycle hooks: callables invoked as
-#: ``hook(phase, workload, info)`` with phase ``"run_started"`` /
-#: ``"run_finished"`` around every :func:`run_vm` execution.  This is
-#: how the serve streaming layer announces a VM run the moment it
-#: starts — before any summary exists — without threading a callback
-#: through every caller.  Hooks run on the executing thread; a hook
-#: that raises is dropped (observability must never fail a run).
-_RUN_HOOKS = []
-
-
-def add_run_hook(hook):
-    """Install a ``(phase, workload, info_dict) -> None`` lifecycle hook."""
-    _RUN_HOOKS.append(hook)
-
-
-def remove_run_hook(hook):
-    """Remove a previously installed hook (no error if already gone)."""
-    try:
-        _RUN_HOOKS.remove(hook)
-    except ValueError:
-        pass
-
-
-def _notify_hooks(phase, workload, **info):
-    for hook in list(_RUN_HOOKS):
-        try:
-            hook(phase, workload, info)
-        except Exception:
-            remove_run_hook(hook)
-
 
 class RunResult:
     """One VM run: the VM (with stats/tcache) plus its committed trace."""
@@ -71,16 +41,7 @@ def run_vm(workload_name, config=None, scale=None, budget=DEFAULT_BUDGET,
     harness forces it on so run summaries carry telemetry blocks; the
     CLI leaves the config's setting alone).  ``trace`` does the same for
     span tracing (``repro trace`` / ``--trace-out`` force it on).
-
-    When the config carries no explicit ``persist_path``, the
-    ``REPRO_PERSIST_DIR``/``REPRO_PERSIST_MODE`` environment overlay
-    supplies one — how ``repro serve`` hands the shared fragment store
-    to pool workers, which rebuild configs from ``key_fields`` (persist
-    settings are deliberately not key fields).  Fresh translations are
-    saved back to the store when the run ends, even on a trap.
     """
-    import os
-
     workload = get_workload(workload_name)
     config = config if config is not None else VMConfig()
     overrides = {"collect_trace": collect_trace}
@@ -88,27 +49,9 @@ def run_vm(workload_name, config=None, scale=None, budget=DEFAULT_BUDGET,
         overrides["telemetry"] = telemetry
     if trace is not None:
         overrides["trace"] = trace
-    if config.persist_path is None:
-        from repro.persist.store import ENV_PERSIST_DIR, ENV_PERSIST_MODE
-
-        env_dir = os.environ.get(ENV_PERSIST_DIR)
-        if env_dir:
-            overrides["persist_path"] = env_dir
-            env_mode = os.environ.get(ENV_PERSIST_MODE)
-            if env_mode:
-                overrides["persist_mode"] = env_mode
     config = config.copy(**overrides)
     vm = CoDesignedVM(workload.program(scale), config)
-    if _RUN_HOOKS:
-        _notify_hooks("run_started", workload_name, budget=budget)
-    try:
-        vm.run(max_v_instructions=budget)
-    finally:
-        vm.persist_save()
-        if _RUN_HOOKS:
-            _notify_hooks("run_finished", workload_name,
-                          committed=vm.stats.total_v_instructions(),
-                          halted=vm.halted)
+    vm.run(max_v_instructions=budget)
     return RunResult(workload_name, config, vm)
 
 

@@ -16,6 +16,8 @@ Two engines execute steps (selected per interpreter, default
   no per-step ``Kind`` dispatch, no table lookups, no dict construction.
 * **naive** — the readable reference dispatch below, kept for
   differential testing and as the semantics of record.
+  ``Interpreter(..., exec_engine="naive")`` builds a
+  :class:`NaiveInterpreter`, whose class binds ``step`` to it.
 """
 
 from repro.interp.specialize import STORE_SIZES, build_step
@@ -83,6 +85,15 @@ class ExecEvent:
 class Interpreter:
     """Executes a loaded V-ISA program instruction by instruction."""
 
+    def __new__(cls, program=None, console=None, exec_engine="specialized"):
+        # the engine picks the class and the class binds ``step``, so the
+        # hot loop pays no per-step engine check and an instance holds no
+        # bound method of itself: a dropped interpreter, with its
+        # program's guest memory, is freed by reference counting
+        if cls is Interpreter and exec_engine == "naive":
+            cls = NaiveInterpreter
+        return super().__new__(cls)
+
     def __init__(self, program, console=None, exec_engine="specialized"):
         if exec_engine not in ("jit", "specialized", "naive"):
             raise ValueError(f"unknown exec engine {exec_engine!r}")
@@ -102,12 +113,6 @@ class Interpreter:
         #: across processes — a warm cache makes every fetch a hit — so the
         #: harness reports it in the host (non-reproducible) block only.
         self.decode_misses = 0
-        #: the engine is chosen once; ``step`` is re-bound per instance so
-        #: the hot loop pays no per-step engine check.  The jit engine
-        #: only compiles *fragments* — single-step interpretation has no hot
-        #: bodies to compile, so it shares the specialized step path.
-        self.step = self._step_naive if exec_engine == "naive" \
-            else self._step_specialized
 
     def fetch(self, pc):
         """Decode (with caching) the instruction at ``pc``.
@@ -138,6 +143,11 @@ class Interpreter:
         event = entry[1](self, state, state.regs, pc)
         self.instruction_count += 1
         return event
+
+    #: Execute one instruction and return its :class:`ExecEvent`.  The jit
+    #: engine only compiles *fragments* — single-step interpretation has
+    #: no hot bodies to compile, so it shares the specialized step.
+    step = _step_specialized
 
     # -- naive engine (the reference semantics) -------------------------------
 
@@ -234,6 +244,13 @@ class Interpreter:
     def console_text(self):
         """The console output decoded as latin-1 text."""
         return bytes(self.console).decode("latin-1")
+
+
+class NaiveInterpreter(Interpreter):
+    """An :class:`Interpreter` on the naive engine: every step goes
+    through the reference dispatch (``_step_naive``)."""
+
+    step = Interpreter._step_naive
 
 
 def _initial_state(program):

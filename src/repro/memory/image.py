@@ -305,8 +305,7 @@ class Program:
         self.text_base = text_base
         self.text_size = text_size
         self.source_name = source_name
-        #: scripted console input consumed by the ``getc`` PAL call;
-        #: part of program identity (see ``persist.store.program_digest``)
+        #: scripted console input consumed by the ``getc`` PAL call
         self.input_script = bytes(input_script)
 
     def text_range(self):

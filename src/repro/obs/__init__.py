@@ -15,23 +15,16 @@
   trace-event export (``VMConfig.trace``; default the no-op
   :data:`NULL_TRACER`);
 * :mod:`repro.obs.regress` — the benchmark-regression sentinel behind
-  ``repro bench-compare``;
-* :mod:`repro.obs.timeseries` — a bounded ring of periodic metric
-  snapshots with delta/rate views (the serve-mode feed);
-* :mod:`repro.obs.expo` — Prometheus-style text exposition of a
-  registry (``repro client metrics``).
+  ``repro bench-compare``.
 """
 
 from repro.obs.events import (
     Event,
     EventKind,
     EventStream,
-    add_global_tap,
     parse_jsonl,
     parse_jsonl_lenient,
-    remove_global_tap,
 )
-from repro.obs.expo import parse_exposition, render_prometheus
 from repro.obs.profile import (
     FragmentProfiler,
     histogram_quantile_lines,
@@ -42,7 +35,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     NULL_REGISTRY,
     histogram_quantile,
-    histogram_quantiles,
 )
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
@@ -50,9 +42,7 @@ from repro.obs.telemetry import (
     Telemetry,
     make_telemetry,
     merge_summary,
-    tapped_events,
 )
-from repro.obs.timeseries import Snapshot, TimeSeriesRing, flatten_registry
 from repro.obs.trace import (
     NULL_TRACER,
     MultiSpan,
@@ -65,15 +55,12 @@ from repro.obs.trace import (
 
 __all__ = [
     "Event", "EventKind", "EventStream", "parse_jsonl",
-    "parse_jsonl_lenient", "add_global_tap", "remove_global_tap",
-    "parse_exposition", "render_prometheus",
+    "parse_jsonl_lenient",
     "FragmentProfiler", "histogram_quantile_lines", "hot_fragment_table",
     "phase_breakdown_lines",
     "MetricsRegistry", "NULL_REGISTRY", "histogram_quantile",
-    "histogram_quantiles",
     "NULL_TELEMETRY", "NullTelemetry", "Telemetry", "make_telemetry",
-    "merge_summary", "tapped_events",
-    "Snapshot", "TimeSeriesRing", "flatten_registry",
+    "merge_summary",
     "NULL_TRACER", "MultiSpan", "NullTracer", "Tracer", "make_tracer",
     "span_contains", "validate_chrome_trace",
 ]

@@ -20,31 +20,6 @@ from collections import Counter, deque
 #: Default ring-buffer capacity, in records.
 DEFAULT_CAPACITY = 4096
 
-#: Process-global subscription taps: callables invoked with every
-#: :class:`Event` any live :class:`EventStream` emits.  This is the hook
-#: the serve-mode streaming layer uses to fan VM events out to socket
-#: subscribers while a run is still executing — telemetry objects are
-#: created per run deep inside ``execute_point``, so a per-stream
-#: callback could never be threaded in from outside.  The emit hot path
-#: pays one truthiness check when no tap is installed (and the no-op
-#: :class:`NullEventStream` never even reaches it, keeping the
-#: telemetry-off overhead gate untouched).  A tap that raises is
-#: dropped silently: observability must never take down a VM run.
-_GLOBAL_TAPS = []
-
-
-def add_global_tap(tap):
-    """Install ``tap`` (an ``Event -> None`` callable) on every stream."""
-    _GLOBAL_TAPS.append(tap)
-
-
-def remove_global_tap(tap):
-    """Remove a previously installed tap (no error if already gone)."""
-    try:
-        _GLOBAL_TAPS.remove(tap)
-    except ValueError:
-        pass
-
 
 class EventKind:
     """Names of the event types the VM emits (plain strings)."""
@@ -119,12 +94,6 @@ class EventStream:
         self.emitted += 1
         self.by_kind[kind] += 1
         self._buffer.append(event)
-        if _GLOBAL_TAPS:
-            for tap in list(_GLOBAL_TAPS):
-                try:
-                    tap(event)
-                except Exception:
-                    remove_global_tap(tap)
         return event
 
     @property

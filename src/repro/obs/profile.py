@@ -164,8 +164,7 @@ def histogram_quantile_lines(registry, qs=(0.5, 0.9, 0.99)):
     """Render each registry histogram's quantiles as text lines.
 
     The quantiles come from :meth:`~repro.obs.registry.Histogram.quantile`
-    (Prometheus-style linear interpolation within fixed buckets) — the
-    same math ``repro top`` applies to the streamed latency histograms.
+    (Prometheus-style linear interpolation within fixed buckets).
     """
     lines = ["histogram quantiles "
              f"({'/'.join(f'p{int(q * 100)}' for q in qs)}):"]

@@ -137,10 +137,6 @@ class Histogram:
         """Estimate the ``q``-quantile (see :func:`histogram_quantile`)."""
         return histogram_quantile(self.bounds, self.counts, q)
 
-    def quantiles(self, qs=(0.5, 0.9, 0.99)):
-        """Estimate several quantiles at once; ``{q: estimate}``."""
-        return {q: self.quantile(q) for q in qs}
-
     def reset(self):
         """Zero every bucket (used for rebuild-on-finalize histograms)."""
         self.counts = [0] * (len(self.bounds) + 1)
@@ -184,12 +180,6 @@ def histogram_quantile(bounds, counts, q):
             upper = float(bounds[index])
             return lower + (upper - lower) * ((rank - below) / count)
     return float(bounds[-1]) if bounds else 0.0
-
-
-def histogram_quantiles(bounds, counts, qs=(0.5, 0.9, 0.99)):
-    """Several :func:`histogram_quantile` estimates at once, as
-    ``{q: estimate}`` (``None`` entries for an empty histogram)."""
-    return {q: histogram_quantile(bounds, counts, q) for q in qs}
 
 
 class MetricsRegistry:
@@ -326,10 +316,6 @@ class _NullMetric:
     def quantile(self, q):
         """Always None (nothing was observed)."""
         return None
-
-    def quantiles(self, qs=(0.5, 0.9, 0.99)):
-        """All-None estimates."""
-        return {q: None for q in qs}
 
     def reset(self):
         """No-op."""

@@ -42,11 +42,8 @@ CONTEXT_KEYS = ("benchmark", "experiment", "workloads", "budget", "reps",
                 "run_points", "scale")
 
 #: Top-level *blocks* (nested dicts) that likewise carry context, not
-#: metrics: the machine-identity block every record embeds, and the
-#: fragment-store description ``BENCH_warmstart.json`` records (record
-#: counts and store bytes are properties of what was persisted, not of
-#: how fast the run went).
-CONTEXT_BLOCKS = ("machine", "store")
+#: metrics: the machine-identity block every record embeds.
+CONTEXT_BLOCKS = ("machine",)
 
 
 def machine_metadata():
@@ -94,7 +91,7 @@ def flatten_metrics(doc):
     """Flatten a benchmark record into ``{dotted.name: number}``.
 
     Top-level context fields (:data:`CONTEXT_KEYS`) and context blocks
-    (:data:`CONTEXT_BLOCKS` — ``machine``, ``store``) are excluded —
+    (:data:`CONTEXT_BLOCKS` — ``machine``) are excluded —
     they guard comparability, they are not metrics.  Lists of
     per-workload row dicts key by the row's ``workload``
     (``rows.gzip.speedup``); other lists key by index.  Non-numeric

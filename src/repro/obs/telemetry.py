@@ -25,15 +25,7 @@ Two summary views exist because the harness treats them differently:
   outside the determinism contract.
 """
 
-from contextlib import contextmanager
-
-from repro.obs.events import (
-    DEFAULT_CAPACITY,
-    EventStream,
-    NULL_EVENTS,
-    add_global_tap,
-    remove_global_tap,
-)
+from repro.obs.events import DEFAULT_CAPACITY, EventStream, NULL_EVENTS
 from repro.obs.profile import FragmentProfiler, NULL_PROFILER
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 
@@ -58,12 +50,6 @@ class Telemetry:
     """Live telemetry: registry + event stream + fragment profiler."""
 
     enabled = True
-
-    #: Set by a :class:`~repro.persist.session.PersistSession` when the
-    #: VM persists translations.  Warm-start activity depends on what
-    #: happens to be on disk, so it exports through ``host_summary``
-    #: only — never the deterministic ``summary``.
-    persist_stats = None
 
     def __init__(self, event_capacity=DEFAULT_CAPACITY):
         self.registry = MetricsRegistry()
@@ -117,13 +103,10 @@ class Telemetry:
 
     def host_summary(self):
         """Process-local wall-clock measurements (outside determinism)."""
-        summary = {
+        return {
             "timers": self.registry.to_dict()["timers"],
             "decode_misses": self.decode_misses,
         }
-        if self.persist_stats is not None:
-            summary["persist"] = self.persist_stats.to_dict()
-        return summary
 
     def __repr__(self):
         return (f"Telemetry({self.events.emitted} events, "
@@ -176,33 +159,6 @@ def make_telemetry(config):
             return Telemetry(event_capacity=int(capacity))
         return Telemetry()
     return NULL_TELEMETRY
-
-
-@contextmanager
-def tapped_events(callback, kinds=None):
-    """Subscribe ``callback`` to every event any telemetry-enabled run
-    in this process emits, for the duration of the ``with`` block.
-
-    ``kinds`` (an iterable of :class:`~repro.obs.events.EventKind`
-    values) filters at the tap, so high-rate kinds never cross the
-    subscription boundary.  This is the in-process half of the serve
-    streaming layer (:mod:`repro.serve.streaming`): the tap fires on the
-    thread running the VM, so consumers that live on an event loop must
-    hand off with ``call_soon_threadsafe``.  Pool workers are separate
-    processes — their events arrive post-hoc through run summaries, not
-    through taps.
-    """
-    wanted = frozenset(kinds) if kinds is not None else None
-
-    def tap(event):
-        if wanted is None or event.kind in wanted:
-            callback(event)
-
-    add_global_tap(tap)
-    try:
-        yield tap
-    finally:
-        remove_global_tap(tap)
 
 
 def merge_summary(registry, summary, host=None):

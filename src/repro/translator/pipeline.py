@@ -55,7 +55,7 @@ class Translator:
     def __init__(self, tcache, fmt=IFormat.MODIFIED,
                  policy=ChainingPolicy.SW_PRED_RAS, n_accumulators=4,
                  fuse_memory=False, cost_model=None, telemetry=None,
-                 tracer=None, injector=None, memo=None):
+                 tracer=None, injector=None):
         self.tcache = tcache
         self.injector = injector if injector is not None else NULL_INJECTOR
         self.fmt = fmt
@@ -67,9 +67,6 @@ class Translator:
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: optional persistence memo (repro.persist): consulted before
-        #: the cold pipeline, fed pre-install records after it
-        self.memo = memo
 
     def _phase(self, name):
         """A wall-clock span for one pipeline stage (no-op when
@@ -96,22 +93,8 @@ class Translator:
             # before any cache mutation or cost charge: an injected
             # failure must leave the stack exactly as it found it
             raise TranslationError(superblock.entry_vpc, "injected fault")
-        if self.memo is not None:
-            restored = self.memo.try_restore(self, superblock)
-            if restored is not None:
-                return restored
         cost = self.cost
-        if self.memo is not None and self.memo.capture:
-            charges = []
-
-            def charge(phase, units):
-                # mirror every charge into the persistence record so a
-                # warm restore can replay translation-cost accounting
-                cost.charge(phase, units)
-                charges.append((phase, units))
-        else:
-            charges = None
-            charge = cost.charge
+        charge = cost.charge
         charge("fetch_decode", len(superblock.entries))
 
         if self.fmt is IFormat.ALPHA:
@@ -145,15 +128,6 @@ class Translator:
         charge("chaining", len(fragment.exits))
         cost.note_fragment(fragment.source_instr_count)
 
-        # serialise before install: ``add`` may patch the fragment's own
-        # self-loop exits, and records must stay pre-install (see
-        # repro.persist.codec); commit only once the install succeeded
-        record = None
-        if charges is not None:
-            record = self.memo.encode(superblock, fragment, usage,
-                                      charges, self.tcache)
         with self._phase("chaining"):
             self.tcache.add(fragment)
-        if record is not None:
-            self.memo.commit(record)
         return TranslationResult(fragment, nodes, usage, strands, plan)

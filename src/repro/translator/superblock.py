@@ -37,8 +37,7 @@ class SuperblockEntry:
         #: validation compares it against current guest memory so a
         #: self-modifying store *during* capture (the page is only
         #: watched once a fragment is installed) cannot install a stale
-        #: translation; it also feeds ``superblock_digest`` so persisted
-        #: fragments can never alias across code rewrites.
+        #: translation.
         self.word = word
 
     def __repr__(self):

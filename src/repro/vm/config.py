@@ -38,9 +38,7 @@ class VMConfig:
                  max_host_steps=None,
                  translation_retry_limit=3,
                  flush_storm_window=1_000,
-                 verify_fragments=None,
-                 persist_path=None,
-                 persist_mode="both"):
+                 verify_fragments=None):
         if n_accumulators < 1:
             raise ValueError("need at least one accumulator")
         if threshold < 1:
@@ -59,10 +57,6 @@ class VMConfig:
             raise ValueError("translation retry limit must be positive")
         if flush_storm_window < 0:
             raise ValueError("flush storm window must be non-negative")
-        if persist_mode not in ("load", "save", "both"):
-            raise ValueError(
-                f"unknown persist mode {persist_mode!r} "
-                "(expected 'load', 'save' or 'both')")
         if faults is not None and not isinstance(faults, str):
             # accept a list of spec strings for convenience, normalised
             # to the canonical ";"-joined form so configs stay JSON-able
@@ -141,15 +135,6 @@ class VMConfig:
         #: "only when a corruption fault site is planned" — see
         #: :meth:`resolve_verify_fragments`.
         self.verify_fragments = verify_fragments
-        #: Root directory of the persistent fragment store
-        #: (:mod:`repro.persist`).  ``None`` (the default) disables
-        #: persistence entirely — no store, no memo, zero overhead.
-        self.persist_path = None if persist_path is None \
-            else str(persist_path)
-        #: Which half of the store lifecycle runs: ``"load"`` warm-starts
-        #: from an existing store only, ``"save"`` records this run's
-        #: translations only, ``"both"`` (the default) does both.
-        self.persist_mode = persist_mode
 
     def resolve_verify_fragments(self):
         """Whether the executor should checksum-verify fragments.
@@ -195,9 +180,7 @@ class VMConfig:
             max_host_steps=self.max_host_steps,
             translation_retry_limit=self.translation_retry_limit,
             flush_storm_window=self.flush_storm_window,
-            verify_fragments=self.verify_fragments,
-            persist_path=self.persist_path,
-            persist_mode=self.persist_mode)
+            verify_fragments=self.verify_fragments)
 
     def key_fields(self):
         """The fields that identify a run for result caching.
@@ -218,15 +201,6 @@ class VMConfig:
         directly.  The degradation *knobs* (``tcache_capacity_bytes``,
         ``max_host_steps``, retry/storm limits) stay in the key — they
         change flush counts and other cached metrics.
-
-        ``persist_path``/``persist_mode`` are excluded because warm
-        start is observational: the translation memo replays the exact
-        fragment and cost accounting the cold pipeline would produce
-        (the warm-differential suite asserts ``vars(VMStats)``
-        equality), so persisted and cold runs share cached summaries.
-        This exclusion is also what the store key itself relies on —
-        it hashes ``key_fields()``, which must not include the store's
-        own location.
         """
         fields = self.to_dict()
         del fields["collect_trace"]
@@ -236,8 +210,6 @@ class VMConfig:
         del fields["faults"]
         del fields["fault_seed"]
         del fields["verify_fragments"]
-        del fields["persist_path"]
-        del fields["persist_mode"]
         return fields
 
     @classmethod

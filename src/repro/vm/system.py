@@ -74,21 +74,12 @@ class CoDesignedVM:
             capacity_bytes=self.config.tcache_capacity_bytes,
             injector=self.injector, verify=verify)
         self.cost_model = TranslationCostModel()
-        if self.config.persist_path is not None:
-            from repro.persist.session import PersistSession
-            self.persist = PersistSession(
-                program, self.config, telemetry=self.telemetry,
-                injector=self.injector)
-            memo = self.persist.memo
-        else:
-            self.persist = None
-            memo = None
         self.translator = Translator(
             self.tcache, fmt=self.config.fmt, policy=self.config.policy,
             n_accumulators=self.config.n_accumulators,
             fuse_memory=self.config.fuse_memory,
             cost_model=self.cost_model, telemetry=self.telemetry,
-            tracer=self.tracer, injector=self.injector, memo=memo)
+            tracer=self.tracer, injector=self.injector)
         self.stats = VMStats()
         self.trace = [] if self.config.collect_trace else None
         self.executor = FragmentExecutor(
@@ -116,13 +107,6 @@ class CoDesignedVM:
         self._last_capacity_flush = None
 
     # -- public API -----------------------------------------------------------
-
-    def persist_save(self):
-        """Write this run's fresh translations back to the fragment
-        store (no-op without ``VMConfig.persist_path``; best-effort,
-        never raises — see :mod:`repro.persist`)."""
-        if self.persist is not None:
-            self.persist.save()
 
     def run(self, max_v_instructions=1_000_000):
         """Run until halt, trap, or the V-ISA instruction budget is spent.

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.harness.report import REPORT_SECTIONS
 
 
 def run_cli(*argv):
@@ -67,6 +68,18 @@ class TestCli:
         assert code == 0
         assert "0 cache hits, 1 executed" in text
         assert not any(tmp_path.iterdir())
+
+    def test_report_writes_every_section(self, tmp_path):
+        output = tmp_path / "report.md"
+        code, text = run_cli("report", "-w", "gzip", "--budget", "2000",
+                             "--no-cache", "-o", str(output))
+        assert code == 0
+        assert "0 cache hits" in text
+        assert f"wrote {output}" in text
+        report = output.read_text()
+        assert "Workloads: gzip; budget 2,000" in report
+        for _name, title in REPORT_SECTIONS:
+            assert f"## {title}" in report
 
     def test_trace_writes_valid_chrome_json(self, tmp_path):
         import json

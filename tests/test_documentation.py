@@ -1,14 +1,18 @@
 """Documentation hygiene: every public module, class and function in the
 library carries a docstring (deliverable (e): doc comments on every public
-item)."""
+item), and the prose documents only name commands and files that exist."""
 
+import argparse
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
 import repro
+from repro.cli import build_parser
 
 
 def _walk_modules():
@@ -53,3 +57,43 @@ def test_workload_programs_carry_descriptions():
         module = importlib.import_module(f"{pkg_name}.{info.name}")
         assert getattr(module, "DESCRIPTION", None), info.name
         assert module.__doc__
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DOCUMENTS = [ROOT / name for name in ("README.md", "DESIGN.md",
+                                       "EXPERIMENTS.md")] + \
+    sorted((ROOT / "docs").glob("*.md"))
+DOCUMENT_IDS = [str(path.relative_to(ROOT)) for path in DOCUMENTS]
+
+#: ``python -m repro <cmd>`` or `` `repro <cmd>`` in prose or code blocks.
+_COMMAND = re.compile(r"python3? -m repro +([a-z][\w-]*)"
+                      r"|`repro +([a-z][\w-]*)")
+#: Repository paths (globs allowed) and benchmark records.
+_PATH = re.compile(r"\b(?:tests|scripts|benchmarks|examples|docs)/[\w./*-]*"
+                   r"|\bBENCH_\w+\.json")
+
+
+def _subcommands():
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return set(action.choices)
+    raise AssertionError("the CLI parser has no subcommands")
+
+
+@pytest.mark.parametrize("document", DOCUMENTS, ids=DOCUMENT_IDS)
+def test_documented_commands_exist(document):
+    commands = _subcommands()
+    named = {first or second
+             for first, second in _COMMAND.findall(document.read_text())}
+    unknown = sorted(named - commands)
+    assert not unknown, f"{document.name} names unknown subcommands " \
+                        f"{unknown}"
+
+
+@pytest.mark.parametrize("document", DOCUMENTS, ids=DOCUMENT_IDS)
+def test_documented_paths_exist(document):
+    mentioned = {match.rstrip(".,")
+                 for match in _PATH.findall(document.read_text())}
+    missing = sorted(path for path in mentioned
+                     if not any(ROOT.glob(path.rstrip("/"))))
+    assert not missing, f"{document.name} mentions missing paths {missing}"

@@ -76,7 +76,6 @@ class TestSpecGrammar:
         assert KNOWN_SITES == {
             "translate", "tcache_full", "corrupt",
             "worker_crash", "worker_timeout",
-            "persist_load", "persist_corrupt",
             "smc", "protect"}
 
 

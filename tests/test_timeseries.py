@@ -1,100 +1,11 @@
-"""Time-series ring, Prometheus exposition, histogram quantiles.
-
-The serve-metrics building blocks in isolation: bounded snapshot rings
-with delta/rate views (:mod:`repro.obs.timeseries`), the text
-exposition round-trip (:mod:`repro.obs.expo`), and the fixed-bucket
-quantile estimator (:mod:`repro.obs.registry`) — including the
-exactness-at-bucket-boundary cases the ISSUE calls out.
+"""Histogram quantiles: the fixed-bucket estimator behind
+``repro profile``'s quantile table (:mod:`repro.obs.registry`),
+including its exactness at bucket boundaries.
 """
 
 import pytest
 
-from repro.obs.expo import (
-    parse_exposition,
-    render_prometheus,
-    sanitize_metric_name,
-)
-from repro.obs.registry import (
-    MetricsRegistry,
-    histogram_quantile,
-    histogram_quantiles,
-)
-from repro.obs.timeseries import (
-    Snapshot,
-    TimeSeriesRing,
-    flatten_registry,
-    snapshot_delta,
-)
-
-
-class TestTimeSeriesRing:
-    def test_record_and_latest(self):
-        ring = TimeSeriesRing(capacity=4)
-        ring.record({"a": 1}, ts=10.0)
-        snapshot = ring.record({"a": 3}, ts=11.0)
-        assert ring.latest() is snapshot
-        assert snapshot.seq == 1
-        assert len(ring) == 2
-        assert ring.recorded == 2
-
-    def test_capacity_bounds_and_eviction(self):
-        ring = TimeSeriesRing(capacity=3)
-        for index in range(7):
-            ring.record({"n": index}, ts=float(index))
-        assert len(ring) == 3
-        assert ring.evicted == 4
-        assert [snapshot.values["n"] for snapshot in ring] == [4, 5, 6]
-
-    def test_capacity_floor(self):
-        with pytest.raises(ValueError, match="capacity must be >= 2"):
-            TimeSeriesRing(capacity=1)
-
-    def test_delta_and_rates(self):
-        ring = TimeSeriesRing(capacity=8)
-        ring.record({"req": 10, "err": 1}, ts=100.0)
-        ring.record({"req": 30, "err": 1, "new": 5}, ts=102.0)
-        deltas, elapsed = ring.delta()
-        assert deltas == {"req": 20, "err": 0, "new": 5}
-        assert elapsed == pytest.approx(2.0)
-        rates, _ = ring.rates()
-        assert rates["req"] == pytest.approx(10.0)
-
-    def test_delta_needs_two_snapshots(self):
-        ring = TimeSeriesRing(capacity=4)
-        assert ring.delta() == ({}, 0.0)
-        ring.record({"a": 1}, ts=1.0)
-        assert ring.delta() == ({}, 0.0)
-
-    def test_delta_spans_clamped(self):
-        ring = TimeSeriesRing(capacity=4)
-        for index in range(3):
-            ring.record({"a": index * 10}, ts=float(index))
-        deltas, elapsed = ring.delta(spans=99)
-        assert deltas == {"a": 20}
-        assert elapsed == pytest.approx(2.0)
-
-    def test_series_view(self):
-        ring = TimeSeriesRing(capacity=4)
-        ring.record({"a": 1}, ts=1.0)
-        ring.record({"b": 2}, ts=2.0)
-        ring.record({"a": 3}, ts=3.0)
-        assert ring.series("a") == [(1.0, 1), (3.0, 3)]
-        assert ring.series("a", limit=1) == [(3.0, 3)]
-
-    def test_snapshot_delta_missing_keys_count_from_zero(self):
-        older = Snapshot(1.0, 0, {"x": 5})
-        newer = Snapshot(2.0, 1, {"x": 7, "y": 3})
-        assert snapshot_delta(older, newer) == {"x": 2, "y": 3}
-
-    def test_flatten_registry(self):
-        registry = MetricsRegistry()
-        registry.counter("runs").inc(4)
-        registry.gauge("depth").set(7)
-        registry.timer("vm").add(1.5, 3)
-        registry.histogram("lat", (1, 2)).observe(1)
-        flat = flatten_registry(registry.to_dict(), prefix="t.")
-        assert flat == {"t.runs": 4, "t.depth": 7, "t.vm.seconds": 1.5,
-                        "t.vm.count": 3, "t.lat.total": 1}
+from repro.obs.registry import MetricsRegistry, histogram_quantile
 
 
 class TestQuantiles:
@@ -125,11 +36,6 @@ class TestQuantiles:
         with pytest.raises(ValueError, match="quantile must be in"):
             histogram_quantile((1.0,), [1, 0], 1.5)
 
-    def test_quantiles_map(self):
-        result = histogram_quantiles((1.0, 2.0), [2, 2, 0])
-        assert set(result) == {0.5, 0.9, 0.99}
-        assert result[0.5] == pytest.approx(1.0)
-
     def test_histogram_method_matches_function(self):
         registry = MetricsRegistry()
         histogram = registry.histogram("lat", (1.0, 2.0, 4.0))
@@ -137,53 +43,3 @@ class TestQuantiles:
             histogram.observe(value)
         assert histogram.quantile(0.5) == pytest.approx(
             histogram_quantile(histogram.bounds, histogram.counts, 0.5))
-        assert histogram.quantiles()[0.99] == histogram.quantile(0.99)
-
-
-class TestExposition:
-    def _registry(self):
-        registry = MetricsRegistry()
-        registry.counter("serve.runs").inc(3)
-        registry.gauge("serve.inflight").set(2)
-        registry.timer("vm.run").add(1.25, 5)
-        histogram = registry.histogram("lat", (0.1, 1.0))
-        histogram.observe(0.05)
-        histogram.observe(0.5)
-        histogram.observe(5.0)
-        return registry
-
-    def test_render_shapes(self):
-        text = render_prometheus(self._registry())
-        assert "# TYPE repro_serve_runs_total counter" in text
-        assert "repro_serve_runs_total 3" in text
-        assert "repro_serve_inflight 2" in text
-        assert "repro_vm_run_seconds_total 1.25" in text
-        assert "repro_vm_run_spans_total 5" in text
-        # histogram buckets are cumulative and end at +Inf
-        assert 'repro_lat_bucket{le="0.1"} 1' in text
-        assert 'repro_lat_bucket{le="1.0"} 2' in text
-        assert 'repro_lat_bucket{le="+Inf"} 3' in text
-        assert "repro_lat_count 3" in text
-        assert text.endswith("\n")
-
-    def test_render_is_stable(self):
-        registry = self._registry()
-        assert render_prometheus(registry) == \
-            render_prometheus(registry)
-
-    def test_round_trip_through_parser(self):
-        samples = parse_exposition(render_prometheus(self._registry()))
-        assert samples["repro_serve_runs_total"] == 3
-        assert samples['repro_lat_bucket{le="+Inf"}'] == 3
-
-    def test_parse_rejects_garbage_with_line_number(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_exposition("repro_ok_total 1\nnot a sample !!\n")
-
-    def test_parse_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            parse_exposition("repro_x_total 1\nrepro_x_total 2\n")
-
-    def test_sanitize_metric_name(self):
-        assert sanitize_metric_name("serve.op.run") == "serve_op_run"
-        assert sanitize_metric_name("a-b c") == "a_b_c"

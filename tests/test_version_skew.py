@@ -1,28 +1,20 @@
-"""Version skew against both persistent caches reads as a clean miss.
+"""Version skew against the result cache reads as a clean miss.
 
-Two subsystems memoise results on disk: the ResultCache (run-point
-summaries, keyed by ``SCHEMA_VERSION``-stamped identity) and the
-fragment store (translation records, versioned by ``schema`` and
-``generator`` header fields).  An old-on-disk/new-in-process mismatch in
-either direction must degrade to a counted miss — never an exception,
-and never a silently *served* stale entry.  The same applies to the
-blunter failure modes every long-lived cache eventually meets:
-truncated files and flipped bits.
+The ResultCache memoises run-point summaries on disk, keyed by
+``SCHEMA_VERSION``-stamped identity.  An old-on-disk/new-in-process
+mismatch in either direction must degrade to a counted miss — never an
+exception, and never a silently *served* stale entry.  The same applies
+to the blunter failure modes every long-lived cache eventually meets:
+truncated files and hand-edited entries.
 """
 
 import json
-import os
 
 import pytest
 
 import repro.harness.runpoints as runpoints
-import repro.persist.store as persist_store
 from repro.harness.resultcache import ResultCache, point_key
 from repro.harness.runpoints import RunPoint
-from repro.persist.store import FragmentStore
-
-KEY = "ab" * 32
-RECORDS = [{"digest": "d1", "payload": 1}, {"digest": "d2", "payload": 2}]
 
 
 @pytest.fixture
@@ -89,95 +81,3 @@ class TestResultCacheSkew:
         fresh = ResultCache(cache.root)
         assert fresh.get(point) is None
         assert fresh.corrupt == 1
-
-
-class TestFragmentStoreSkew:
-    @pytest.fixture
-    def root(self, tmp_path):
-        FragmentStore(str(tmp_path)).save(KEY, RECORDS, "code", {"n": 4})
-        return str(tmp_path)
-
-    def test_schema_bump_reads_stale(self, root, monkeypatch):
-        monkeypatch.setattr(persist_store, "STORE_SCHEMA_VERSION",
-                            persist_store.STORE_SCHEMA_VERSION + 1)
-        store = FragmentStore(root)
-        assert store.load(KEY, "code", {"n": 4}) == {}
-        assert store.stats.stale_stores == 1
-        assert store.stats.stores_loaded == 0
-
-    def test_generator_bump_reads_stale(self, root, monkeypatch):
-        monkeypatch.setattr(persist_store, "PERSIST_GENERATOR_VERSION",
-                            persist_store.PERSIST_GENERATOR_VERSION + 1)
-        store = FragmentStore(root)
-        assert store.load(KEY, "code", {"n": 4}) == {}
-        assert store.stats.stale_stores == 1
-
-    def test_stale_store_still_on_disk_for_rollback(self, root,
-                                                    monkeypatch):
-        # skew must not destroy the file: rolling the code back must
-        # find the store intact (contrast with quarantine, which moves
-        # files that can never parse)
-        monkeypatch.setattr(persist_store, "STORE_SCHEMA_VERSION",
-                            persist_store.STORE_SCHEMA_VERSION + 1)
-        store = FragmentStore(root)
-        store.load(KEY, "code", {"n": 4})
-        monkeypatch.undo()
-        fresh = FragmentStore(root)
-        assert sorted(fresh.load(KEY, "code", {"n": 4})) == ["d1", "d2"]
-
-    def test_save_under_new_version_rewrites_header(self, root,
-                                                    monkeypatch):
-        # an upgraded process saving over a stale store drops the old
-        # records (its quiet merge-read sees a stale header) and leaves
-        # a store only the new version reads
-        monkeypatch.setattr(persist_store, "STORE_SCHEMA_VERSION",
-                            persist_store.STORE_SCHEMA_VERSION + 1)
-        writer = FragmentStore(root)
-        writer.save(KEY, [{"digest": "d9", "payload": 9}], "code",
-                    {"n": 4})
-        assert writer.stats.records_saved == 1
-        reader = FragmentStore(root)
-        assert sorted(reader.load(KEY, "code", {"n": 4})) == ["d9"]
-        monkeypatch.undo()
-        old = FragmentStore(root)
-        assert old.load(KEY, "code", {"n": 4}) == {}
-        assert old.stats.stale_stores == 1
-
-    def test_header_format_rename_quarantines(self, root):
-        path = FragmentStore(root)._path(KEY)
-        with open(path) as handle:
-            lines = handle.read().splitlines()
-        header = json.loads(lines[0])
-        header["format"] = "repro-fragment-store-v0"
-        lines[0] = json.dumps(header)
-        with open(path, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-        store = FragmentStore(root)
-        assert store.load(KEY, "code", {"n": 4}) == {}
-        assert store.stats.quarantined == 1
-        assert os.path.exists(path + ".quarantined")
-
-    def test_truncated_final_record_skew(self, root):
-        path = FragmentStore(root)._path(KEY)
-        with open(path) as handle:
-            content = handle.read()
-        with open(path, "w") as handle:
-            handle.write(content[:-7])
-        store = FragmentStore(root)
-        loaded = store.load(KEY, "code", {"n": 4})
-        assert list(loaded) == ["d1"]
-        assert store.stats.corrupt_records == 1
-
-    def test_bit_flip_fails_crc(self, root):
-        path = FragmentStore(root)._path(KEY)
-        with open(path, "rb") as handle:
-            blob = bytearray(handle.read())
-        # flip one bit inside the payload digits of the last record line
-        target = blob.rindex(b'"payload":') + len(b'"payload":')
-        blob[target] ^= 0x01
-        with open(path, "wb") as handle:
-            handle.write(bytes(blob))
-        store = FragmentStore(root)
-        loaded = store.load(KEY, "code", {"n": 4})
-        assert store.stats.corrupt_records >= 1
-        assert store.stats.records_loaded == len(loaded)

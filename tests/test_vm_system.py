@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from repro.harness.runner import run_vm
+from repro.harness.runner import run_original, run_vm
 from repro.ildp_isa.opcodes import IFormat
 from repro.interp import Interpreter
 from repro.translator.chaining import ChainingPolicy
@@ -150,5 +150,42 @@ class TestRunLifetime:
             assert vm_alive() is None, "finished VM outlived its result"
             assert trace_alive() is None, "trace outlived its result"
             assert tcache_alive() is None, "tcache outlived its result"
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("engine", ("jit", "naive"))
+    def test_finished_run_frees_interpreter_and_guest_memory(self, engine):
+        """With the cyclic collector off, a traced run's interpreter and
+        its guest memory die with the result: the interpreter's ``step``
+        is bound per class, so it holds no reference back to itself."""
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_vm("bzip2", VMConfig(exec_engine=engine),
+                            budget=20_000)
+            assert result.trace
+            interpreter_alive = weakref.ref(result.vm.interpreter)
+            memory_alive = weakref.ref(result.vm.program.memory)
+            del result
+            assert interpreter_alive() is None, \
+                "interpreter outlived its result"
+            assert memory_alive() is None, "guest memory outlived its result"
+        finally:
+            gc.enable()
+
+    def test_dropped_original_run_interpreter_is_freed(self):
+        """The interpreter ``run_original`` returns, and the guest memory
+        it ran, die as soon as the caller drops it."""
+        gc.collect()
+        gc.disable()
+        try:
+            trace, interpreter = run_original("bzip2", budget=20_000)
+            assert trace
+            interpreter_alive = weakref.ref(interpreter)
+            memory_alive = weakref.ref(interpreter.memory)
+            del interpreter
+            assert interpreter_alive() is None, \
+                "interpreter outlived its caller's reference"
+            assert memory_alive() is None, "guest memory outlived its run"
         finally:
             gc.enable()
