@@ -1,9 +1,12 @@
 """Harness scaling — the same experiment executed serially, over a
-process pool, and from a warm result cache.
+process pool, and from a warm result cache; plus one cold report.
 
 Writes the three wall-clock times to ``BENCH_harness.json`` in the repo
 root and asserts the central harness property: all three strategies render
-byte-identical tables.
+byte-identical tables.  The record also holds one cold, serial,
+cache-less ``generate_report`` over the full suite at the benchmark
+budget: its run-point counts (requested, unique, simulator runs) and its
+process CPU seconds.
 """
 
 import json
@@ -13,6 +16,7 @@ import time
 from benchmarks.conftest import BENCH_BUDGET, machine_metadata
 from repro.harness.experiments import fig8
 from repro.harness.parallel import PointRunner
+from repro.harness.report import generate_report
 from repro.harness.resultcache import ResultCache
 
 WORKLOADS = ("gzip", "mcf", "twolf", "vortex")
@@ -44,6 +48,12 @@ def test_harness_scaling(tmp_path):
         warm_runner.last_report["unique"]
     assert cached_s < serial_s
 
+    report_runner = PointRunner()
+    started = time.process_time()
+    generate_report(budget=BENCH_BUDGET, runner=report_runner)
+    report_cpu_s = time.process_time() - started
+    report = report_runner.report
+
     record = {
         "experiment": "fig8",
         "workloads": list(WORKLOADS),
@@ -52,9 +62,17 @@ def test_harness_scaling(tmp_path):
         "serial_seconds": serial_s,
         "parallel4_seconds": parallel_s,
         "cached_seconds": cached_s,
+        "report": {
+            "budget": BENCH_BUDGET,
+            "requested": report.requested,
+            "unique": report.unique,
+            "runs": report.runs,
+            "cpu_seconds": report_cpu_s,
+        },
         "machine": machine_metadata(),
     }
     OUTPUT.write_text(json.dumps(record, indent=2) + "\n")
     print()
     print(f"serial {serial_s:.2f}s, parallel(4) {parallel_s:.2f}s, "
-          f"cached {cached_s:.3f}s -> {OUTPUT.name}")
+          f"cached {cached_s:.3f}s; report {report.render()}, "
+          f"cpu {report_cpu_s:.1f}s -> {OUTPUT.name}")

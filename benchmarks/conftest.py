@@ -55,9 +55,11 @@ def bench_once(benchmark):
         print(result.render())
         if getattr(result, "run_report", None):
             report = result.run_report
-            print(f"[{report['executed']} executed, "
+            print(f"[{report['executed']} executed in "
+                  f"{report['runs']} runs, "
                   f"{report['cache_hits']} cached, "
-                  f"vm {report['vm_seconds']:.1f}s]")
+                  f"run {report['run_seconds']:.1f}s, "
+                  f"eval {report['eval_seconds']:.1f}s]")
         return result
 
     return _run

@@ -534,15 +534,8 @@ def _command_report(args, out):
     from repro.harness.report import generate_report
 
     runner = _runner_from(args)
-
-    def progress(name, elapsed):
-        delta = runner.last_report or {}
-        print(f"  {name}: {elapsed:.1f}s "
-              f"({delta.get('executed', 0)} executed, "
-              f"{delta.get('cache_hits', 0)} cached)", file=out)
-
     text = generate_report(workloads=args.workloads, budget=args.budget,
-                           progress=progress, runner=runner)
+                           runner=runner)
     with open(args.output, "w") as handle:
         handle.write(text)
     print(runner.report.render(), file=out)

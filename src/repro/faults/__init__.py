@@ -5,9 +5,9 @@ translation cache, interpretation as the always-correct fallback) is only
 trustworthy if it is exercised.  This package provides the machinery to
 exercise it *deterministically*: a :class:`FaultPlan` parsed from a small
 spec grammar names the sites where faults should strike (translation
-failure, translation-cache exhaustion, fragment corruption, harness
-worker crash/timeout) and a seeded :class:`FaultInjector` fires them at
-exactly the same occurrences on every run.
+failure, translation-cache exhaustion, fragment corruption, spurious SMC
+and protect invalidation) and a seeded :class:`FaultInjector` fires them
+at exactly the same occurrences on every run.
 
 ``VMConfig.faults`` selects between a live injector and the shared
 :data:`NULL_INJECTOR` no-op twin — the same pattern as

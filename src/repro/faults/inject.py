@@ -12,7 +12,7 @@ the result-cache exclusion both rely on.
 With ``VMConfig.faults`` unset the stack holds the shared
 :data:`NULL_INJECTOR`, whose ``fire`` is a constant ``False``: the
 fault-free hot paths pay one attribute load and (at most) one branch per
-*site occurrence* — translation, cache installation and worker dispatch,
+*site occurrence* — translation, cache installation and invalidation,
 never per instruction.
 """
 
@@ -54,7 +54,7 @@ class FaultInjector:
     def fire(self, site, **attrs):
         """Consult the plan at ``site``; True when a fault strikes now.
 
-        ``attrs`` are the site's details (``vpc``, ``fid``, ``worker``)
+        ``attrs`` are the site's details (``vpc``, ``fid``)
         matched against spec selectors and recorded on the telemetry
         event when a fault fires.
         """

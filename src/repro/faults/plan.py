@@ -19,8 +19,6 @@ Sites (see ``docs/robustness.md`` for the degradation path each drives):
 ``corrupt``
     a freshly installed fragment's body is silently corrupted (detected
     by the entry checksum when verification is on);
-``worker_crash`` / ``worker_timeout``
-    a harness pool worker dies / stalls before returning its chunk;
 ``smc``
     a guest store that hit translated code invalidates *every* fragment
     on the written page instead of just the overlapping ones (spurious
@@ -37,11 +35,10 @@ Selector keys (all optional; a bare site faults on every occurrence):
 ``after=10``     skip the first 10 occurrences;
 ``p=0.25``       fault with probability 0.25, drawn from the plan's
                  seeded generator (deterministic per seed);
-``times=2``      stop after this spec has injected twice;
-``worker=0``     only pool worker 0 (harness sites).
+``times=2``      stop after this spec has injected twice.
 
 Examples: ``translate@vpc=0x2000``, ``translate@every=2,times=4``,
-``corrupt@count=3``, ``worker_crash@worker=0,times=1``.
+``corrupt@count=3``.
 """
 
 
@@ -51,8 +48,6 @@ class FaultSite:
     TRANSLATE = "translate"
     TCACHE_FULL = "tcache_full"
     CORRUPT = "corrupt"
-    WORKER_CRASH = "worker_crash"
-    WORKER_TIMEOUT = "worker_timeout"
     SMC = "smc"
     PROTECT = "protect"
 
@@ -80,17 +75,17 @@ HOSTILE_CHAOS_SPECS = (
     "protect@every=2",
 )
 
-_INT_KEYS = ("vpc", "count", "every", "after", "times", "worker")
+_INT_KEYS = ("vpc", "count", "every", "after", "times")
 
 
 class FaultSpec:
     """One parsed spec: a site plus the selectors restricting it."""
 
     __slots__ = ("site", "vpc", "count", "every", "after", "p", "times",
-                 "worker", "text")
+                 "text")
 
     def __init__(self, site, vpc=None, count=None, every=None, after=0,
-                 p=None, times=None, worker=None, text=None):
+                 p=None, times=None, text=None):
         if site not in KNOWN_SITES:
             raise ValueError(
                 f"unknown fault site {site!r} "
@@ -113,13 +108,11 @@ class FaultSpec:
         self.after = after
         self.p = p
         self.times = times
-        self.worker = worker
         self.text = text if text is not None else self._render()
 
     def _render(self):
         matches = []
-        for key in ("vpc", "count", "every", "after", "p", "times",
-                    "worker"):
+        for key in ("vpc", "count", "every", "after", "p", "times"):
             value = getattr(self, key)
             if value is None or (key == "after" and value == 0):
                 continue
@@ -131,9 +124,9 @@ class FaultSpec:
         """Whether this spec fires on the given site occurrence.
 
         ``occurrence`` is 1-based per site; ``attrs`` are the site's
-        keyword details (``vpc``, ``worker``...); ``draw`` supplies a
-        deterministic float in ``[0, 1)`` for probabilistic specs and is
-        only consulted when ``p=`` is set.
+        keyword details (``vpc``...); ``draw`` supplies a deterministic
+        float in ``[0, 1)`` for probabilistic specs and is only consulted
+        when ``p=`` is set.
         """
         if occurrence <= self.after:
             return False
@@ -143,8 +136,6 @@ class FaultSpec:
                 (occurrence - self.after) % self.every != 0:
             return False
         if self.vpc is not None and attrs.get("vpc") != self.vpc:
-            return False
-        if self.worker is not None and attrs.get("worker") != self.worker:
             return False
         if self.p is not None and draw() >= self.p:
             return False

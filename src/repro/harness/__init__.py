@@ -3,27 +3,9 @@
 Each experiment module exposes ``run(workloads=None, scale=None,
 budget=..., runner=None)`` returning an ``ExperimentResult`` whose
 ``rows()`` give the numbers and whose ``render()`` prints the same
-table/series the paper reports.  Experiments declare their work as
-:class:`~repro.harness.runpoints.RunPoint` batches; pass a configured
-:class:`~repro.harness.parallel.PointRunner` as ``runner`` to execute
-them in parallel and/or against the persistent result cache.
+table/series the paper reports.  ``run`` executes the module's
+``points(...)`` as one batch and builds its ``table(...)`` from them;
+pass a configured :class:`~repro.harness.parallel.PointRunner` as
+``runner`` to execute them in parallel and/or against the persistent
+result cache.
 """
-
-from repro.harness.runner import run_vm, run_original, RunResult
-from repro.harness.reporting import format_table, ExperimentResult
-from repro.harness.runpoints import RunPoint, execute_point
-from repro.harness.parallel import PointRunner, RunReport
-from repro.harness.resultcache import ResultCache
-
-__all__ = [
-    "run_vm",
-    "run_original",
-    "RunResult",
-    "format_table",
-    "ExperimentResult",
-    "RunPoint",
-    "execute_point",
-    "PointRunner",
-    "RunReport",
-    "ResultCache",
-]

@@ -7,13 +7,15 @@ dynamic expansion for the basic format (where spills are visible as extra
 copy instructions).
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import RunPoint
 from repro.ildp_isa.opcodes import IFormat
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 COUNTS = (1, 2, 4, 8)
 HEADERS = ("workload",) + tuple(
@@ -24,15 +26,21 @@ HEADERS = ("workload",) + tuple(
 
 def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
-    points = [RunPoint.vm(name, VMConfig(fmt=IFormat.BASIC,
-                                         n_accumulators=count),
-                          scale=scale, budget=budget)
-              for name in workloads
-              for count in COUNTS]
-    summaries = iter(runner.run(points))
+    return run_experiment(points, table, workloads, scale, budget, runner)
 
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
+    return [RunPoint.vm(name, VMConfig(fmt=IFormat.BASIC,
+                                       n_accumulators=count),
+                        scale=scale, budget=budget)
+            for name in workloads
+            for count in COUNTS]
+
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
+    summaries = iter(summaries)
     rows = []
     for name in workloads:
         row = [name]
@@ -41,18 +49,9 @@ def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
             row.append(summary["stats"]["premature_terminations"])
             row.append(summary["stats"]["copy_pct"])
         rows.append(row)
-    rows.append(_average_row(rows))
+    rows.append(average_row(rows))
     return ExperimentResult(
         "Ablation — logical accumulator count (basic I-ISA)", HEADERS,
         rows,
         notes=["spills = premature strand terminations at translation "
-               "time; the paper found 4 accumulators sufficient"],
-        run_report=runner.last_report)
-
-
-def _average_row(rows):
-    """Append-ready arithmetic mean over the numeric columns."""
-    avg = ["Avg."]
-    for col in range(1, len(rows[0])):
-        avg.append(sum(row[col] for row in rows) / len(rows))
-    return avg
+               "time; the paper found 4 accumulators sufficient"])

@@ -7,30 +7,39 @@ modified I-ISA with both decompositions and compares dynamic expansion and
 ILDP IPC.
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import RunPoint, ildp_ipc
 from repro.ildp_isa.opcodes import IFormat
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 HEADERS = ("workload", "expansion split", "expansion fused", "ipc split",
            "ipc fused")
 
+MACHINE = ildp_ipc(pes=8, comm=0)
+
 
 def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
-    machine = ildp_ipc(pes=8, comm=0)
-    points = [RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED,
-                                         fuse_memory=fused),
-                          scale=scale, budget=budget, evals=(machine,))
-              for name in workloads
-              for fused in (False, True)]
-    summaries = iter(runner.run(points))
+    return run_experiment(points, table, workloads, scale, budget, runner)
 
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
+    return [RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED,
+                                       fuse_memory=fused),
+                        scale=scale, budget=budget, evals=(MACHINE,))
+            for name in workloads
+            for fused in (False, True)]
+
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
+    summaries = iter(summaries)
     rows = []
     for name in workloads:
         split = next(summaries)
@@ -38,20 +47,11 @@ def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
         rows.append([name,
                      split["stats"]["dynamic_expansion"],
                      fused["stats"]["dynamic_expansion"],
-                     split["evals"][machine.key()]["ipc"],
-                     fused["evals"][machine.key()]["ipc"]])
-    rows.append(_average_row(rows))
+                     split["evals"][MACHINE.key()]["ipc"],
+                     fused["evals"][MACHINE.key()]["ipc"]])
+    rows.append(average_row(rows))
     return ExperimentResult(
         "Ablation — memory instruction splitting vs fusion "
         "(modified I-ISA)", HEADERS, rows,
         notes=["fusion trades decode complexity for fetch/ROB pressure "
-               "(Section 4.5)"],
-        run_report=runner.last_report)
-
-
-def _average_row(rows):
-    """Append-ready arithmetic mean over the numeric columns."""
-    avg = ["Avg."]
-    for col in range(1, len(rows[0])):
-        avg.append(sum(row[col] for row in rows) / len(rows))
-    return avg
+               "(Section 4.5)"])

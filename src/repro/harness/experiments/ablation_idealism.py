@@ -6,49 +6,48 @@ cache, and both — the standard simulator-paper decomposition of front-end
 vs memory vs true dependence limits.
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import RunPoint, ildp_ipc
 from repro.ildp_isa.opcodes import IFormat
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 HEADERS = ("workload", "realistic", "perfect bp", "perfect D$", "both")
 
 _POINTS = ((False, False), (True, False), (False, True), (True, True))
 
+SPECS = tuple(ildp_ipc(pes=8, comm=0, perfect_bp=perfect_bp,
+                       perfect_dcache=perfect_dcache)
+              for perfect_bp, perfect_dcache in _POINTS)
+
 
 def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
-    specs = tuple(ildp_ipc(pes=8, comm=0, perfect_bp=perfect_bp,
-                           perfect_dcache=perfect_dcache)
-                  for perfect_bp, perfect_dcache in _POINTS)
-    points = [RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
-                          scale=scale, budget=budget, evals=specs)
-              for name in workloads]
-    summaries = runner.run(points)
+    return run_experiment(points, table, workloads, scale, budget, runner)
 
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
+    return [RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
+                        scale=scale, budget=budget, evals=SPECS)
+            for name in workloads]
+
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
     rows = []
     for name, summary in zip(workloads, summaries):
         row = [name]
-        for spec in specs:
+        for spec in SPECS:
             row.append(summary["evals"][spec.key()]["ipc"])
         rows.append(row)
-    rows.append(_average_row(rows))
+    rows.append(average_row(rows))
     return ExperimentResult(
         "Ablation — idealisation (modified I-ISA, ILDP 8 PE)", HEADERS,
         rows,
         notes=["oracle branch prediction / always-hit L1-D isolate "
-               "front-end and memory losses from true dependence limits"],
-        run_report=runner.last_report)
-
-
-def _average_row(rows):
-    """Append-ready arithmetic mean over the numeric columns."""
-    avg = ["Avg."]
-    for col in range(1, len(rows[0])):
-        avg.append(sum(row[col] for row in rows) / len(rows))
-    return avg
+               "front-end and memory losses from true dependence limits"])

@@ -6,13 +6,15 @@ captured superblock size — the properties that drive everything else in
 the evaluation.
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import RunPoint, instruction_mix
 from repro.ildp_isa.opcodes import IFormat
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 HEADERS = ("workload", "dyn insts", "load%", "store%", "cond%",
            "call+ret%", "indirect%", "avg superblock")
@@ -20,16 +22,23 @@ HEADERS = ("workload", "dyn insts", "load%", "store%", "cond%",
 
 def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
-    points = []
-    for name in workloads:
-        points.append(RunPoint.original(name, scale=scale, budget=budget,
-                                        evals=(instruction_mix(),)))
-        points.append(RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
-                                  scale=scale, budget=budget))
-    summaries = iter(runner.run(points))
+    return run_experiment(points, table, workloads, scale, budget, runner)
 
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
+    planned = []
+    for name in workloads:
+        planned.append(RunPoint.original(name, scale=scale, budget=budget,
+                                         evals=(instruction_mix(),)))
+        planned.append(RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
+                                   scale=scale, budget=budget))
+    return planned
+
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
+    summaries = iter(summaries)
     rows = []
     for name in workloads:
         counts = next(summaries)["evals"]["instruction_mix"]
@@ -44,15 +53,7 @@ def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
             100.0 * counts["indirect"] / total,
             vm_summary["tcache"]["avg_superblock"],
         ])
-    rows.append(_average_row(rows))
+    rows.append(average_row(rows))
     return ExperimentResult(
         "Workload characterization (dynamic instruction mix)", HEADERS,
-        rows, run_report=runner.last_report)
-
-
-def _average_row(rows):
-    """Append-ready arithmetic mean over the numeric columns."""
-    avg = ["Avg."]
-    for col in range(1, len(rows[0])):
-        avg.append(sum(row[col] for row in rows) / len(rows))
-    return avg
+        rows)

@@ -9,8 +9,11 @@ above the original, and the dual-address RAS brings it down to nearly the
 original's level.
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import (  # noqa: F401  (count_mispredictions
     RunPoint,                          #  re-exported for existing callers)
@@ -20,7 +23,6 @@ from repro.harness.runpoints import (  # noqa: F401  (count_mispredictions
 from repro.ildp_isa.opcodes import IFormat
 from repro.translator.chaining import ChainingPolicy
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 POLICIES = (ChainingPolicy.NO_PRED, ChainingPolicy.SW_PRED_NO_RAS,
             ChainingPolicy.SW_PRED_RAS)
@@ -31,36 +33,33 @@ HEADERS = ("workload", "original", "no_pred", "sw_pred.no_ras",
 
 def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
+    return run_experiment(points, table, workloads, scale, budget, runner)
+
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
     measure = (mispredictions(),)
-    points = []
+    planned = []
     for name in workloads:
-        points.append(RunPoint.original(name, scale=scale, budget=budget,
-                                        evals=measure))
+        planned.append(RunPoint.original(name, scale=scale, budget=budget,
+                                         evals=measure))
         for policy in POLICIES:
             config = VMConfig(fmt=IFormat.ALPHA, policy=policy)
-            points.append(RunPoint.vm(name, config, scale=scale,
-                                      budget=budget, evals=measure))
-    summaries = iter(runner.run(points))
+            planned.append(RunPoint.vm(name, config, scale=scale,
+                                       budget=budget, evals=measure))
+    return planned
 
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
+    summaries = iter(summaries)
     rows = []
     for name in workloads:
         row = [name]
         for _series in range(1 + len(POLICIES)):
             row.append(next(summaries)["evals"]["mispredictions"])
         rows.append(row)
-    rows.append(_average_row(rows))
+    rows.append(average_row(rows))
     return ExperimentResult(
         "Fig. 4 — mispredictions per 1,000 instructions", HEADERS, rows,
-        notes=["code-straightening-only (ALPHA) target; Table 1 predictors"],
-        run_report=runner.last_report)
-
-
-def _average_row(rows):
-    """Append-ready arithmetic mean over the numeric columns."""
-    n_cols = len(rows[0])
-    avg = ["Avg."]
-    for col in range(1, n_cols):
-        avg.append(sum(row[col] for row in rows) / len(rows))
-    return avg
+        notes=["code-straightening-only (ALPHA) target; Table 1 predictors"])

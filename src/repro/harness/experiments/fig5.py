@@ -7,34 +7,40 @@ register-indirect transfers (gap, perlbmk, eon) expand most; benchmarks
 whose calls are direct BSRs barely expand (Section 4.3).
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import RunPoint
 from repro.ildp_isa.opcodes import IFormat
 from repro.translator.chaining import ChainingPolicy
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 HEADERS = ("workload", "relative instruction count")
 
+POLICY = ChainingPolicy.SW_PRED_RAS
 
-def run(workloads=None, scale=None, budget=DEFAULT_BUDGET,
-        policy=ChainingPolicy.SW_PRED_RAS, runner=None):
+
+def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
-    points = [RunPoint.vm(name, VMConfig(fmt=IFormat.ALPHA, policy=policy),
-                          scale=scale, budget=budget)
-              for name in workloads]
-    summaries = runner.run(points)
+    return run_experiment(points, table, workloads, scale, budget, runner)
 
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
+    return [RunPoint.vm(name, VMConfig(fmt=IFormat.ALPHA, policy=POLICY),
+                        scale=scale, budget=budget)
+            for name in workloads]
+
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
     rows = [[name, summary["stats"]["dynamic_expansion"]]
             for name, summary in zip(workloads, summaries)]
-    average = sum(row[1] for row in rows) / len(rows)
-    rows.append(["Avg.", average])
+    rows.append(average_row(rows))
     return ExperimentResult(
         "Fig. 5 — relative instruction count (straightened / original)",
         HEADERS, rows,
-        notes=[f"chaining policy: {policy.value}"],
-        run_report=runner.last_report)
+        notes=[f"chaining policy: {POLICY.value}"])

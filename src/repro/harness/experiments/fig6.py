@@ -11,61 +11,60 @@ original-without-RAS (chaining overhead eats the straightening benefit);
 straightened-with-dual-RAS is about level with original-with-RAS.
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import RunPoint, superscalar_ipc
 from repro.ildp_isa.opcodes import IFormat
 from repro.translator.chaining import ChainingPolicy
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 HEADERS = ("workload", "orig.no_ras", "orig.ras", "straight.no_ras",
            "straight.ras")
 
+NO_RAS = superscalar_ipc(use_ras=False)
+RAS = superscalar_ipc(use_ras=True)
+
 
 def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
-    points = []
+    return run_experiment(points, table, workloads, scale, budget, runner)
+
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
+    planned = []
     for name in workloads:
-        points.append(RunPoint.original(
-            name, scale=scale, budget=budget,
-            evals=(superscalar_ipc(use_ras=False),
-                   superscalar_ipc(use_ras=True))))
-        points.append(RunPoint.vm(
+        planned.append(RunPoint.original(name, scale=scale, budget=budget,
+                                         evals=(NO_RAS, RAS)))
+        planned.append(RunPoint.vm(
             name, VMConfig(fmt=IFormat.ALPHA,
                            policy=ChainingPolicy.SW_PRED_NO_RAS),
-            scale=scale, budget=budget,
-            evals=(superscalar_ipc(use_ras=False),)))
-        points.append(RunPoint.vm(
+            scale=scale, budget=budget, evals=(NO_RAS,)))
+        planned.append(RunPoint.vm(
             name, VMConfig(fmt=IFormat.ALPHA,
                            policy=ChainingPolicy.SW_PRED_RAS),
-            scale=scale, budget=budget,
-            evals=(superscalar_ipc(use_ras=True),)))
-    summaries = iter(runner.run(points))
+            scale=scale, budget=budget, evals=(RAS,)))
+    return planned
 
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
+    summaries = iter(summaries)
     rows = []
     for name in workloads:
         original = next(summaries)["evals"]
         straight_noras = next(summaries)["evals"]
         straight_ras = next(summaries)["evals"]
         rows.append([name,
-                     original[superscalar_ipc(use_ras=False).key()],
-                     original[superscalar_ipc(use_ras=True).key()],
-                     straight_noras[superscalar_ipc(use_ras=False).key()],
-                     straight_ras[superscalar_ipc(use_ras=True).key()]])
-    rows.append(_average_row(rows))
+                     original[NO_RAS.key()],
+                     original[RAS.key()],
+                     straight_noras[NO_RAS.key()],
+                     straight_ras[RAS.key()]])
+    rows.append(average_row(rows))
     return ExperimentResult(
         "Fig. 6 — IPC: code straightening and hardware RAS", HEADERS, rows,
-        notes=["IPC counts V-ISA instructions per cycle"],
-        run_report=runner.last_report)
-
-
-def _average_row(rows):
-    """Append-ready arithmetic mean over the numeric columns."""
-    avg = ["Avg."]
-    for col in range(1, len(rows[0])):
-        avg.append(sum(row[col] for row in rows) / len(rows))
-    return avg
+        notes=["IPC counts V-ISA instructions per cycle"])

@@ -7,14 +7,16 @@ format additionally pays for ``local->global`` and ``no-user->global``
 conversions plus spills, pushing global outputs to about 40%.
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import RunPoint
 from repro.ildp_isa.opcodes import IFormat
 from repro.translator.usage import ValueClass
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 _ORDER = (
     ValueClass.NO_USER,
@@ -40,13 +42,18 @@ _BASIC_GLOBAL = _MODIFIED_GLOBAL | {ValueClass.LOCAL_TO_GLOBAL,
 
 def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
-    points = [RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
-                          scale=scale, budget=budget)
-              for name in workloads]
-    summaries = runner.run(points)
+    return run_experiment(points, table, workloads, scale, budget, runner)
 
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
+    return [RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
+                        scale=scale, budget=budget)
+            for name in workloads]
+
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
     rows = []
     for name, summary in zip(workloads, summaries):
         histogram = summary["usage"]
@@ -57,16 +64,7 @@ def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
         row.append(sum(shares[c] for c in _MODIFIED_GLOBAL))
         row.append(sum(shares[c] for c in _BASIC_GLOBAL))
         rows.append(row)
-    rows.append(_average_row(rows))
+    rows.append(average_row(rows))
     return ExperimentResult(
         "Fig. 7 — output register usage (% of superblock values, "
-        "dynamically weighted)", HEADERS, rows,
-        run_report=runner.last_report)
-
-
-def _average_row(rows):
-    """Append-ready arithmetic mean over the numeric columns."""
-    avg = ["Avg."]
-    for col in range(1, len(rows[0])):
-        avg.append(sum(row[col] for row in rows) / len(rows))
-    return avg
+        "dynamically weighted)", HEADERS, rows)

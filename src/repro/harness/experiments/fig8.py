@@ -11,57 +11,58 @@ roughly 15% of straightened-Alpha IPC despite ~36% more instructions, with
 a clearly higher native IPC.
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import RunPoint, ildp_ipc, superscalar_ipc
 from repro.ildp_isa.opcodes import IFormat
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 HEADERS = ("workload", "original", "straightened", "basic", "modified",
            "native I-IPC")
 
+MACHINE = ildp_ipc(pes=8, comm=0)
+
 
 def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
-    machine = ildp_ipc(pes=8, comm=0)
-    points = []
-    for name in workloads:
-        points.append(RunPoint.original(name, scale=scale, budget=budget,
-                                        evals=(superscalar_ipc(),)))
-        points.append(RunPoint.vm(name, VMConfig(fmt=IFormat.ALPHA),
-                                  scale=scale, budget=budget,
-                                  evals=(superscalar_ipc(),)))
-        points.append(RunPoint.vm(name, VMConfig(fmt=IFormat.BASIC),
-                                  scale=scale, budget=budget,
-                                  evals=(machine,)))
-        points.append(RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
-                                  scale=scale, budget=budget,
-                                  evals=(machine,)))
-    summaries = iter(runner.run(points))
+    return run_experiment(points, table, workloads, scale, budget, runner)
 
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
+    planned = []
+    for name in workloads:
+        planned.append(RunPoint.original(name, scale=scale, budget=budget,
+                                         evals=(superscalar_ipc(),)))
+        planned.append(RunPoint.vm(name, VMConfig(fmt=IFormat.ALPHA),
+                                   scale=scale, budget=budget,
+                                   evals=(superscalar_ipc(),)))
+        planned.append(RunPoint.vm(name, VMConfig(fmt=IFormat.BASIC),
+                                   scale=scale, budget=budget,
+                                   evals=(MACHINE,)))
+        planned.append(RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
+                                   scale=scale, budget=budget,
+                                   evals=(MACHINE,)))
+    return planned
+
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
+    summaries = iter(summaries)
     rows = []
     for name in workloads:
         original = next(summaries)["evals"][superscalar_ipc().key()]
         straightened = next(summaries)["evals"][superscalar_ipc().key()]
-        basic = next(summaries)["evals"][machine.key()]["ipc"]
-        modified = next(summaries)["evals"][machine.key()]
+        basic = next(summaries)["evals"][MACHINE.key()]["ipc"]
+        modified = next(summaries)["evals"][MACHINE.key()]
         rows.append([name, original, straightened, basic,
                      modified["ipc"], modified["native_ipc"]])
-    rows.append(_average_row(rows))
+    rows.append(average_row(rows))
     return ExperimentResult(
         "Fig. 8 — IPC comparison (V-ISA instructions per cycle)", HEADERS,
         rows,
-        notes=["ILDP: 8 PEs, 32KB L1-D, 0-cycle communication latency"],
-        run_report=runner.last_report)
-
-
-def _average_row(rows):
-    """Append-ready arithmetic mean over the numeric columns."""
-    avg = ["Avg."]
-    for col in range(1, len(rows[0])):
-        avg.append(sum(row[col] for row in rows) / len(rows))
-    return avg
+        notes=["ILDP: 8 PEs, 32KB L1-D, 0-cycle communication latency"])

@@ -9,13 +9,15 @@ Configurations, matching the paper's bars:
 * 6 PEs — expected ~-5%;  4 PEs — expected ~-18%.
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import RunPoint, ildp_ipc
 from repro.ildp_isa.opcodes import IFormat
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 HEADERS = ("workload", "8acc/8pe", "base 4acc/8pe", "8KB D$", "2-cy comm",
            "6pe", "4pe")
@@ -30,43 +32,43 @@ CONFIGS = (
     ("4pe", 4, 4, 0, False),
 )
 
+#: translations depend only on the accumulator count: one VM run per
+#: accumulator count, carrying the machine evaluations that need it
+EVALS_BY_ACCS = {
+    n_accs: tuple(ildp_ipc(pes=pes, comm=comm, dcache_small=small)
+                  for _label, accs, pes, comm, small in CONFIGS
+                  if accs == n_accs)
+    for n_accs in sorted({config[1] for config in CONFIGS})}
+
 
 def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
-    # translations depend only on the accumulator count: one VM run per
-    # accumulator count, carrying the machine evaluations that need it
-    by_accs = {}
-    for _label, n_accs, pes, comm, small in CONFIGS:
-        by_accs.setdefault(n_accs, []).append(
-            ildp_ipc(pes=pes, comm=comm, dcache_small=small))
-    points = [RunPoint.vm(name,
-                          VMConfig(fmt=IFormat.MODIFIED,
-                                   n_accumulators=n_accs),
-                          scale=scale, budget=budget, evals=tuple(evals))
-              for name in workloads
-              for n_accs, evals in sorted(by_accs.items())]
-    summaries = iter(runner.run(points))
+    return run_experiment(points, table, workloads, scale, budget, runner)
 
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
+    return [RunPoint.vm(name,
+                        VMConfig(fmt=IFormat.MODIFIED,
+                                 n_accumulators=n_accs),
+                        scale=scale, budget=budget, evals=evals)
+            for name in workloads
+            for n_accs, evals in EVALS_BY_ACCS.items()]
+
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
+    summaries = iter(summaries)
     rows = []
     for name in workloads:
         evals_by_accs = {n_accs: next(summaries)["evals"]
-                         for n_accs in sorted(by_accs)}
+                         for n_accs in EVALS_BY_ACCS}
         row = [name]
         for _label, n_accs, pes, comm, small in CONFIGS:
             spec = ildp_ipc(pes=pes, comm=comm, dcache_small=small)
             row.append(evals_by_accs[n_accs][spec.key()]["ipc"])
         rows.append(row)
-    rows.append(_average_row(rows))
+    rows.append(average_row(rows))
     return ExperimentResult(
         "Fig. 9 — IPC variation over machine parameters (modified I-ISA)",
-        HEADERS, rows, run_report=runner.last_report)
-
-
-def _average_row(rows):
-    """Append-ready arithmetic mean over the numeric columns."""
-    avg = ["Avg."]
-    for col in range(1, len(rows[0])):
-        avg.append(sum(row[col] for row in rows) / len(rows))
-    return avg
+        HEADERS, rows)

@@ -6,13 +6,15 @@ instructions per translated source instruction, with the phase breakdown
 translated instructions field-by-field into the translation cache).
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import RunPoint
 from repro.ildp_isa.opcodes import IFormat
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 HEADERS = ("workload", "insts/translated inst", "tcache-copy share",
            "codegen share", "interp insts/src inst", "counters",
@@ -21,13 +23,18 @@ HEADERS = ("workload", "insts/translated inst", "tcache-copy share",
 
 def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
-    points = [RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
-                          scale=scale, budget=budget)
-              for name in workloads]
-    summaries = runner.run(points)
+    return run_experiment(points, table, workloads, scale, budget, runner)
 
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
+    return [RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
+                        scale=scale, budget=budget)
+            for name in workloads]
+
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
     rows = []
     for name, summary in zip(workloads, summaries):
         cost = summary["cost"]
@@ -40,17 +47,11 @@ def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
             summary["profiler_candidates"],
             cost["fragments"],
         ])
-    rows.append(["Avg.",
-                 sum(r[1] for r in rows) / len(rows),
-                 sum(r[2] for r in rows) / len(rows),
-                 sum(r[3] for r in rows) / len(rows),
-                 sum(r[4] for r in rows) / len(rows),
-                 sum(r[5] for r in rows),
-                 sum(r[6] for r in rows)])
+    # counters and fragments are totals, not means
+    rows.append(average_row(rows, summed=(5, 6)))
     return ExperimentResult(
         "Section 4.2 — translation overhead (modelled)", HEADERS, rows,
         notes=["paper: ~1,125 Alpha instructions per translated "
                "instruction, ~20% in tcache copying",
                "paper Section 4.1: interpretation ~1,000 instructions "
-               "per source instruction; counter population is small"],
-        run_report=runner.last_report)
+               "per source instruction; counter population is small"])

@@ -8,13 +8,15 @@ Per benchmark, for the basic (B) and modified (M) formats:
 * modelled translation overhead (last column, ~1,125 on average).
 """
 
-from repro.harness.parallel import PointRunner
-from repro.harness.reporting import ExperimentResult
+from repro.harness.reporting import (
+    ExperimentResult,
+    average_row,
+    run_experiment,
+)
 from repro.harness.runner import DEFAULT_BUDGET
 from repro.harness.runpoints import RunPoint
 from repro.ildp_isa.opcodes import IFormat
 from repro.vm.config import VMConfig
-from repro.workloads import WORKLOAD_NAMES
 
 HEADERS = ("workload", "dyn B", "dyn M", "copy% B", "copy% M",
            "bytes B", "bytes M", "insts/translated inst")
@@ -22,16 +24,23 @@ HEADERS = ("workload", "dyn B", "dyn M", "copy% B", "copy% M",
 
 def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    workloads = workloads if workloads is not None else WORKLOAD_NAMES
-    runner = runner if runner is not None else PointRunner()
-    points = []
-    for name in workloads:
-        points.append(RunPoint.vm(name, VMConfig(fmt=IFormat.BASIC),
-                                  scale=scale, budget=budget))
-        points.append(RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
-                                  scale=scale, budget=budget))
-    summaries = iter(runner.run(points))
+    return run_experiment(points, table, workloads, scale, budget, runner)
 
+
+def points(workloads, scale, budget):
+    """The run points :func:`table` reads, in its order."""
+    planned = []
+    for name in workloads:
+        planned.append(RunPoint.vm(name, VMConfig(fmt=IFormat.BASIC),
+                                   scale=scale, budget=budget))
+        planned.append(RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
+                                   scale=scale, budget=budget))
+    return planned
+
+
+def table(workloads, summaries):
+    """The experiment's table from the summaries of :func:`points`."""
+    summaries = iter(summaries)
     rows = []
     for name in workloads:
         basic = next(summaries)
@@ -46,15 +55,6 @@ def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
             modified["stats"]["static_expansion"],
             modified["cost"]["per_translated_instruction"],
         ])
-    rows.append(_average_row(rows))
+    rows.append(average_row(rows))
     return ExperimentResult(
-        "Table 2 — translated instruction statistics", HEADERS, rows,
-        run_report=runner.last_report)
-
-
-def _average_row(rows):
-    """Append-ready arithmetic mean over the numeric columns."""
-    avg = ["Avg."]
-    for col in range(1, len(rows[0])):
-        avg.append(sum(row[col] for row in rows) / len(rows))
-    return avg
+        "Table 2 — translated instruction statistics", HEADERS, rows)

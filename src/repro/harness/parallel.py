@@ -5,8 +5,12 @@
 * duplicate points inside one batch are computed once and shared;
 * points answered by the :class:`~repro.harness.resultcache.ResultCache`
   never reach a VM at all;
-* the remaining points run serially (``workers=1``) or fan out over a
-  ``concurrent.futures.ProcessPoolExecutor``.  Every run point is an
+* the remaining points are grouped by simulator run
+  (:meth:`~repro.harness.runpoints.RunPoint.run_identity`): points that
+  differ only in their evaluators share one run, which carries the union
+  of their evaluators (:func:`~repro.harness.runpoints.execute_run`);
+* the runs execute serially (``workers=1``) or fan out over a
+  ``concurrent.futures.ProcessPoolExecutor``.  Every run is an
   independent, deterministic pure function (see
   :mod:`repro.harness.runpoints`), so the three execution strategies are
   interchangeable — the equivalence tests assert bit-identical tables.
@@ -19,45 +23,45 @@ the fact in its report rather than failing the experiment.
 import os
 import time
 
-from repro.faults.inject import FaultInjector, NULL_INJECTOR
-from repro.faults.plan import FaultPlan, FaultSite
-from repro.harness.runpoints import execute_point
+from repro.harness.runpoints import execute_run
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import merge_summary
 from repro.obs.trace import NULL_TRACER
 
 
-class WorkerCrash(Exception):
-    """A pool worker died before returning its chunk (fault injection)."""
+def _group_runs(points):
+    """Positions in ``points`` grouped by simulator run, first seen first."""
+    runs = {}
+    for position, point in enumerate(points):
+        runs.setdefault(point.run_identity(), []).append(position)
+    return list(runs.values())
 
 
-class WorkerTimeout(Exception):
-    """A pool worker stalled past its deadline (fault injection)."""
-
-
-def _execute_chunk(points, fail=None):
+def _execute_chunk(points):
     """Run one worker's whole share of a batch as a single pool task.
 
-    Each summary is paired with the ``perf_counter`` readings around its
-    run: on the platforms we run on that clock is system-wide monotonic,
-    so the parent process can place worker runs on the shared span
-    timeline (one trace track per worker).
-
-    ``fail`` is the fault-injection hook: ``"crash"``/``"timeout"``
-    (decided deterministically by the parent's injector before dispatch)
-    make the worker die before touching any point, exercising the
-    retry/requeue path without real process murder or real deadlines.
+    The parent chunks runs, not points, so every point of a run is in
+    this chunk and the run executes once.  Each summary is paired with
+    the ``perf_counter`` readings around its run: on the platforms we run
+    on that clock is system-wide monotonic, so the parent process can
+    place worker runs on the shared span timeline (one trace track per
+    worker).
     """
-    if fail == "crash":
-        raise WorkerCrash(f"injected crash before {len(points)} points")
-    if fail == "timeout":
-        raise WorkerTimeout(f"injected timeout before {len(points)} points")
-    results = []
-    for point in points:
+    results = [None] * len(points)
+    for run in _group_runs(points):
         started = time.perf_counter()
-        summary = execute_point(point)
-        results.append((summary, started, time.perf_counter()))
+        summaries = execute_run([points[i] for i in run])
+        ended = time.perf_counter()
+        for position, summary in zip(run, summaries):
+            results[position] = (summary, started, ended)
     return results
+
+
+def _host_seconds(summary, prefix):
+    """Seconds of a summary's ``telemetry_host`` timers under ``prefix``."""
+    timers = summary.get("telemetry_host", {}).get("timers", {})
+    return sum(timer["seconds"] for name, timer in timers.items()
+               if name.startswith(prefix))
 
 
 class RunObserver:
@@ -71,10 +75,18 @@ class RunObserver:
     """
 
     def on_point_start(self, point):
-        """``point`` is about to execute on the serial path."""
+        """``point`` is about to execute on the serial path.
+
+        A run that serves several points calls this once for each of
+        them, back to back, right before the run starts.
+        """
 
     def on_point_done(self, point, summary):
-        """``point`` finished executing; ``summary`` is its result."""
+        """``point`` finished executing; ``summary`` is its result.
+
+        A run that serves several points calls this once for each of
+        them, each with that point's own summary.
+        """
 
 
 class RunReport:
@@ -86,43 +98,29 @@ class RunReport:
         self.cache_hits = 0
         self.cache_corrupt = 0
         self.executed = 0
-        self.vm_seconds = 0.0
+        #: simulator runs behind the executed points
+        self.runs = 0
+        #: simulator seconds (``run.*`` timers), once per run
+        self.run_seconds = 0.0
+        #: evaluator seconds (``eval.*`` timers), once per call
+        self.eval_seconds = 0.0
         self.wall_seconds = 0.0
         self.pool_failures = 0
-        #: worker chunk dispatches that crashed or timed out and were
-        #: retried on the pool
-        self.worker_retries = 0
-        #: run points requeued to the serial path after a worker
-        #: exhausted its retries
-        self.worker_requeued = 0
 
     def snapshot(self):
         """A plain-dict copy (for per-experiment deltas)."""
-        return {
-            "requested": self.requested,
-            "unique": self.unique,
-            "cache_hits": self.cache_hits,
-            "cache_corrupt": self.cache_corrupt,
-            "executed": self.executed,
-            "vm_seconds": self.vm_seconds,
-            "wall_seconds": self.wall_seconds,
-            "pool_failures": self.pool_failures,
-            "worker_retries": self.worker_retries,
-            "worker_requeued": self.worker_requeued,
-        }
+        return dict(vars(self))
 
     def render(self):
         """One human-readable line for CLI output."""
         line = (f"run points: {self.requested} requested, "
                 f"{self.unique} unique, {self.cache_hits} cache hits, "
-                f"{self.executed} executed; "
-                f"vm time {self.vm_seconds:.1f}s, "
+                f"{self.executed} executed in {self.runs} runs; "
+                f"run {self.run_seconds:.1f}s, "
+                f"eval {self.eval_seconds:.1f}s, "
                 f"wall {self.wall_seconds:.1f}s")
         if self.cache_corrupt:
             line += f"; {self.cache_corrupt} corrupt cache entries"
-        if self.worker_retries or self.worker_requeued:
-            line += (f"; worker retries {self.worker_retries}, "
-                     f"requeued {self.worker_requeued}")
         if self.pool_failures:
             line += f" (pool unavailable, ran serially x{self.pool_failures})"
         return line
@@ -138,24 +136,12 @@ def _delta(before, after):
 class PointRunner:
     """Executes batches of run points with caching and optional workers."""
 
-    def __init__(self, workers=1, cache=None, tracer=None, faults=None,
-                 fault_seed=0, max_worker_retries=2, observer=None):
+    def __init__(self, workers=1, cache=None, tracer=None, observer=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if max_worker_retries < 0:
-            raise ValueError("max_worker_retries must be >= 0")
         self.workers = workers
         self.cache = cache
-        #: harness-level fault plan (``worker_crash``/``worker_timeout``
-        #: sites); the shared no-op twin when unset, so the fault-free
-        #: dispatch path pays one constant-False call per worker chunk
-        self.injector = FaultInjector(
-            FaultPlan.parse(faults, seed=fault_seed)) if faults \
-            else NULL_INJECTOR
-        #: bounded retries per worker chunk before its points are
-        #: requeued to the serial path
-        self.max_worker_retries = max_worker_retries
-        #: span tracer for the harness timeline: every executed run point
+        #: span tracer for the harness timeline: every executed run
         #: becomes a span (parallel workers land on their own tracks) and
         #: every cache hit an instant marker.  Defaults to the no-op twin.
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -165,11 +151,11 @@ class PointRunner:
         self.report = RunReport()
         #: report delta for the most recent :meth:`run` call
         self.last_report = None
-        #: telemetry blocks from every unique summary this runner has
-        #: produced, folded into one registry (pool workers cannot share
-        #: a live registry, so their summaries are merged on the way
-        #: back; cached summaries merge the telemetry recorded when the
-        #: entry was first computed)
+        #: telemetry blocks this runner's summaries carry, folded into one
+        #: registry once per simulator run (pool workers cannot share a
+        #: live registry, so their summaries are merged on the way back;
+        #: cached summaries merge the telemetry recorded when the entry
+        #: was first computed)
         self.telemetry = MetricsRegistry()
 
     def run(self, points):
@@ -179,16 +165,9 @@ class PointRunner:
         started = time.perf_counter()
         corrupt_before = self.cache.corrupt if self.cache is not None else 0
 
-        # de-duplicate within the batch
-        order = []            # unique points, first-seen order
-        index_of = {}         # identity -> position in `order`
-        slots = []            # for each input point: its unique index
-        for point in points:
-            identity = point.identity()
-            if identity not in index_of:
-                index_of[identity] = len(order)
-                order.append(point)
-            slots.append(index_of[identity])
+        # de-duplicate within the batch: unique points, first-seen order
+        order = list(dict.fromkeys(points))
+        slot_of = {point: index for index, point in enumerate(order)}
 
         summaries = [None] * len(order)
         pending = []
@@ -206,7 +185,8 @@ class PointRunner:
         if pending:
             self._execute_pending(order, summaries, pending)
 
-        for summary in summaries:
+        for run in _group_runs(order):
+            summary = summaries[run[0]]
             if "telemetry" in summary:
                 merge_summary(self.telemetry, summary["telemetry"],
                               host=summary.get("telemetry_host"))
@@ -217,113 +197,80 @@ class PointRunner:
             self.report.cache_corrupt += self.cache.corrupt - corrupt_before
         self.report.wall_seconds += time.perf_counter() - started
         self.last_report = _delta(before, self.report.snapshot())
-        return [summaries[slot] for slot in slots]
+        return [summaries[slot_of[point]] for point in points]
 
     # -- execution strategies -------------------------------------------------
 
     def _execute_pending(self, order, summaries, pending):
+        points = [order[i] for i in pending]
+        runs = _group_runs(points)
         executed = None
-        if self.workers > 1 and len(pending) > 1:
-            executed = self._run_pool([order[i] for i in pending])
+        if self.workers > 1 and len(runs) > 1:
+            executed = self._run_pool(points, runs)
         if executed is None:
-            executed = [None] * len(pending)
-        # the serial path fills everything the pool didn't produce: the
-        # whole batch when no pool ran, or the requeued points of workers
-        # that exhausted their retries
-        for slot, i in enumerate(pending):
-            if executed[slot] is None:
-                point = order[i]
+            executed = [None] * len(points)
+            for run in runs:
+                members = [points[i] for i in run]
                 if self.observer is not None:
-                    self.observer.on_point_start(point)
-                with self.tracer.span(point.label(), cat="harness",
-                                      kind=point.kind,
-                                      budget=point.budget):
-                    executed[slot] = execute_point(point)
-        for index, summary in zip(pending, executed):
-            summaries[index] = summary
-            if self.observer is not None:
-                self.observer.on_point_done(order[index], summary)
-            self.report.executed += 1
-            self.report.vm_seconds += summary.get("elapsed", 0.0)
-            if self.cache is not None:
-                self.cache.put(order[index], summary)
+                    for point in members:
+                        self.observer.on_point_start(point)
+                with self.tracer.span(members[0].label(), cat="harness",
+                                      kind=members[0].kind,
+                                      budget=members[0].budget):
+                    results = execute_run(members)
+                for position, summary in zip(run, results):
+                    executed[position] = summary
+        for run in runs:
+            # members share the run's host block: count it once
+            host = executed[run[0]]
+            self.report.runs += 1
+            self.report.run_seconds += _host_seconds(host, "run.")
+            self.report.eval_seconds += _host_seconds(host, "eval.")
+            for position in run:
+                point, summary = points[position], executed[position]
+                summaries[pending[position]] = summary
+                if self.observer is not None:
+                    self.observer.on_point_done(point, summary)
+                self.report.executed += 1
+                if self.cache is not None:
+                    self.cache.put(point, summary)
 
-    def _run_pool(self, points):
-        """Fan out over a process pool; returns None to run serially.
+    def _run_pool(self, points, runs):
+        """Fan the runs out over a process pool; returns None to run
+        serially.
 
-        Points are chunked round-robin so each worker receives *one*
-        task covering its whole share of the batch: process startup,
-        pickling and scheduling overhead is paid once per worker rather
-        than once per point.  The worker count is clamped to the
-        machine's cores — a pool wider than the machine (or any pool on
-        a single-core machine) only adds overhead, which is how an
-        earlier BENCH_harness.json ended up with four workers slower
-        than serial.
-
-        A chunk whose worker crashes or times out (fault injection) is
-        retried up to ``max_worker_retries`` times; past that its points
-        are requeued — returned as ``None`` holes that
-        ``_execute_pending`` fills on the serial path, so an injected
-        fault can delay results but never lose them.
+        Runs are chunked round-robin so each worker receives *one* task
+        covering its whole share of the batch: process startup, pickling
+        and scheduling overhead is paid once per worker rather than once
+        per run.  The worker count is clamped to the machine's cores — a
+        pool wider than the machine (or any pool on a single-core
+        machine) only adds overhead, which is how an earlier
+        BENCH_harness.json ended up with four workers slower than serial.
         """
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
         cores = os.cpu_count() or 1
-        max_workers = min(self.workers, len(points), cores)
+        max_workers = min(self.workers, len(runs), cores)
         if max_workers < 2:
             return None     # a 1-worker pool is pure overhead
-        chunks = [points[i::max_workers] for i in range(max_workers)]
-        chunk_results = [None] * len(chunks)
+        positions = [[i for run in runs[worker::max_workers] for i in run]
+                     for worker in range(max_workers)]
+        chunks = [[points[i] for i in chunk] for chunk in positions]
         try:
             with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                remaining = list(range(len(chunks)))
-                attempts = [0] * len(chunks)
-                while remaining:
-                    futures = [
-                        (worker, pool.submit(_execute_chunk, chunks[worker],
-                                             self._worker_fault(worker)))
-                        for worker in remaining]
-                    retry = []
-                    for worker, future in futures:
-                        try:
-                            chunk_results[worker] = future.result()
-                        except (WorkerCrash, WorkerTimeout):
-                            attempts[worker] += 1
-                            if attempts[worker] > self.max_worker_retries:
-                                self.report.worker_requeued += \
-                                    len(chunks[worker])
-                            else:
-                                self.report.worker_retries += 1
-                                retry.append(worker)
-                    remaining = retry
+                futures = [pool.submit(_execute_chunk, chunk)
+                           for chunk in chunks]
+                chunk_results = [future.result() for future in futures]
         except (OSError, ImportError, PermissionError, BrokenProcessPool):
             self.report.pool_failures += 1
             return None
         summaries = [None] * len(points)
-        good_chunks = []
-        good_results = []
-        for start, chunk_result in enumerate(chunk_results):
-            if chunk_result is None:
-                continue        # requeued: left for the serial path
-            for offset, (summary, _t0, _t1) in enumerate(chunk_result):
-                summaries[start + offset * max_workers] = summary
-            good_chunks.append(chunks[start])
-            good_results.append(chunk_result)
-        self._note_pool_spans(good_chunks, good_results)
+        for chunk, results in zip(positions, chunk_results):
+            for position, (summary, _t0, _t1) in zip(chunk, results):
+                summaries[position] = summary
+        self._note_pool_spans(chunks, chunk_results)
         return summaries
-
-    def _worker_fault(self, worker):
-        """Consult the harness fault plan before dispatching a chunk.
-
-        Returns the failure mode the worker should simulate (``"crash"``
-        / ``"timeout"``), or None on the (default) healthy path.
-        """
-        if self.injector.fire(FaultSite.WORKER_CRASH, worker=worker):
-            return "crash"
-        if self.injector.fire(FaultSite.WORKER_TIMEOUT, worker=worker):
-            return "timeout"
-        return None
 
     def _note_pool_spans(self, chunks, chunk_results):
         """Place each worker's runs on its own trace track.
@@ -339,7 +286,9 @@ class PointRunner:
                                                       chunk_results)):
             tid = worker + 1
             self.tracer.set_thread_name(tid, f"worker-{tid}")
-            for point, (summary, started, ended) in zip(chunk, results):
+            for run in _group_runs(chunk):
+                point = chunk[run[0]]
+                _summary, started, ended = results[run[0]]
                 self.tracer.add_complete(
                     point.label(), started, ended, tid=tid,
                     args={"kind": point.kind, "budget": point.budget})

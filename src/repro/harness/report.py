@@ -5,11 +5,9 @@ figure of the paper (plus the ablations) in one pass and writes them as a
 markdown document — the "reproduce everything" button.
 """
 
-import time
-
 from repro.harness import experiments
 from repro.harness.parallel import PointRunner
-from repro.obs.trace import NULL_TRACER
+from repro.workloads import WORKLOAD_NAMES
 
 #: (experiment module name, paper anchor) in presentation order.
 REPORT_SECTIONS = (
@@ -40,22 +38,26 @@ def _markdown_table(result):
 
 
 def generate_report(workloads=None, budget=60_000, sections=None,
-                    progress=None, runner=None, tracer=None):
+                    runner=None):
     """Run every experiment; returns the markdown text.
 
-    All sections share one ``runner``, so identical run points requested
-    by several experiments execute only once per report — and, with a
-    cache attached, at most once ever.  ``tracer`` (defaulting to the
-    runner's, else the no-op twin) wraps each section in a span, so a
-    traced report shows experiments as the top level of the timeline
-    with the runner's per-point spans nested inside.
+    The report is planned before anything runs: every section's points
+    go to ``runner`` as one batch, and each section's table is built
+    from its slice of the summaries.  A point requested by several
+    sections therefore executes once, and points that differ only in
+    their evaluators share one simulator run (see
+    :class:`~repro.harness.parallel.PointRunner`); with a cache attached,
+    a point executes at most once ever.
     """
     runner = runner if runner is not None else PointRunner()
-    if tracer is None:
-        tracer = getattr(runner, "tracer", NULL_TRACER)
     chosen = sections if sections is not None else \
         [name for name, _title in REPORT_SECTIONS]
     titles = dict(REPORT_SECTIONS)
+    names = workloads if workloads is not None else WORKLOAD_NAMES
+    modules = [getattr(experiments, name) for name in chosen]
+    plans = [module.points(names, None, budget) for module in modules]
+    summaries = iter(runner.run(
+        [point for planned in plans for point in planned]))
     parts = [
         "# Reproduction report — Kim & Smith, CGO 2003",
         "",
@@ -63,15 +65,8 @@ def generate_report(workloads=None, budget=60_000, sections=None,
         f"budget {budget:,} V-ISA instructions per configuration.",
         "",
     ]
-    for name in chosen:
-        module = getattr(experiments, name)
-        started = time.time()
-        with tracer.span(f"experiment.{name}", cat="report"):
-            result = module.run(workloads=workloads, budget=budget,
-                                runner=runner)
-        elapsed = time.time() - started
-        if progress is not None:
-            progress(name, elapsed)
+    for name, module, planned in zip(chosen, modules, plans):
+        result = module.table(names, [next(summaries) for _ in planned])
         parts.append(f"## {titles.get(name, name)}")
         parts.append("")
         parts.append(_markdown_table(result))

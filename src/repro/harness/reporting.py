@@ -1,4 +1,31 @@
-"""Plain-text table rendering for experiment results."""
+"""Running one experiment as a batch, its average row, and table
+rendering."""
+
+from repro.harness.parallel import PointRunner
+from repro.harness.runner import DEFAULT_BUDGET
+from repro.workloads import WORKLOAD_NAMES
+
+
+def run_experiment(points, table, workloads=None, scale=None,
+                   budget=DEFAULT_BUDGET, runner=None):
+    """Run an experiment module's ``points(workloads, scale, budget)`` as
+    one batch; returns its ``table(workloads, summaries)``, an
+    :class:`ExperimentResult` carrying the batch's report."""
+    workloads = workloads if workloads is not None else WORKLOAD_NAMES
+    runner = runner if runner is not None else PointRunner()
+    result = table(workloads, runner.run(points(workloads, scale, budget)))
+    result.run_report = runner.last_report
+    return result
+
+
+def average_row(rows, summed=()):
+    """The ``Avg.`` row: the mean of every numeric column of ``rows``,
+    except the ``summed`` column indexes, which hold totals."""
+    avg = ["Avg."]
+    for col in range(1, len(rows[0])):
+        total = sum(row[col] for row in rows)
+        avg.append(total if col in summed else total / len(rows))
+    return avg
 
 
 def format_table(headers, rows, title=None):
@@ -29,16 +56,17 @@ def _cell(value):
 class ExperimentResult:
     """Headers + rows + provenance for one experiment."""
 
-    def __init__(self, name, headers, rows, notes=None, run_report=None):
+    def __init__(self, name, headers, rows, notes=None):
         self.name = name
         self.headers = headers
         self._rows = rows
         self.notes = notes or []
-        #: Per-run timing / cache-hit counters from the PointRunner that
-        #: produced the rows (a plain dict), or None.  Deliberately *not*
-        #: part of :meth:`render`: the rendered table must stay
-        #: byte-identical across serial, parallel and cached executions.
-        self.run_report = run_report
+        #: Per-run timing / cache-hit counters from the PointRunner batch
+        #: that produced the rows (a plain dict, set by
+        #: :func:`run_experiment`), or None.  Deliberately *not* part of
+        #: :meth:`render`: the rendered table must stay byte-identical
+        #: across serial, parallel and cached executions.
+        self.run_report = None
 
     def rows(self):
         return list(self._rows)

@@ -7,16 +7,18 @@ statistics, instruction-mix counts).  Experiments declare these as
 :class:`RunPoint` values — plain, hashable, picklable data — and hand them
 to :class:`repro.harness.parallel.PointRunner`, which can execute them
 serially, fan them out over a process pool, or answer them from the
-persistent result cache.
+persistent result cache.  Points that differ only in their evaluators
+share one simulator run (:func:`execute_run`).
 
 The contract that makes caching and parallelism safe is that
 :func:`execute_point` is a *pure function* of the run point: the whole
 simulator is deterministic (no wall clock, no global random state), so two
 executions of the same point produce the same :class:`RunSummary` fields,
 bit for bit — except the wall-clock ``elapsed`` and ``telemetry_host``
-entries, which are process-local by construction.  Summaries carry only JSON-able scalars and small dicts —
-never live VM objects or traces — so a summary computed in a worker
-process, read back from the cache, or computed inline is indistinguishable.
+entries, which are process-local by construction.  Summaries carry only
+JSON-able scalars and small dicts — never live VM objects or traces — so
+a summary computed in a worker process, read back from the cache, or
+computed inline is indistinguishable.
 """
 
 import time
@@ -179,6 +181,17 @@ class RunPoint:
         return (self.kind, self.workload, self.scale, self.budget,
                 self.config, self.evals)
 
+    def run_identity(self):
+        """Hashable identity of the simulator run behind this point.
+
+        Points that differ only in their evaluators share one run (see
+        :func:`execute_run`).  A traced and an untraced run of one config
+        stay apart: their summaries differ in ``trace_len`` and the
+        ``jit.*`` counters.
+        """
+        return (self.kind, self.workload, self.scale, self.budget,
+                self.config, bool(self.evals))
+
     def label(self):
         """Short human-readable identity (trace span names, logs)."""
         if self.kind == "original":
@@ -270,25 +283,53 @@ EVALUATORS = {
 # -- execution ----------------------------------------------------------------
 
 def execute_point(point):
-    """Run one point and distil it into a JSON-able summary dict.
+    """Run one point and distil it into a JSON-able summary dict."""
+    return execute_run([point])[0]
 
-    This is the function parallel workers call; it must stay importable at
-    module top level and must not return live simulator objects.
+
+def execute_run(points):
+    """Run the simulator once for ``points``; returns one summary each.
+
+    The points share one :meth:`RunPoint.run_identity`.  The run calls
+    the union of their evaluators once each, in first-seen order, and
+    each summary keeps only its own point's evaluations, so it is what
+    the point would get alone.  The host entries are the run's:
+    ``telemetry_host`` gains a ``run.<kind>`` timer and an
+    ``eval.<name>`` timer per evaluator, and ``elapsed`` is the run's
+    seconds plus the point's own evaluations'.
     """
+    point = points[0]
     started = time.perf_counter()
     if point.kind == "original":
-        summary = _execute_original(point)
+        summary, trace = _execute_original(point)
     elif point.kind == "vm":
-        summary = _execute_vm(point)
+        summary, trace = _execute_vm(point)
     elif point.kind == "fuzz":
         # lazy import: the fuzz subsystem is optional for ordinary
         # experiment runs and must not widen their import footprint
         from repro.fuzz.oracle import execute_fuzz_point
-        summary = execute_fuzz_point(point)
+        summary, trace = execute_fuzz_point(point), None
     else:
         raise ValueError(f"unknown run-point kind {point.kind!r}")
-    summary["elapsed"] = time.perf_counter() - started
-    return summary
+    run_seconds = time.perf_counter() - started
+    timers = summary.setdefault("telemetry_host", {"timers": {}})["timers"]
+    timers[f"run.{point.kind}"] = {"seconds": run_seconds, "count": 1}
+
+    results, seconds = {}, {}
+    for spec in dict.fromkeys(spec for member in points
+                              for spec in member.evals):
+        started = time.perf_counter()
+        results[spec] = EVALUATORS[spec.name](dict(spec.params), trace)
+        seconds[spec] = time.perf_counter() - started
+        timer = timers.setdefault(f"eval.{spec.name}",
+                                  {"seconds": 0.0, "count": 0})
+        timer["seconds"] += seconds[spec]
+        timer["count"] += 1
+    return [dict(summary,
+                 evals={spec.key(): results[spec] for spec in member.evals},
+                 elapsed=run_seconds + sum(seconds[spec]
+                                           for spec in member.evals))
+            for member in points]
 
 
 def _base_summary(point):
@@ -299,12 +340,6 @@ def _base_summary(point):
         "budget": point.budget,
         "evals": {},
     }
-
-
-def _run_evals(summary, point, trace):
-    for spec in point.evals:
-        summary["evals"][spec.key()] = \
-            EVALUATORS[spec.name](dict(spec.params), trace)
 
 
 def _execute_original(point):
@@ -319,8 +354,7 @@ def _execute_original(point):
                   "regs": list(interpreter.state.regs)},
         "trace_len": len(trace),
     })
-    _run_evals(summary, point, trace)
-    return summary
+    return summary, trace
 
 
 def _execute_vm(point):
@@ -382,5 +416,4 @@ def _execute_vm(point):
         # process-local wall-clock measurements: like "elapsed", outside it
         "telemetry_host": vm.telemetry.host_summary(),
     })
-    _run_evals(summary, point, result.trace if needs_trace else [])
-    return summary
+    return summary, result.trace if needs_trace else []

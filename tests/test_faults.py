@@ -40,9 +40,6 @@ class TestSpecGrammar:
     def test_probability(self):
         assert parse_fault_spec("corrupt@p=0.25").p == 0.25
 
-    def test_worker_selector(self):
-        assert parse_fault_spec("worker_crash@worker=1").worker == 1
-
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
             parse_fault_spec("meteor_strike")
@@ -74,9 +71,7 @@ class TestSpecGrammar:
 
     def test_known_sites_cover_constants(self):
         assert KNOWN_SITES == {
-            "translate", "tcache_full", "corrupt",
-            "worker_crash", "worker_timeout",
-            "smc", "protect"}
+            "translate", "tcache_full", "corrupt", "smc", "protect"}
 
 
 class TestPlanParsing:
@@ -135,11 +130,6 @@ class TestSpecMatching:
         spec = parse_fault_spec("translate@vpc=0x2000")
         assert spec.matches(1, {"vpc": 0x2000}, lambda: 0.0)
         assert not spec.matches(1, {"vpc": 0x2004}, lambda: 0.0)
-
-    def test_worker_filter(self):
-        spec = parse_fault_spec("worker_crash@worker=0")
-        assert spec.matches(1, {"worker": 0}, lambda: 0.0)
-        assert not spec.matches(1, {"worker": 1}, lambda: 0.0)
 
     def test_probability_consults_draw(self):
         spec = parse_fault_spec("translate@p=0.5")

@@ -7,7 +7,8 @@ run point of that report, keyed by ``resultcache.point_key``, to the
 SHA-256 of its summary's canonical JSON (sorted keys, no spaces) minus
 the process-local ``elapsed`` and ``telemetry_host`` entries.  One report
 pass checks both: a :class:`RunObserver` digests every summary as its
-point finishes.
+point finishes.  The same pass pins the report's plan: one batch of 336
+requested points, 264 of them distinct, served by 168 simulator runs.
 
 A change that claims to be behaviour-neutral (an engine rewrite, a faster
 timing model) must leave both files unchanged.  A change that is meant to
@@ -48,10 +49,10 @@ def summary_digest(summary):
 class SummaryDigests(RunObserver):
     """Digests every executed run point's summary, keyed by point key.
 
-    The report runs without a result cache, so a point requested by
-    several experiments executes once per experiment; every execution
-    must produce the same digest, and ``unstable`` lists the labels of
-    points whose executions disagreed.
+    The report runs as one batch without a result cache, so a point
+    requested by several experiments executes once per report.
+    ``unstable`` lists the labels of points reported twice with
+    different digests.
     """
 
     def __init__(self):
@@ -68,11 +69,12 @@ class SummaryDigests(RunObserver):
 
 
 def run_report():
-    """One ``budget=5000`` report pass: (markdown text, SummaryDigests)."""
+    """One ``budget=5000`` report pass: (markdown text, SummaryDigests,
+    the runner's RunReport)."""
     digests = SummaryDigests()
-    text = generate_report(budget=BUDGET,
-                           runner=PointRunner(observer=digests))
-    return text, digests
+    runner = PointRunner(observer=digests)
+    text = generate_report(budget=BUDGET, runner=runner)
+    return text, digests, runner.report
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +83,7 @@ def report_pass():
 
 
 def test_report_matches_golden(report_pass):
-    text, _digests = report_pass
+    text, _digests, _report = report_pass
     if text.encode("utf-8") != GOLDEN.read_bytes():
         diff = difflib.unified_diff(
             GOLDEN.read_text().splitlines(), text.splitlines(),
@@ -91,7 +93,7 @@ def test_report_matches_golden(report_pass):
 
 
 def test_summaries_match_golden(report_pass):
-    _text, digests = report_pass
+    _text, digests, _report = report_pass
     assert not digests.unstable, \
         f"run points with nondeterministic summaries: {digests.unstable}"
     golden = json.loads(GOLDEN_SUMMARIES.read_text())
@@ -106,9 +108,15 @@ def test_summaries_match_golden(report_pass):
         f"{added[:20]}, {missing} golden points not run")
 
 
+def test_report_runs_each_simulator_run_once(report_pass):
+    _text, _digests, report = report_pass
+    assert (report.requested, report.unique, report.executed,
+            report.runs) == (336, 264, 264, 168)
+
+
 def main():
     """Regenerate both golden files from the current tree."""
-    text, digests = run_report()
+    text, digests, _report = run_report()
     GOLDEN.write_text(text)
     GOLDEN_SUMMARIES.write_text(
         json.dumps(digests.digests, sort_keys=True, indent=0) + "\n")

@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 from repro.harness.experiments import fig5, fig8
-from repro.harness.parallel import PointRunner
+from repro.harness.parallel import PointRunner, RunObserver
 from repro.harness.resultcache import ResultCache, point_key
 from repro.harness.runpoints import RunPoint, execute_point, ildp_ipc
 from repro.ildp_isa.opcodes import IFormat
@@ -264,69 +264,116 @@ def four_cores(monkeypatch):
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
 
 
-class TestWorkerFaults:
-    def test_crashed_chunk_retried(self, four_cores):
-        runner = PointRunner(workers=2,
-                             faults="worker_crash@worker=0,times=1")
-        out = runner.run([_point("gzip"), _point("mcf")])
-        assert [s["workload"] for s in out] == ["gzip", "mcf"]
-        assert runner.report.worker_retries == 1
-        assert runner.report.worker_requeued == 0
+def _deterministic(summary):
+    """A summary minus its host fields, normalised through JSON."""
+    kept = {key: value for key, value in summary.items()
+            if key not in ("elapsed", "telemetry_host")}
+    return json.loads(json.dumps(kept))
+
+
+class Events(RunObserver):
+    """Records the observer callbacks in the order they fire."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_point_start(self, point):
+        self.events.append(("start", point.evals))
+
+    def on_point_done(self, point, summary):
+        self.events.append(("done", point.evals, tuple(summary["evals"])))
+
+
+class TestRunGrouping:
+    """Points that differ only in their evaluators share one simulator
+    run, and each still gets the summary it would get alone."""
+
+    FAST = ildp_ipc(pes=8, comm=0)
+    NARROW = ildp_ipc(pes=4, comm=0)
+
+    def _shared(self):
+        return [RunPoint.vm("gzip", VMConfig(), budget=BUDGET,
+                            evals=(self.FAST,)),
+                RunPoint.vm("gzip", VMConfig(), budget=BUDGET,
+                            evals=(self.NARROW, self.FAST))]
+
+    def test_points_of_one_run_execute_once(self, monkeypatch):
+        from repro.harness import runpoints
+
+        calls = []
+        real_run_vm = runpoints.run_vm
+
+        def counting_run_vm(*args, **kwargs):
+            calls.append(args[0])
+            return real_run_vm(*args, **kwargs)
+
+        monkeypatch.setattr(runpoints, "run_vm", counting_run_vm)
+        points = self._shared()
+        observer = Events()
+        runner = PointRunner(observer=observer)
+        out = runner.run(points)
+        monkeypatch.undo()
+
+        assert calls == ["gzip"]
+        assert runner.last_report["runs"] == 1
+        assert runner.last_report["executed"] == 2
+        for point, summary in zip(points, out):
+            assert _deterministic(summary) == \
+                _deterministic(execute_point(point))
+        fast, narrow = self.FAST.key(), self.NARROW.key()
+        assert observer.events == [
+            ("start", points[0].evals), ("start", points[1].evals),
+            ("done", points[0].evals, (fast,)),
+            ("done", points[1].evals, (narrow, fast))]
+        # the union of evaluators ran once each, in one run
+        timers = out[0]["telemetry_host"]["timers"]
+        assert timers["run.vm"]["count"] == 1
+        assert timers["eval.ildp_ipc"]["count"] == 2
+        assert out[1]["telemetry_host"] == out[0]["telemetry_host"]
+
+    def test_pool_executes_each_run_once(self, four_cores):
+        shared = self._shared()
+        points = [shared[0], _point("mcf"), shared[1]]
+        runner = PointRunner(workers=2)
+        out = runner.run(points)
         assert runner.report.pool_failures == 0
+        assert runner.last_report["runs"] == 2
+        assert runner.last_report["executed"] == 3
+        for point, summary in zip(points, out):
+            assert _deterministic(summary) == \
+                _deterministic(execute_point(point))
+        timers = out[0]["telemetry_host"]["timers"]
+        assert timers["run.vm"]["count"] == 1
+        assert timers["eval.ildp_ipc"]["count"] == 2
+        assert out[2]["telemetry_host"] == out[0]["telemetry_host"]
 
-    def test_timed_out_chunk_retried(self, four_cores):
-        runner = PointRunner(workers=2,
-                             faults="worker_timeout@worker=1,times=1")
-        out = runner.run([_point("gzip"), _point("mcf")])
-        assert [s["workload"] for s in out] == ["gzip", "mcf"]
-        assert runner.report.worker_retries == 1
+    def test_cached_member_leaves_only_the_others_evaluators(self, cache):
+        cached, missed = self._shared()
+        PointRunner(cache=cache).run([cached])
 
-    def test_exhausted_retries_requeue_serially(self, four_cores):
-        # worker 0 crashes on every dispatch: one retry, then its chunk
-        # is requeued and completed on the serial path — never lost
-        runner = PointRunner(workers=2, faults="worker_crash@worker=0",
-                             max_worker_retries=1)
-        out = runner.run([_point("gzip"), _point("mcf")])
-        assert [s["workload"] for s in out] == ["gzip", "mcf"]
-        assert runner.report.worker_retries == 1
-        assert runner.report.worker_requeued == 1
-        assert runner.report.executed == 2
+        runner = PointRunner(cache=ResultCache(cache.root))
+        out = runner.run([cached, missed])
+        assert runner.last_report["cache_hits"] == 1
+        assert runner.last_report["executed"] == 1
+        assert runner.last_report["runs"] == 1
+        timers = out[1]["telemetry_host"]["timers"]
+        assert timers["eval.ildp_ipc"]["count"] == len(missed.evals)
+        for point, summary in zip((cached, missed), out):
+            assert _deterministic(summary) == \
+                _deterministic(execute_point(point))
 
-    def test_faulted_pool_matches_serial(self, four_cores):
-        points = [_point("gzip"), _point("mcf")]
-        serial = [execute_point(p) for p in points]
-        runner = PointRunner(workers=2, faults="worker_crash@worker=0",
-                             max_worker_retries=0)
-        pooled = runner.run(points)
-        for a, b in zip(serial, pooled):
-            a, b = dict(a), dict(b)
-            a.pop("elapsed"), b.pop("elapsed")
-            a.pop("telemetry_host"), b.pop("telemetry_host")
-            assert json.loads(json.dumps(a)) == json.loads(json.dumps(b))
+    def test_traced_and_untraced_runs_stay_apart(self):
+        runner = PointRunner()
+        runner.run([_point(), self._shared()[0]])
+        assert runner.last_report["runs"] == 2
 
-    def test_execute_chunk_fault_modes(self):
-        from repro.harness.parallel import (
-            WorkerCrash,
-            WorkerTimeout,
-            _execute_chunk,
-        )
-
-        with pytest.raises(WorkerCrash):
-            _execute_chunk([], fail="crash")
-        with pytest.raises(WorkerTimeout):
-            _execute_chunk([], fail="timeout")
-
-    def test_retry_knob_validated(self):
-        with pytest.raises(ValueError):
-            PointRunner(max_worker_retries=-1)
-
-    def test_report_renders_worker_counts(self, four_cores):
-        runner = PointRunner(workers=2,
-                             faults="worker_crash@worker=0,times=1")
-        runner.run([_point("gzip"), _point("mcf")])
-        line = runner.report.render()
-        assert "worker retries 1" in line
-        assert "requeued 0" in line
+    def test_report_counts_each_run_once(self):
+        runner = PointRunner()
+        runner.run(self._shared())
+        report = runner.report
+        assert report.run_seconds > 0
+        assert report.eval_seconds > 0
+        assert "2 executed in 1 runs" in report.render()
 
 
 class TestCacheCorruptionCounter:

@@ -22,13 +22,6 @@ class TestReport:
         assert "straightened instruction count" in text
         assert "| gzip |" in text
 
-    def test_progress_callback(self):
-        seen = []
-        generate_report(workloads=("gzip",), budget=15_000,
-                        sections=["fig5"],
-                        progress=lambda name, dt: seen.append(name))
-        assert seen == ["fig5"]
-
     def test_all_sections_registered(self):
         from repro.harness import experiments
 
