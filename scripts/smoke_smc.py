@@ -6,11 +6,11 @@ Runs a hand-written kernel that maps its code page, gets its loop hot
 keeps running over the rewritten text.  Checks, under every execution
 engine, that the VM (a) produces the pure interpreter's console, (b)
 detects the store into translated code exactly once, (c) invalidates
-only the overlapping fragment — never the whole cache — and (d) emits
-the ``smc_detected`` telemetry event.  A second kernel stores into its
-*own executing* fragment every iteration and must survive through
-RETRANSLATE deopts instead of guest-visible traps.  Exits non-zero on
-any failure.
+only the overlapping fragment — never the whole cache — and (d) mirrors
+the detection into the ``smc.detected`` telemetry gauge.  A second
+kernel stores into its *own executing* fragment every iteration and must
+survive through RETRANSLATE deopts instead of guest-visible traps.
+Exits non-zero on any failure.
 
 Usage: PYTHONPATH=src python scripts/smoke_smc.py
 """
@@ -21,7 +21,6 @@ from repro.asm import assemble
 from repro.interp import Interpreter
 from repro.isa.encoding import encode
 from repro.isa.instruction import Instruction
-from repro.obs.events import EventKind
 from repro.vm import CoDesignedVM, VMConfig
 
 ENGINES = ("naive", "jit")
@@ -87,8 +86,7 @@ def main():
     oneshot_ref = _reference(_oneshot_program)
     for engine in ENGINES:
         vm = CoDesignedVM(_oneshot_program(),
-                          VMConfig(threshold=4, exec_engine=engine,
-                                   telemetry=True))
+                          VMConfig(threshold=4, exec_engine=engine))
         vm.run(max_v_instructions=100_000)
         label = f"oneshot/{engine}"
         if not vm.halted:
@@ -105,10 +103,10 @@ def main():
                             f"{vm.stats.smc_invalidations}")
         if vm.stats.tcache_flushes != 0:
             failures.append(f"{label}: SMC caused a whole-cache flush")
-        events = vm.telemetry.events.records(EventKind.SMC_DETECTED)
-        if len(events) != 1:
-            failures.append(f"{label}: expected one smc_detected event, "
-                            f"got {len(events)}")
+        gauges = vm.telemetry.summary()["gauges"]
+        if gauges.get("smc.detected") != 1:
+            failures.append(f"{label}: smc.detected gauge reads "
+                            f"{gauges.get('smc.detected')}, expected 1")
 
     hot_ref = _reference(lambda: assemble(HOTSTORE))
     deopts = 0

@@ -53,15 +53,11 @@ def build_parser():
     _add_vm_arguments(translate_parser)
 
     profile_parser = sub.add_parser(
-        "profile", help="run with telemetry and report the hottest "
+        "profile", help="run a workload and report the hottest "
                         "fragments and translation-phase times")
     _add_vm_arguments(profile_parser)
     profile_parser.add_argument("--top", type=_positive_int, default=10,
                                 help="fragments to show (default 10)")
-    profile_parser.add_argument("--events-jsonl", default=None,
-                                metavar="PATH",
-                                help="also export the event stream as "
-                                     "JSON lines")
 
     trace_parser = sub.add_parser(
         "trace", help="run one workload with span tracing and export a "
@@ -165,7 +161,7 @@ def build_parser():
                              help="worker processes (default 1)")
     fuzz_parser.add_argument("--telemetry", action="store_true",
                              help="print aggregate VM telemetry across "
-                                  "all oracle runs")
+                                  "the oracle's naive VM runs")
     fuzz_parser.add_argument("--trace-out", default=None, metavar="PATH",
                              help="span-trace the campaign and write "
                                   "Chrome trace-event JSON")
@@ -252,9 +248,6 @@ def _add_vm_arguments(parser):
                         help="compile fragments to generated Python on "
                              "first entry (jit, the default) or run the "
                              "reference dispatch (naive)")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="enable the repro.obs telemetry subsystem "
-                             "(metrics, events, fragment profiling)")
 
 
 def _config_from(args):
@@ -262,8 +255,7 @@ def _config_from(args):
                     policy=_POLICIES[args.policy],
                     n_accumulators=args.accumulators,
                     fuse_memory=args.fuse_memory,
-                    exec_engine=args.exec_engine,
-                    telemetry=getattr(args, "telemetry", False))
+                    exec_engine=args.exec_engine)
 
 
 def _command_workloads(_args, out):
@@ -288,17 +280,6 @@ def _command_run(args, out):
     print(f"translation cost: "
           f"{cost.per_translated_instruction():.0f} insts/translated inst",
           file=out)
-    telemetry = result.vm.telemetry
-    if telemetry.enabled:
-        from repro.obs.profile import phase_breakdown_lines
-
-        print("", file=out)
-        print("telemetry:", file=out)
-        events = telemetry.events.summary()
-        print(f"  events: {events['emitted']} emitted, "
-              f"{events['dropped']} dropped", file=out)
-        for line in phase_breakdown_lines(telemetry.registry):
-            print(f"  {line}", file=out)
     if args.trace_out is not None:
         result.vm.tracer.write(args.trace_out)
         print(f"wrote {args.trace_out} "
@@ -356,11 +337,9 @@ def _command_profile(args, out):
         hot_fragment_table, phase_breakdown_lines
     from repro.tcache.dump import cache_totals_line
 
-    config = _config_from(args).copy(telemetry=True)
-    result = run_vm(args.workload, config, budget=args.budget,
+    result = run_vm(args.workload, _config_from(args), budget=args.budget,
                     collect_trace=False)
-    vm = result.vm
-    telemetry = vm.telemetry
+    registry = result.vm.telemetry.registry
     print(f"profile of {args.workload} "
           f"({args.fmt} / {args.policy}, budget {args.budget})", file=out)
     print(cache_totals_line(result.tcache), file=out)
@@ -368,32 +347,14 @@ def _command_profile(args, out):
     for line in result.stats.render_lines():
         print(line, file=out)
     print("", file=out)
-    for line in phase_breakdown_lines(telemetry.registry):
+    for line in phase_breakdown_lines(registry):
         print(line, file=out)
     print("", file=out)
-    for line in histogram_quantile_lines(telemetry.registry):
+    for line in histogram_quantile_lines(registry):
         print(line, file=out)
     print("", file=out)
-    for line in hot_fragment_table(telemetry.fragments, result.tcache,
-                                   top=args.top):
+    for line in hot_fragment_table(result.tcache, top=args.top):
         print(line, file=out)
-    events = telemetry.events.summary()
-    print("", file=out)
-    print(f"events: {events['emitted']} emitted, "
-          f"{events['dropped']} dropped "
-          f"(ring capacity {telemetry.events.capacity})", file=out)
-    if events["dropped"]:
-        print(f"warning: the event ring overflowed — the oldest "
-              f"{events['dropped']} records were dropped; per-kind "
-              f"totals below are still complete, but the JSONL export "
-              f"only holds the newest {telemetry.events.capacity} "
-              f"(set REPRO_EVENT_CAPACITY to raise it)", file=out)
-    for kind in sorted(events["by_kind"]):
-        print(f"  {kind:22s} {events['by_kind'][kind]}", file=out)
-    if args.events_jsonl is not None:
-        with open(args.events_jsonl, "w") as handle:
-            handle.write(telemetry.events.to_jsonl())
-        print(f"wrote {args.events_jsonl}", file=out)
     return 0
 
 
@@ -509,8 +470,8 @@ def _command_fuzz(args, out):
                           max_insns=args.max_insns, chaos=args.chaos,
                           shrink=args.shrink, workers=args.workers,
                           budget=args.budget, corpus_dir=args.corpus_dir,
-                          telemetry=args.telemetry, runner=runner,
-                          engines=engines, hostile=args.hostile)
+                          runner=runner, engines=engines,
+                          hostile=args.hostile)
     for line in result.render_lines():
         print(line, file=out)
     if args.corpus_dir:

@@ -11,8 +11,8 @@ at exactly the same occurrences on every run.
 
 ``VMConfig.faults`` selects between a live injector and the shared
 :data:`NULL_INJECTOR` no-op twin — the same pattern as
-``repro.obs.telemetry``/``trace`` — so the fault-free paths stay
-bit-identical to a build without this package.  See
+``repro.obs.trace`` — so the fault-free paths stay bit-identical to a
+build without this package.  See
 ``docs/robustness.md`` for the spec grammar and the degradation paths
 each site drives.
 """

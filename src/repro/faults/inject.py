@@ -19,8 +19,7 @@ never per instruction.
 from collections import Counter
 
 from repro.faults.plan import FaultPlan
-from repro.obs.events import EventKind
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER
 from repro.utils.bitops import MASK64
 from repro.utils.rng import Xorshift64
@@ -36,7 +35,7 @@ class FaultInjector:
             plan = FaultPlan.parse(plan)
         self.plan = plan
         self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
+            else Telemetry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: site -> how many times the site was consulted
         self.occurrences = Counter()
@@ -54,9 +53,9 @@ class FaultInjector:
     def fire(self, site, **attrs):
         """Consult the plan at ``site``; True when a fault strikes now.
 
-        ``attrs`` are the site's details (``vpc``, ``fid``)
-        matched against spec selectors and recorded on the telemetry
-        event when a fault fires.
+        ``attrs`` are the site's details (``vpc``, ``fid``) matched
+        against spec selectors and recorded on the trace instant when a
+        fault fires; the ``faults.injected.<site>`` counter counts it.
         """
         occurrence = self.occurrences[site] + 1
         self.occurrences[site] = occurrence
@@ -71,9 +70,6 @@ class FaultInjector:
             self._spec_hits[index] += 1
             self.injected[site] += 1
             self.telemetry.registry.counter(f"faults.injected.{site}").inc()
-            self.telemetry.events.emit(
-                EventKind.FAULT_INJECTED, site=site, occurrence=occurrence,
-                spec=spec.text, **attrs)
             self.tracer.instant(f"fault.{site}", cat="faults",
                                 occurrence=occurrence, **attrs)
             return True

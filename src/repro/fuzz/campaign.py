@@ -110,8 +110,7 @@ def _shrink_finding(finding, budget):
 
 def run_campaign(count, seed, max_insns=60, chaos=False, shrink=False,
                  workers=1, budget=ORACLE_BUDGET, corpus_dir=None,
-                 telemetry=False, runner=None, engines=None,
-                 hostile=False):
+                 runner=None, engines=None, hostile=False):
     """Run ``count`` seeded programs through the oracle stack.
 
     ``engines`` selects the oracle engine stage's comparison axis
@@ -122,8 +121,7 @@ def run_campaign(count, seed, max_insns=60, chaos=False, shrink=False,
     if count < 1:
         raise ValueError("count must be >= 1")
     points = [RunPoint.fuzz(seed, index, max_insns=max_insns,
-                            chaos=chaos, budget=budget,
-                            telemetry=telemetry, engines=engines,
+                            chaos=chaos, budget=budget, engines=engines,
                             hostile=hostile)
               for index in range(count)]
     if runner is None:

@@ -133,12 +133,11 @@ def run_reference(fprog, budget=ORACLE_BUDGET):
 
 
 def oracle_config(exec_engine=REFERENCE_ENGINE, faults=None, fault_seed=0,
-                  telemetry=False, trace=False):
+                  trace=False):
     """The VM configuration oracle stages run under."""
     return VMConfig(threshold=ORACLE_THRESHOLD, collect_trace=False,
                     exec_engine=exec_engine, faults=faults,
-                    fault_seed=fault_seed, telemetry=telemetry,
-                    trace=trace)
+                    fault_seed=fault_seed, trace=trace)
 
 
 def run_vm_outcome(fprog, config, budget=ORACLE_BUDGET):
@@ -217,7 +216,8 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
     ``VMStats`` equality.  Returns a report dict: ``failures`` is a
     list of ``{stage, reason}`` records (empty means the program agrees
     everywhere), ``inconclusive`` lists stages skipped for budget
-    exhaustion.
+    exhaustion, and ``telemetry``/``telemetry_host`` are the naive VM
+    run's summaries when a cosim or engine stage made that run.
     """
     if stages is None:
         stages = ("cosim", "engine") + (("chaos",) if chaos else ())
@@ -279,7 +279,7 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
             failures.extend({"stage": "chaos", "reason": reason}
                             for reason in reasons)
 
-    return {
+    report = {
         "seed": fprog.seed,
         "index": fprog.index,
         "generator_version": fprog.version,
@@ -287,6 +287,10 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
         "failures": failures,
         "inconclusive": inconclusive,
     }
+    if naive_vm is not None:
+        report["telemetry"] = naive_vm.telemetry.summary()
+        report["telemetry_host"] = naive_vm.telemetry.host_summary()
+    return report
 
 
 def _stats_diff(a, b):
@@ -334,9 +338,7 @@ def execute_fuzz_point(point):
         "inconclusive": report["inconclusive"],
         "evals": {},
     }
-    if fields.get("telemetry"):
-        _outcome, vm = run_vm_outcome(
-            fprog, oracle_config(telemetry=True), budget=point.budget)
-        summary["telemetry"] = vm.telemetry.summary()
-        summary["telemetry_host"] = vm.telemetry.host_summary()
+    for block in ("telemetry", "telemetry_host"):
+        if block in report:
+            summary[block] = report[block]
     return summary

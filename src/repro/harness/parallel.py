@@ -42,18 +42,19 @@ def _execute_chunk(points):
 
     The parent chunks runs, not points, so every point of a run is in
     this chunk and the run executes once.  Each summary is paired with
-    the ``perf_counter`` readings around its run: on the platforms we run
-    on that clock is system-wide monotonic, so the parent process can
-    place worker runs on the shared span timeline (one trace track per
-    worker).
+    the ``perf_counter`` readings around its run and the run's evaluator
+    spans: on the platforms we run on that clock is system-wide
+    monotonic, so the parent process can place worker runs on the shared
+    span timeline (one trace track per worker).
     """
     results = [None] * len(points)
     for run in _group_runs(points):
+        spans = []
         started = time.perf_counter()
-        summaries = execute_run([points[i] for i in run])
+        summaries = execute_run([points[i] for i in run], spans)
         ended = time.perf_counter()
         for position, summary in zip(run, summaries):
-            results[position] = (summary, started, ended)
+            results[position] = (summary, started, ended, spans)
     return results
 
 
@@ -142,8 +143,9 @@ class PointRunner:
         self.workers = workers
         self.cache = cache
         #: span tracer for the harness timeline: every executed run
-        #: becomes a span (parallel workers land on their own tracks) and
-        #: every cache hit an instant marker.  Defaults to the no-op twin.
+        #: becomes a span holding one ``eval.<name>`` span per evaluator
+        #: call (parallel workers land on their own tracks) and every
+        #: cache hit an instant marker.  Defaults to the no-op twin.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: optional :class:`RunObserver` receiving per-point lifecycle
         #: callbacks (per-point timing, golden summary digests)
@@ -214,10 +216,13 @@ class PointRunner:
                 if self.observer is not None:
                     for point in members:
                         self.observer.on_point_start(point)
+                spans = [] if self.tracer.enabled else None
                 with self.tracer.span(members[0].label(), cat="harness",
                                       kind=members[0].kind,
                                       budget=members[0].budget):
-                    results = execute_run(members)
+                    results = execute_run(members, spans)
+                    for name, started, ended in spans or ():
+                        self.tracer.add_complete(name, started, ended)
                 for position, summary in zip(run, results):
                     executed[position] = summary
         for run in runs:
@@ -267,13 +272,14 @@ class PointRunner:
             return None
         summaries = [None] * len(points)
         for chunk, results in zip(positions, chunk_results):
-            for position, (summary, _t0, _t1) in zip(chunk, results):
-                summaries[position] = summary
+            for position, result in zip(chunk, results):
+                summaries[position] = result[0]
         self._note_pool_spans(chunks, chunk_results)
         return summaries
 
     def _note_pool_spans(self, chunks, chunk_results):
-        """Place each worker's runs on its own trace track.
+        """Place each worker's runs, and their evaluator spans, on its
+        own trace track.
 
         Workers report raw ``perf_counter`` readings (system-wide
         monotonic), so their spans share the parent tracer's timeline;
@@ -288,7 +294,10 @@ class PointRunner:
             self.tracer.set_thread_name(tid, f"worker-{tid}")
             for run in _group_runs(chunk):
                 point = chunk[run[0]]
-                _summary, started, ended = results[run[0]]
+                _summary, started, ended, spans = results[run[0]]
                 self.tracer.add_complete(
                     point.label(), started, ended, tid=tid,
                     args={"kind": point.kind, "budget": point.budget})
+                for name, span_start, span_end in spans:
+                    self.tracer.add_complete(name, span_start, span_end,
+                                             tid=tid)

@@ -4,10 +4,11 @@
 one workload and hand back live simulator objects.  The experiment
 drivers do not call them directly any more — they declare
 :class:`~repro.harness.runpoints.RunPoint` batches and hand them to a
-:class:`~repro.harness.parallel.PointRunner`, which executes them through
-:func:`~repro.harness.runpoints.execute_point` (itself built on the
-primitives below), optionally in parallel worker processes and memoised
-by the persistent :class:`~repro.harness.resultcache.ResultCache`.
+:class:`~repro.harness.parallel.PointRunner`, which executes each
+simulator run through :func:`~repro.harness.runpoints.execute_run`
+(itself built on the primitives below), optionally in parallel worker
+processes and memoised by the persistent
+:class:`~repro.harness.resultcache.ResultCache`.
 """
 
 from repro.uarch.trace_utils import interpreter_trace
@@ -34,22 +35,11 @@ class RunResult:
 
 
 def run_vm(workload_name, config=None, scale=None, budget=DEFAULT_BUDGET,
-           collect_trace=True, telemetry=None, trace=None):
-    """Run one workload under the co-designed VM.
-
-    ``telemetry`` overrides ``config.telemetry`` when not None (the
-    harness forces it on so run summaries carry telemetry blocks; the
-    CLI leaves the config's setting alone).  ``trace`` does the same for
-    span tracing (``repro trace`` / ``--trace-out`` force it on).
-    """
+           collect_trace=True):
+    """Run one workload under the co-designed VM."""
     workload = get_workload(workload_name)
     config = config if config is not None else VMConfig()
-    overrides = {"collect_trace": collect_trace}
-    if telemetry is not None:
-        overrides["telemetry"] = telemetry
-    if trace is not None:
-        overrides["trace"] = trace
-    config = config.copy(**overrides)
+    config = config.copy(collect_trace=collect_trace)
     vm = CoDesignedVM(workload.program(scale), config)
     vm.run(max_v_instructions=budget)
     return RunResult(workload_name, config, vm)

@@ -48,7 +48,10 @@ from repro.vm.config import VMConfig
 #: 6: the jit compiles every fragment on first entry instead of after a
 #: visit threshold, so the cached ``jit.promotions`` counter and
 #: ``jit_promoted`` events change; threshold-era entries must not replay.
-SCHEMA_VERSION = 6
+#: 7: telemetry became always on with one level: the ``telemetry`` block
+#: lost ``events``, ``fragments_profiled``, ``hot_fragments`` and the
+#: ``exec.fragment_transitions`` counter.
+SCHEMA_VERSION = 7
 
 
 class EvalSpec:
@@ -140,8 +143,7 @@ class RunPoint:
 
     @classmethod
     def fuzz(cls, seed, index, max_insns=60, chaos=False,
-             budget=200_000, telemetry=False, engines=None,
-             hostile=False):
+             budget=200_000, engines=None, hostile=False):
         """One generated-program oracle run (see :mod:`repro.fuzz`).
 
         ``config`` reuses the sorted-pair convention but carries the
@@ -159,7 +161,6 @@ class RunPoint:
         fields = (("chaos", bool(chaos)), ("engines", engines),
                   ("hostile", bool(hostile)), ("index", index),
                   ("max_insns", max_insns), ("seed", seed),
-                  ("telemetry", bool(telemetry)),
                   ("version", GENERATOR_VERSION))
         return cls("fuzz", f"fuzz[{seed}/{index}]", None, budget, fields,
                    ())
@@ -287,7 +288,7 @@ def execute_point(point):
     return execute_run([point])[0]
 
 
-def execute_run(points):
+def execute_run(points, spans=None):
     """Run the simulator once for ``points``; returns one summary each.
 
     The points share one :meth:`RunPoint.run_identity`.  The run calls
@@ -296,7 +297,10 @@ def execute_run(points):
     the point would get alone.  The host entries are the run's:
     ``telemetry_host`` gains a ``run.<kind>`` timer and an
     ``eval.<name>`` timer per evaluator, and ``elapsed`` is the run's
-    seconds plus the point's own evaluations'.
+    seconds plus the point's own evaluations'.  When ``spans`` is a
+    list, each evaluator call appends ``("eval.<name>", started,
+    ended)`` to it, raw ``perf_counter`` readings a tracer can place on
+    its timeline.
     """
     point = points[0]
     started = time.perf_counter()
@@ -320,11 +324,14 @@ def execute_run(points):
                               for spec in member.evals):
         started = time.perf_counter()
         results[spec] = EVALUATORS[spec.name](dict(spec.params), trace)
-        seconds[spec] = time.perf_counter() - started
+        ended = time.perf_counter()
+        seconds[spec] = ended - started
         timer = timers.setdefault(f"eval.{spec.name}",
                                   {"seconds": 0.0, "count": 0})
         timer["seconds"] += seconds[spec]
         timer["count"] += 1
+        if spans is not None:
+            spans.append((f"eval.{spec.name}", started, ended))
     return [dict(summary,
                  evals={spec.key(): results[spec] for spec in member.evals},
                  elapsed=run_seconds + sum(seconds[spec]
@@ -361,8 +368,7 @@ def _execute_vm(point):
     config = VMConfig.from_dict(dict(point.config))
     needs_trace = bool(point.evals)
     result = run_vm(point.workload, config, scale=point.scale,
-                    budget=point.budget, collect_trace=needs_trace,
-                    telemetry=True)
+                    budget=point.budget, collect_trace=needs_trace)
     vm, stats, tcache = result.vm, result.stats, result.tcache
     cost = vm.cost_model
     fragments = tcache.fragments

@@ -1,8 +1,7 @@
 """Metrics registry: named counters, gauges, timers and histograms.
 
-The registry is the numeric half of the telemetry subsystem (the event
-stream in :mod:`repro.obs.events` is the other).  Four metric kinds cover
-everything the DBT wants to report:
+The registry is what every VM's telemetry records into.  Four metric
+kinds cover everything the DBT wants to report:
 
 * **counters** — monotonically increasing totals (fragments created,
   dispatch runs);
@@ -19,11 +18,6 @@ counters, timers and histogram buckets add, gauges keep the maximum (the
 only order-independent choice without timestamps).  That makes registries
 from parallel harness workers — which arrive as plain dicts inside run
 summaries — foldable into one aggregate view.
-
-A parallel no-op implementation (:data:`NULL_REGISTRY`) exposes the same
-surface with every operation stubbed out; it is what the VM wires up when
-``VMConfig.telemetry`` is off, so disabled telemetry costs at most an
-attribute load at the call site.
 """
 
 import time
@@ -275,100 +269,3 @@ class MetricsRegistry:
         return (f"MetricsRegistry({len(self.counters)} counters, "
                 f"{len(self.gauges)} gauges, {len(self.timers)} timers, "
                 f"{len(self.histograms)} histograms)")
-
-
-# -- the no-op twin -----------------------------------------------------------
-
-class _NullSpan:
-    """A context manager that measures nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-class _NullMetric:
-    """One object impersonating every metric kind, all operations no-ops."""
-
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-    seconds = 0.0
-    count = 0
-    total = 0
-
-    def inc(self, amount=1):
-        """No-op."""
-
-    def set(self, value):
-        """No-op."""
-
-    def add(self, seconds, count=1):
-        """No-op."""
-
-    def observe(self, value, count=1):
-        """No-op."""
-
-    def quantile(self, q):
-        """Always None (nothing was observed)."""
-        return None
-
-    def reset(self):
-        """No-op."""
-
-    def time(self):
-        """A no-op span."""
-        return _NULL_SPAN
-
-
-_NULL_SPAN = _NullSpan()
-_NULL_METRIC = _NullMetric()
-
-
-class NullRegistry:
-    """The zero-overhead registry used when telemetry is disabled.
-
-    Every accessor returns the shared no-op metric; nothing is ever
-    allocated or recorded, and :meth:`to_dict` is empty.
-    """
-
-    counters = {}
-    gauges = {}
-    timers = {}
-    histograms = {}
-
-    def counter(self, name):
-        """The shared no-op metric."""
-        return _NULL_METRIC
-
-    def gauge(self, name):
-        """The shared no-op metric."""
-        return _NULL_METRIC
-
-    def timer(self, name):
-        """The shared no-op metric."""
-        return _NULL_METRIC
-
-    def histogram(self, name, bounds=DEFAULT_BUCKETS):
-        """The shared no-op metric."""
-        return _NULL_METRIC
-
-    def to_dict(self):
-        """An empty payload."""
-        return {"counters": {}, "gauges": {}, "timers": {},
-                "histograms": {}}
-
-    def merge_dict(self, data):
-        """No-op; returns self."""
-        return self
-
-    def merge(self, other):
-        """No-op; returns self."""
-        return self
-
-
-NULL_REGISTRY = NullRegistry()

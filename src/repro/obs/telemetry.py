@@ -1,37 +1,30 @@
-"""The telemetry facade the VM wires through every layer.
+"""The telemetry facade every VM carries.
 
-One :class:`Telemetry` object bundles the three observability primitives —
-the metrics registry, the bounded event stream, and the hot-fragment
-profiler — plus the finalisation step that mirrors end-of-run ``VMStats``
-and translation-cache totals into the registry so a run's whole
-observable state exports as one JSON-able summary.
+One :class:`Telemetry` object per VM holds the metrics registry the
+layers record into, plus the finalisation step that mirrors end-of-run
+``VMStats`` and translation-cache totals into the registry so a run's
+whole observable state exports as one JSON-able summary.
 
-``VMConfig.telemetry`` (default off) selects between the real object and
-:data:`NULL_TELEMETRY`, whose registry/events/profiler are the no-op
-twins: with telemetry off the VM's hot paths see only dead attribute
-loads and ``is not None`` checks at fragment and run boundaries, never
-per-instruction work — the ≤2% overhead budget the benchmark gate
-enforces.
+Telemetry is always on, so what it costs is paid by every run: the
+layers record per fragment created, per translated stint and per
+``FragmentExecutor.run`` call, never per instruction or per fragment
+transition.  The benchmark gate in ``benchmarks/bench_exec_engine.py``
+bounds that cost (``docs/observability.md``).
 
 Two summary views exist because the harness treats them differently:
 
-* :meth:`Telemetry.summary` is **deterministic** — counters, gauges,
-  histograms, event totals and the hottest fragments are pure functions
-  of the run point, so they live in cacheable run summaries and must be
-  bit-identical across serial/parallel/cached execution;
+* :meth:`Telemetry.summary` is **deterministic** — counters, gauges and
+  histograms are pure functions of the run point, so they live in
+  cacheable run summaries and must be bit-identical across
+  serial/parallel/cached execution;
 * :meth:`Telemetry.host_summary` is **process-local** — wall-clock phase
   timers and decode-cache miss counts depend on the machine and on which
   process ran first, so the harness stores them next to ``elapsed``,
   outside the determinism contract.
 """
 
-from repro.obs.events import DEFAULT_CAPACITY, EventStream, NULL_EVENTS
-from repro.obs.profile import FragmentProfiler, NULL_PROFILER
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.obs.registry import MetricsRegistry
 
-#: Bucket bounds for instruction-count-shaped distributions (superblock
-#: lengths, fragment body sizes).
-SIZE_BUCKETS = (5, 10, 20, 50, 100, 200, 500)
 #: Bucket bounds for fragment execution counts.
 EXEC_BUCKETS = (1, 10, 100, 1000, 10_000, 100_000)
 
@@ -47,14 +40,10 @@ _RESILIENCE_GAUGES = {
 
 
 class Telemetry:
-    """Live telemetry: registry + event stream + fragment profiler."""
+    """A VM's metrics registry plus its end-of-run finalisation."""
 
-    enabled = True
-
-    def __init__(self, event_capacity=DEFAULT_CAPACITY):
+    def __init__(self):
         self.registry = MetricsRegistry()
-        self.events = EventStream(event_capacity)
-        self.fragments = FragmentProfiler()
         self.decode_misses = 0
 
     def finalize(self, stats, tcache, interpreter=None):
@@ -88,17 +77,13 @@ class Telemetry:
         if interpreter is not None:
             self.decode_misses = interpreter.decode_misses
 
-    def summary(self, hot_fragments=5):
+    def summary(self):
         """The deterministic JSON-able summary (see the module docstring)."""
         data = self.registry.to_dict()
         return {
             "counters": data["counters"],
             "gauges": data["gauges"],
             "histograms": data["histograms"],
-            "events": self.events.summary(),
-            "fragments_profiled": len(self.fragments),
-            "hot_fragments": [record.to_json()
-                              for record in self.fragments.top(hot_fragments)],
         }
 
     def host_summary(self):
@@ -109,78 +94,18 @@ class Telemetry:
         }
 
     def __repr__(self):
-        return (f"Telemetry({self.events.emitted} events, "
-                f"{len(self.fragments)} fragments profiled)")
-
-
-class NullTelemetry:
-    """Telemetry disabled: the same surface, every operation a no-op."""
-
-    enabled = False
-    registry = NULL_REGISTRY
-    events = NULL_EVENTS
-    fragments = NULL_PROFILER
-    decode_misses = 0
-
-    def finalize(self, stats, tcache, interpreter=None):
-        """No-op."""
-
-    def summary(self, hot_fragments=5):
-        """An empty summary."""
-        return {"counters": {}, "gauges": {}, "histograms": {},
-                "events": NULL_EVENTS.summary(), "fragments_profiled": 0,
-                "hot_fragments": []}
-
-    def host_summary(self):
-        """An empty host summary."""
-        return {"timers": {}, "decode_misses": 0}
-
-    def __repr__(self):
-        return "NullTelemetry()"
-
-
-NULL_TELEMETRY = NullTelemetry()
-
-
-def make_telemetry(config):
-    """The telemetry object ``config`` asks for.
-
-    ``VMConfig.telemetry`` truthy selects a fresh :class:`Telemetry`;
-    anything else the shared :data:`NULL_TELEMETRY`.  The
-    ``REPRO_EVENT_CAPACITY`` environment variable overrides the event
-    ring's capacity (chiefly so tests and overflow investigations can
-    shrink it without plumbing a knob through every constructor).
-    """
-    if getattr(config, "telemetry", False):
-        import os
-
-        capacity = os.environ.get("REPRO_EVENT_CAPACITY")
-        if capacity is not None:
-            return Telemetry(event_capacity=int(capacity))
-        return Telemetry()
-    return NULL_TELEMETRY
+        return f"Telemetry({self.registry!r})"
 
 
 def merge_summary(registry, summary, host=None):
     """Fold one run's telemetry summary (and optional host block) into an
     aggregate registry — how the harness merges parallel workers'
-    registries.
-
-    Event per-kind totals become ``events.<kind>`` counters; dropped
-    records and profiled-fragment counts merge as counters too, so the
-    aggregate view never silently under-reports.
-    """
+    registries."""
     registry.merge_dict({
         "counters": summary.get("counters", {}),
         "gauges": summary.get("gauges", {}),
         "histograms": summary.get("histograms", {}),
     })
-    events = summary.get("events", {})
-    for kind, count in events.get("by_kind", {}).items():
-        registry.counter(f"events.{kind}").inc(count)
-    registry.counter("events.dropped").inc(events.get("dropped", 0))
-    registry.counter("fragments.profiled").inc(
-        summary.get("fragments_profiled", 0))
     if host:
         registry.merge_dict({"timers": host.get("timers", {})})
         registry.counter("interp.decode_misses").inc(

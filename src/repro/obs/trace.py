@@ -1,18 +1,18 @@
 """Hierarchical span tracing with Chrome trace-event export.
 
-Where the metrics registry answers "how much" and the event stream "what
-happened", the :class:`Tracer` answers "*when*, nested inside what": the
-VM run loop, the translator pipeline phases and the harness wrap their
-stages in spans, and the result exports as Chrome trace-event JSON —
-loadable in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing`` —
-plus a plain-text flame summary for terminals.
+Where the metrics registry answers "how much", the :class:`Tracer`
+answers "*when*, nested inside what": the VM run loop, the translator
+pipeline phases and the harness wrap their stages in spans, and the
+result exports as Chrome trace-event JSON — loadable in Perfetto
+(https://ui.perfetto.dev) or ``chrome://tracing`` — plus a plain-text
+flame summary for terminals.
 
-The design mirrors :mod:`repro.obs.telemetry`'s no-op twin pattern:
 ``VMConfig.trace`` (default off) selects between a live :class:`Tracer`
 and the shared :data:`NULL_TRACER`, whose every operation is a dead
-method call, so the traced code paths cost nothing when tracing is off
-(and ``trace`` — like ``telemetry`` — is excluded from the run-point
-cache key; the no-op parity tests assert behavioural identity).
+method call: spans buffer up to :data:`DEFAULT_MAX_EVENTS` events, which
+only ``repro trace`` and ``--trace-out`` want to pay for.  ``trace`` is
+excluded from the run-point cache key (the no-op parity tests assert
+behavioural identity).
 
 Span nesting is positional, exactly as the Chrome trace format defines
 it: a complete ("ph": "X") event is a child of any event on the same
@@ -145,14 +145,18 @@ class Tracer:
                      args=None):
         """Record a finished span from raw ``perf_counter`` timestamps.
 
-        This is how out-of-process measurements (parallel harness
-        workers) join the trace: the worker reports ``perf_counter``
-        readings, and ``tid`` places the span on its own track.
+        This is how measurements taken elsewhere join the trace: the VM
+        run loop's interpreter stretches, evaluator calls, and parallel
+        harness workers, whose ``perf_counter`` readings ``tid`` places
+        on their own track.  On this tracer's own track (``tid`` None)
+        the span nests under the open spans in the flame summary, as if
+        it had been begun and ended there.
         """
         self._record(name, cat, (start - self.epoch) * 1e6,
                      (end - self.epoch) * 1e6,
                      self.tid if tid is None else tid,
-                     dict(args) if args else {}, path=name)
+                     dict(args) if args else {},
+                     path=None if tid is None else name)
 
     def unwind(self):
         """Close every open span (abnormal exits: traps, budget raises)."""
@@ -311,8 +315,7 @@ NULL_TRACER = NullTracer()
 
 
 def make_tracer(config):
-    """The tracer ``config`` asks for (`VMConfig.trace`), following the
-    :func:`repro.obs.telemetry.make_telemetry` pattern."""
+    """The tracer ``config`` asks for (``VMConfig.trace``)."""
     if getattr(config, "trace", False):
         return Tracer()
     return NULL_TRACER

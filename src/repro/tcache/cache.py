@@ -17,8 +17,7 @@ from repro.faults.plan import FaultSite
 from repro.ildp_isa.opcodes import IFormat, IOp
 from repro.ildp_isa.sizes import instruction_size
 from repro.memory.image import PAGE_SHIFT
-from repro.obs.events import EventKind
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER
 from repro.tcache.dispatch import build_dispatch_code
 from repro.tcache.fragment import ExitKind
@@ -53,7 +52,7 @@ class TranslationCache:
                  verify=False):
         self.base = base
         self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
+            else Telemetry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Bound on total fragment code bytes (dispatch excluded);
         #: ``None`` leaves the cache unbounded.
@@ -192,9 +191,6 @@ class TranslationCache:
         victims.sort(key=lambda fragment: fragment.fid)
         self.smc_detected += 1
         self.smc_invalidations += len(victims)
-        self.telemetry.events.emit(
-            EventKind.SMC_DETECTED, address=address, size=size, vpc=vpc,
-            fids=[fragment.fid for fragment in victims])
         flushed = False
         for fragment in victims:
             if fragment not in self.fragments:
@@ -251,10 +247,6 @@ class TranslationCache:
                 FaultSite.TCACHE_FULL, vpc=fragment.entry_vpc):
             capacity = self.capacity_bytes if self.capacity_bytes \
                 is not None else used + needed - 1
-            self.telemetry.events.emit(
-                EventKind.TCACHE_FULL, entry_vpc=fragment.entry_vpc,
-                needed=needed, used=used, capacity=capacity,
-                injected=not over_capacity)
             raise TCacheFull(fragment.entry_vpc, needed, used, capacity)
         fragment.fid = self._next_fid
         self._next_fid += 1
@@ -275,11 +267,6 @@ class TranslationCache:
         self._by_entry_vpc[fragment.entry_vpc] = fragment
         self._entry_addresses[fragment.base_address] = fragment
         self._watch_fragment(fragment)
-        self.telemetry.events.emit(
-            EventKind.FRAGMENT_CREATED, fid=fragment.fid,
-            entry_vpc=fragment.entry_vpc, address=fragment.base_address,
-            instructions=len(fragment.body), bytes=fragment.byte_size,
-            source_instructions=fragment.source_instr_count)
         self.telemetry.registry.histogram("tcache.fragment_sizes").observe(
             len(fragment.body))
         self.tracer.instant("tcache.fragment", cat="tcache",
@@ -331,7 +318,6 @@ class TranslationCache:
     def _apply_patches(self, new_fragment):
         vpc = new_fragment.entry_vpc
         target = new_fragment.entry_address()
-        events = self.telemetry.events
         for fragment, exit_record in self._pending_exits.pop(vpc, []):
             clean = self._is_clean(fragment)
             instr = fragment.body[exit_record.instr_index]
@@ -346,18 +332,12 @@ class TranslationCache:
             self.patches_applied += 1
             self._incoming.setdefault(new_fragment.fid, set()).add(
                 fragment.fid)
-            events.emit(EventKind.FRAGMENT_CHAINED, fid=fragment.fid,
-                        to_fid=new_fragment.fid, vtarget=vpc,
-                        instr_index=exit_record.instr_index)
             # the in-place binary patch invalidates any generated code
             self._invalidate(fragment, clean)
         for fragment, index in self._pending_ras.pop(vpc, []):
             clean = self._is_clean(fragment)
             fragment.body[index].target = target
             self.patches_applied += 1
-            events.emit(EventKind.FRAGMENT_CHAINED, fid=fragment.fid,
-                        to_fid=new_fragment.fid, vtarget=vpc,
-                        instr_index=index, ras=True)
             self._invalidate(fragment, clean)
 
     def _is_clean(self, fragment):
@@ -387,8 +367,6 @@ class TranslationCache:
                 fragment.checksum = -1
             fragment.verified = False
         self.invalidations += 1
-        self.telemetry.events.emit(EventKind.FRAGMENT_INVALIDATED,
-                                   fid=fragment.fid)
 
     def _forget_fragment(self, fragment):
         """Drop every registration a fragment holds in the cache maps.
@@ -433,8 +411,6 @@ class TranslationCache:
             self.flush()
             return "flushed"
         self._forget_fragment(fragment)
-        self.telemetry.events.emit(EventKind.FRAGMENT_INVALIDATED,
-                                   fid=fragment.fid, removed=True)
         return "removed"
 
     def flush(self):
@@ -446,9 +422,6 @@ class TranslationCache:
         count, which the capacity bound keeps small) so a flush exercises
         exactly the same bookkeeping as single-fragment invalidation.
         """
-        self.telemetry.events.emit(EventKind.TCACHE_FLUSH,
-                                   fragments=len(self.fragments),
-                                   code_bytes=self.total_code_bytes())
         self.tracer.instant("tcache.flush", cat="tcache",
                             fragments=len(self.fragments),
                             code_bytes=self.total_code_bytes())

@@ -9,7 +9,7 @@ analyses for statistics collection.
 from repro.faults.inject import NULL_INJECTOR
 from repro.faults.plan import FaultSite
 from repro.ildp_isa.opcodes import IFormat
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER, MultiSpan
 from repro.translator.chaining import ChainingPolicy
 from repro.translator.codegen import CodeGenerator
@@ -65,13 +65,12 @@ class Translator:
         self.cost = cost_model if cost_model is not None else \
             TranslationCostModel()
         self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
+            else Telemetry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
     def _phase(self, name):
-        """A wall-clock span for one pipeline stage (no-op when
-        telemetry is off; translation is off the execution hot path, so
-        even the disabled spans cost only a dead context manager).  With
+        """A wall-clock span for one pipeline stage (paid once per stage
+        per translated superblock, off the execution hot path).  With
         tracing on, the stage also lands on the span timeline."""
         timer = self.telemetry.registry.timer(
             f"phase.translate.{name}").time()

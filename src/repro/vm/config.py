@@ -30,7 +30,6 @@ class VMConfig:
                  flush_window=5_000,
                  flush_rate_factor=4.0,
                  exec_engine="jit",
-                 telemetry=False,
                  trace=False,
                  faults=None,
                  fault_seed=0,
@@ -99,15 +98,10 @@ class VMConfig:
         #: assert full ``VMStats`` equality); the naive engine is kept
         #: as the readable reference.
         self.exec_engine = exec_engine
-        #: Enable the :mod:`repro.obs` telemetry subsystem: metrics
-        #: registry, structured event stream, phase timers and
-        #: hot-fragment profiling.  Off by default — the disabled path is
-        #: a shared no-op object, so the hot loops pay nothing.
-        self.telemetry = telemetry
         #: Enable span tracing (:mod:`repro.obs.trace`): the VM run loop,
         #: translator phases and tcache lifecycle record a hierarchical
         #: timeline exportable as Chrome trace-event JSON.  Off by
-        #: default, with the same no-op-twin cost model as ``telemetry``.
+        #: default: the disabled tracer is a shared no-op object.
         self.trace = trace
         #: Fault-injection plan (``site@key=value;...`` spec string, see
         #: :mod:`repro.faults`).  ``None`` selects the shared
@@ -172,7 +166,6 @@ class VMConfig:
             flush_window=self.flush_window,
             flush_rate_factor=self.flush_rate_factor,
             exec_engine=self.exec_engine,
-            telemetry=self.telemetry,
             trace=self.trace,
             faults=self.faults,
             fault_seed=self.fault_seed,
@@ -189,10 +182,8 @@ class VMConfig:
         and cannot change the architected run or any derived metric.
         ``exec_engine`` is excluded for the same reason: both engines
         produce bit-identical results, so cached summaries are shared.
-        ``telemetry`` likewise: the no-op-parity tests assert that
-        telemetry on/off produces identical ``VMStats``.  ``trace`` (span
-        tracing) is observational wall-clock data and excluded for the
-        same reason.
+        ``trace`` (span tracing) is observational wall-clock data and
+        excluded for the same reason.
 
         ``faults``, ``fault_seed`` and ``verify_fragments`` are excluded
         by design: fault-injected runs must never pollute (or be served
@@ -205,7 +196,6 @@ class VMConfig:
         fields = self.to_dict()
         del fields["collect_trace"]
         del fields["exec_engine"]
-        del fields["telemetry"]
         del fields["trace"]
         del fields["faults"]
         del fields["fault_seed"]

@@ -29,8 +29,7 @@ import itertools
 from repro.ildp_isa.opcodes import IFormat, IOp
 from repro.ildp_isa.semantics import IALU_OPS, icond_taken
 from repro.isa.semantics import CMOV_CONDITIONS, Trap, TrapKind
-from repro.obs.events import EventKind
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import Telemetry
 from repro.utils.bitops import MASK64, sext
 from repro.vm.events import TraceRecord
 
@@ -121,34 +120,15 @@ class FragmentExecutor:
         #: the precise ``ExecResult``)
         self._jit_pei = None
         self.telemetry = telemetry if telemetry is not None \
-            else NULL_TELEMETRY
-        # Telemetry hooks are pre-resolved to None when disabled so the
-        # run loops pay a single ``is not None`` test per fragment visit
-        # (never per instruction) on the telemetry-off path.
-        if self.telemetry.enabled:
-            self._prof = self.telemetry.fragments
-            self._events = self.telemetry.events
-            registry = self.telemetry.registry
-            self._entries_counter = registry.counter("exec.fragment_entries")
-            self._transfer_counter = registry.counter(
-                "exec.fragment_transitions")
-            self._jit_promotions = registry.counter("jit.promotions")
-            self._jit_deopts = registry.counter("jit.deopts")
-            self._jit_compile_failures = registry.counter(
-                "jit.compile_failures")
-            self._jit_compile_timer = registry.timer("jit.compile")
-            self._jit_size_hist = registry.histogram("jit.code_lines",
-                                                     _JIT_SIZE_BUCKETS)
-        else:
-            self._prof = None
-            self._events = None
-            self._entries_counter = None
-            self._transfer_counter = None
-            self._jit_promotions = None
-            self._jit_deopts = None
-            self._jit_compile_failures = None
-            self._jit_compile_timer = None
-            self._jit_size_hist = None
+            else Telemetry()
+        registry = self.telemetry.registry
+        self._entries_counter = registry.counter("exec.fragment_entries")
+        self._jit_promotions = registry.counter("jit.promotions")
+        self._jit_deopts = registry.counter("jit.deopts")
+        self._jit_compile_failures = registry.counter("jit.compile_failures")
+        self._jit_compile_timer = registry.timer("jit.compile")
+        self._jit_size_hist = registry.histogram("jit.code_lines",
+                                                 _JIT_SIZE_BUCKETS)
 
     # -- register plumbing ---------------------------------------------------
 
@@ -212,10 +192,8 @@ class FragmentExecutor:
         self._stale.clear()
         frag = fragment
         frag.execution_count += 1
+        self._entries_counter.inc()
         start_v = stats.source_instructions_executed
-        prof = self._prof
-        if prof is not None:
-            self._note_entry(frag, stats)
 
         while True:
             jfn = None
@@ -228,10 +206,7 @@ class FragmentExecutor:
                 try:
                     outcome = jfn(self, regs, state)
                 except Trap as trap:
-                    if self._jit_deopts is not None:
-                        self._jit_deopts.inc()
-                    if prof is not None:
-                        prof.leave(ExitReason.TRAP.value, stats)
+                    self._jit_deopts.inc()
                     return ExecResult(ExitReason.TRAP, vpc=trap.vpc,
                                       fragment=frag,
                                       body_index=self._jit_pei, trap=trap)
@@ -254,8 +229,6 @@ class FragmentExecutor:
                         outcome = execute(instr, iop, regs, fmt)
                     except Trap as trap:
                         trap.vpc = instr.vpc
-                        if prof is not None:
-                            prof.leave(ExitReason.TRAP.value, stats)
                         return ExecResult(ExitReason.TRAP, vpc=instr.vpc,
                                           fragment=frag, body_index=index,
                                           trap=trap)
@@ -274,8 +247,6 @@ class FragmentExecutor:
                 self._stale.clear()
                 if verify and not self._integrity_ok(frag):
                     state.pc = frag.entry_vpc
-                    if prof is not None:
-                        prof.leave(ExitReason.CORRUPT.value, stats)
                     return ExecResult(ExitReason.CORRUPT,
                                       vpc=frag.entry_vpc, fragment=frag)
                 # Budget checks happen only at fragment boundaries, where
@@ -284,18 +255,11 @@ class FragmentExecutor:
                         stats.source_instructions_executed - start_v >= \
                         max_instructions:
                     state.pc = frag.entry_vpc
-                    if prof is not None:
-                        prof.leave(ExitReason.BUDGET.value, stats)
                     return ExecResult(ExitReason.BUDGET,
                                       vpc=frag.entry_vpc, fragment=frag)
                 frag.execution_count += 1
-                if prof is not None:
-                    self._transfer_counter.inc()
-                    prof.switch(frag, stats)
             elif kind == "exit":
                 state.pc = value.vpc if value.vpc is not None else state.pc
-                if prof is not None:
-                    prof.leave(value.reason.value, stats)
                 return value
             else:  # pragma: no cover
                 raise AssertionError(kind)
@@ -324,26 +288,17 @@ class FragmentExecutor:
         if _compile_fragment_jit is None:
             from repro.vm.jit import compile_fragment_jit
             _compile_fragment_jit = compile_fragment_jit
-        timer = self._jit_compile_timer
         try:
-            if timer is not None:
-                with timer.time():
-                    fn = _compile_fragment_jit(self, frag)
-            else:
+            with self._jit_compile_timer.time():
                 fn = _compile_fragment_jit(self, frag)
         except Exception:
             # degrade, never die: the body walk is semantically complete
             frag._jit_failed = True
-            if self._jit_compile_failures is not None:
-                self._jit_compile_failures.inc()
+            self._jit_compile_failures.inc()
             return None
         frag._jit_code = fn
-        if self._jit_promotions is not None:
-            self._jit_promotions.inc()
-            self._jit_size_hist.observe(fn._jit_lines)
-            self._events.emit(EventKind.JIT_PROMOTED, fid=frag.fid,
-                              entry_vpc=frag.entry_vpc,
-                              lines=fn._jit_lines)
+        self._jit_promotions.inc()
+        self._jit_size_hist.observe(fn._jit_lines)
         return fn
 
     def _integrity_ok(self, frag):
@@ -363,13 +318,6 @@ class FragmentExecutor:
             frag.verified = True
             return True
         return False
-
-    def _note_entry(self, frag, stats):
-        """Telemetry bookkeeping for a VM-level fragment entry."""
-        self._entries_counter.inc()
-        self._prof.enter(frag, stats)
-        self._events.emit(EventKind.FRAGMENT_ENTERED, fid=frag.fid,
-                          entry_vpc=frag.entry_vpc)
 
     # -- single-instruction semantics -------------------------------------------
 
@@ -548,9 +496,6 @@ class FragmentExecutor:
                             srcs=(instr.gpr,))
         frag = self.tcache.lookup(vtarget)
         self.stats.count_dispatch()
-        if self._events is not None:
-            self._events.emit(EventKind.DISPATCH_RUN, vtarget=vtarget,
-                              hit=frag is not None)
         self._emit_dispatch_trace(frag)
         if frag is None:
             return ("exit", ExecResult(ExitReason.UNTRANSLATED,

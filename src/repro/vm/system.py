@@ -20,8 +20,7 @@ from repro.interp.profiler import CandidateKind, HotnessProfiler
 from repro.isa.opcodes import Kind
 from repro.isa.semantics import Trap, TrapKind
 from repro.memory.image import PROT_EXEC
-from repro.obs.events import EventKind
-from repro.obs.telemetry import make_telemetry
+from repro.obs.telemetry import Telemetry
 from repro.obs.trace import make_tracer
 from repro.tcache.cache import TCacheFull, TranslationCache
 from repro.translator.cost import TranslationCostModel
@@ -60,7 +59,7 @@ class CoDesignedVM:
     def __init__(self, program, config=None):
         self.program = program
         self.config = config if config is not None else VMConfig()
-        self.telemetry = make_telemetry(self.config)
+        self.telemetry = Telemetry()
         self.tracer = make_tracer(self.config)
         self.injector = make_injector(self.config, telemetry=self.telemetry,
                                       tracer=self.tracer)
@@ -116,63 +115,37 @@ class CoDesignedVM:
         When ``VMConfig.max_host_steps`` is set, the fuel watchdog raises
         :class:`BudgetExceeded` (with partial stats) once the loop has
         taken that many dispatch steps.
-        """
-        if self.telemetry.enabled or self.tracer.enabled:
-            return self._run_observed(max_v_instructions)
-        stats = self.stats
-        state = self.state
-        max_host_steps = self.config.max_host_steps
-        host_steps = 0
-        while not self.halted:
-            if max_host_steps is not None:
-                host_steps += 1
-                if host_steps > max_host_steps:
-                    raise BudgetExceeded(max_host_steps, stats)
-            remaining = max_v_instructions - stats.total_v_instructions()
-            if remaining <= 0:
-                break
-            fragment = self.tcache.lookup(state.pc)
-            if fragment is not None:
-                self._execute_translated(fragment, remaining)
-                continue
-            if self.profiler.record_execution(state.pc):
-                self._capture_and_translate(state.pc)
-                continue
-            self._interpret_one()
-        return stats
 
-    def _run_observed(self, max_v_instructions):
-        """The ``run`` loop with wall-clock phase attribution and spans.
+        Phase attribution reads the clock only around translated stints
+        and superblock captures: ``phase.vm.interpret`` is the loop's
+        total time minus those two, so interpretation pays nothing per
+        instruction.  The totals accumulate in locals and hit the
+        registry once, in a ``finally`` that also finalises telemetry,
+        so partial runs still report consistent numbers.
 
-        A separate copy of the loop so the observability-off path above
-        stays untouched.  One ``perf_counter`` call per iteration:
-        consecutive timestamps are chained, charging each gap to the
-        phase that just ran.  The per-phase totals accumulate in locals
-        and hit the registry once, on exit.  ``finalize`` runs even when
-        the program traps, so partial runs still report consistent
-        telemetry.
-
-        When tracing is on, the same loop opens spans: one ``vm.run``
-        root, a ``vm.translated`` span per translated-code stint, a
-        ``vm.capture`` span per superblock capture+translation (the
-        translator's phase spans nest inside it), and consecutive
-        interpreter steps coalesced into one ``vm.interpret`` span — a
-        per-V-instruction span would swamp the trace.  With tracing off
-        the tracer is the shared no-op twin, so the extra calls are dead.
+        With tracing on, the loop also opens spans: one ``vm.run`` root,
+        a ``vm.translated`` span per translated stint, a ``vm.capture``
+        span per superblock capture+translation (the translator's phase
+        spans nest inside it), and each stretch of interpreter steps
+        between them as one ``vm.interpret`` span, recorded from the
+        same clock readings — a per-V-instruction span would swamp the
+        trace.
         """
         stats = self.stats
         state = self.state
         profiler = self.profiler
         tcache = self.tcache
         tracer = self.tracer
-        translated_s = capture_s = interp_s = 0.0
-        translated_n = capture_n = interp_n = 0
-        interp_open = 0     # V-instructions in the open vm.interpret span
+        traced = tracer.enabled
+        translated_s = capture_s = 0.0
+        translated_n = capture_n = 0
         max_host_steps = self.config.max_host_steps
         host_steps = 0
+        # interpreted-instruction count where the open stretch began
+        mark = stats.interpreted_instructions
         tracer.begin("vm.run", budget=max_v_instructions)
+        started = last = perf_counter()
         try:
-            last = perf_counter()
             while not self.halted:
                 if max_host_steps is not None:
                     host_steps += 1
@@ -184,50 +157,60 @@ class CoDesignedVM:
                     break
                 fragment = tcache.lookup(state.pc)
                 if fragment is not None:
-                    if interp_open:
-                        tracer.end(instructions=interp_open)
-                        interp_open = 0
-                    tracer.begin("vm.translated", fid=fragment.fid,
-                                 entry_vpc=fragment.entry_vpc)
-                    self._execute_translated(fragment, remaining)
-                    tracer.end()
-                    now = perf_counter()
-                    translated_s += now - last
-                    translated_n += 1
-                    last = now
+                    before = perf_counter()
+                    if traced:
+                        self._trace_interpret(last, before, mark)
+                        tracer.begin("vm.translated", fid=fragment.fid,
+                                     entry_vpc=fragment.entry_vpc)
+                    try:
+                        self._execute_translated(fragment, remaining)
+                    finally:
+                        last = perf_counter()
+                        translated_s += last - before
+                        translated_n += 1
+                        mark = stats.interpreted_instructions
+                    if traced:
+                        tracer.end()
                     continue
                 if profiler.record_execution(state.pc):
-                    if interp_open:
-                        tracer.end(instructions=interp_open)
-                        interp_open = 0
-                    tracer.begin("vm.capture", start_vpc=state.pc)
-                    self._capture_and_translate(state.pc)
-                    tracer.end()
-                    now = perf_counter()
-                    capture_s += now - last
-                    capture_n += 1
-                    last = now
+                    before = perf_counter()
+                    if traced:
+                        self._trace_interpret(last, before, mark)
+                        tracer.begin("vm.capture", start_vpc=state.pc)
+                    try:
+                        self._capture_and_translate(state.pc)
+                    finally:
+                        last = perf_counter()
+                        capture_s += last - before
+                        capture_n += 1
+                        mark = stats.interpreted_instructions
+                    if traced:
+                        tracer.end()
                     continue
-                if not interp_open:
-                    tracer.begin("vm.interpret")
                 self._interpret_one()
-                interp_open += 1
-                now = perf_counter()
-                interp_s += now - last
-                interp_n += 1
-                last = now
         finally:
-            if interp_open:
-                tracer.end(instructions=interp_open)
-            # a trap can leave a stint span open; close it and vm.run
-            tracer.unwind()
+            ended = perf_counter()
+            if traced:
+                self._trace_interpret(last, ended, mark)
+                # a trap can leave a stint span open; close it and vm.run
+                tracer.unwind()
             registry = self.telemetry.registry
             registry.timer("phase.vm.translated").add(translated_s,
                                                       translated_n)
             registry.timer("phase.vm.capture").add(capture_s, capture_n)
-            registry.timer("phase.vm.interpret").add(interp_s, interp_n)
+            # one residual measurement per run
+            registry.timer("phase.vm.interpret").add(
+                ended - started - translated_s - capture_s)
             self.telemetry.finalize(stats, tcache, self.interpreter)
         return stats
+
+    def _trace_interpret(self, start, end, mark):
+        """Record the interpreter stretch since ``start`` as one
+        ``vm.interpret`` span, unless it interpreted nothing."""
+        instructions = self.stats.interpreted_instructions - mark
+        if instructions:
+            self.tracer.add_complete("vm.interpret", start, end, cat="vm",
+                                     args={"instructions": instructions})
 
     def console_text(self):
         return self.interpreter.console_text()
@@ -254,9 +237,6 @@ class CoDesignedVM:
                                         self.state.regs,
                                         self.executor.accs)
             self.stats.traps_delivered += 1
-            self.telemetry.events.emit(
-                EventKind.TRAP_DELIVERED, trap_kind=result.trap.kind.value,
-                vpc=result.vpc, source="translated")
             raise VMTrap(result.trap, precise)
         elif result.reason is ExitReason.BUDGET:
             # state.pc points at a fragment entry with complete state; the
@@ -337,9 +317,6 @@ class CoDesignedVM:
         on its own schedule.
         """
         self.stats.corrupt_fragments_detected += 1
-        self.telemetry.events.emit(
-            EventKind.FRAGMENT_CORRUPTED, fid=fragment.fid,
-            entry_vpc=fragment.entry_vpc)
         self.tracer.instant("vm.fragment_corrupted", cat="vm",
                             fid=fragment.fid,
                             entry_vpc=fragment.entry_vpc)
@@ -356,9 +333,6 @@ class CoDesignedVM:
             return
         except Trap as trap:
             self.stats.traps_delivered += 1
-            self.telemetry.events.emit(
-                EventKind.TRAP_DELIVERED, trap_kind=trap.kind.value,
-                vpc=trap.vpc, source="interpreter")
             raise VMTrap(trap, self.state.copy()) from trap
         self.stats.interpreted_instructions += 1
         if elided_by_translation(event.instr):
@@ -405,9 +379,6 @@ class CoDesignedVM:
                 break
             except Trap as trap:
                 self.stats.traps_delivered += 1
-                self.telemetry.events.emit(
-                    EventKind.TRAP_DELIVERED, trap_kind=trap.kind.value,
-                    vpc=trap.vpc, source="capture")
                 raise VMTrap(trap, self.state.copy()) from trap
             self.stats.interpreted_instructions += 1
             if elided_by_translation(event.instr):
@@ -445,9 +416,6 @@ class CoDesignedVM:
                 break
 
         superblock = Superblock(start_vpc, entries, end_reason, continuation)
-        self.telemetry.events.emit(
-            EventKind.SUPERBLOCK_CAPTURED, start_vpc=start_vpc,
-            entries=len(entries), end_reason=end_reason.value)
         self._translate_superblock(superblock, start_vpc)
 
     def _translate_superblock(self, superblock, start_vpc):
@@ -469,9 +437,6 @@ class CoDesignedVM:
         """
         if self._capture_is_stale(superblock):
             self.stats.stale_captures_discarded += 1
-            self.telemetry.events.emit(
-                EventKind.TRANSLATION_FAILED, vpc=start_vpc,
-                failures=0, reason="stale capture (self-modified)")
             return
         try:
             result = self.translator.translate(superblock)
@@ -541,16 +506,11 @@ class CoDesignedVM:
         self.stats.translation_failures += 1
         failures = self._translation_failures.get(vpc, 0) + 1
         self._translation_failures[vpc] = failures
-        self.telemetry.events.emit(
-            EventKind.TRANSLATION_FAILED, vpc=vpc, failures=failures,
-            reason=reason)
         self.tracer.instant("vm.translation_failed", cat="vm", vpc=vpc,
                             failures=failures)
         if failures >= self.config.translation_retry_limit:
             self.profiler.blacklist(vpc)
             self.stats.translation_pcs_blacklisted += 1
-            self.telemetry.events.emit(EventKind.PC_BLACKLISTED, vpc=vpc,
-                                       failures=failures)
             self.tracer.instant("vm.pc_blacklisted", cat="vm", vpc=vpc)
         else:
             self.profiler.backoff(vpc)

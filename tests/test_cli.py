@@ -123,7 +123,7 @@ class TestCli:
                              "--trace-out", str(path))
         assert code == 0
         assert "aggregate telemetry" in text
-        assert "events.fragment_created" in text
+        assert "exec.fragment_entries" in text
         completes = validate_chrome_trace(json.loads(path.read_text()))
         names = {e["name"] for e in completes}
         assert "experiment.fig5" in names

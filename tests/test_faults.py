@@ -192,7 +192,6 @@ class TestInjector:
         assert summary["injected"] == {"translate": 1}
 
     def test_telemetry_records_injections(self):
-        from repro.obs.events import EventKind
         from repro.obs.telemetry import Telemetry
 
         telemetry = Telemetry()
@@ -201,8 +200,6 @@ class TestInjector:
         injector.fire("translate", vpc=0x1200)
         counter = telemetry.registry.counter("faults.injected.translate")
         assert counter.value == 1
-        kinds = [record.kind for record in telemetry.events.records()]
-        assert EventKind.FAULT_INJECTED in kinds
 
 
 class TestNullInjector:

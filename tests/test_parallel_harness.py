@@ -135,13 +135,6 @@ class TestCacheKey:
         assert point_key(RunPoint.vm("gzip", with_trace)) == \
             point_key(RunPoint.vm("gzip", without))
 
-    def test_telemetry_not_in_key(self):
-        on = VMConfig(telemetry=True)
-        off = VMConfig(telemetry=False)
-        assert "telemetry" not in on.key_fields()
-        assert point_key(RunPoint.vm("gzip", on)) == \
-            point_key(RunPoint.vm("gzip", off))
-
     def test_stale_schema_entry_misses(self, cache, monkeypatch):
         """An entry cached under an older SCHEMA_VERSION must miss
         cleanly once the schema is bumped — never be returned."""
@@ -218,9 +211,7 @@ class TestTelemetryMerge:
         runner = PointRunner()
         runner.run([_point("gzip"), _point("mcf")])
         merged = runner.telemetry
-        # both runs' event totals folded into events.* counters
-        assert merged.counters["events.fragment_created"].value > 0
-        assert merged.counters["fragments.profiled"].value > 0
+        # both runs' counters folded into one registry
         assert merged.counters["exec.fragment_entries"].value > 0
         # host blocks merged too: the VM phase timers carry spans
         assert merged.timers["phase.vm.interpret"].count > 0

@@ -1,6 +1,7 @@
 """Span tracing: the tracer, its Chrome export, and the instrumented
 VM/translator/harness layers."""
 
+import io
 import json
 
 import pytest
@@ -262,30 +263,54 @@ class TestHarnessTracing:
                    for e in instants)
 
     def test_pool_spans_land_on_worker_tracks(self):
-        # the container is single-core so the pool never engages; drive
-        # the track placement directly with synthetic chunk results
+        # drive the track placement directly with synthetic chunk
+        # results, so the test needs no process pool
         tracer = Tracer(epoch=0.0)
         runner = PointRunner(workers=2, tracer=tracer)
         points = [RunPoint.vm("gzip", budget=1), RunPoint.vm("mcf", budget=1)]
         chunks = [[points[0]], [points[1]]]
-        chunk_results = [[({}, 1.0, 2.0)], [({}, 1.5, 2.5)]]
+        chunk_results = [[({}, 1.0, 2.0, [])],
+                         [({}, 1.5, 2.5, [("eval.ildp_ipc", 2.0, 2.4)])]]
         runner._note_pool_spans(chunks, chunk_results)
         doc = tracer.to_chrome()
-        by_tid = {event["tid"]: event["name"]
-                  for event in validate_chrome_trace(doc)}
-        assert by_tid[1].startswith("gzip")
-        assert by_tid[2].startswith("mcf")
+        by_tid = {}
+        for event in validate_chrome_trace(doc):
+            by_tid.setdefault(event["tid"], []).append(event)
+        assert [e["name"] for e in by_tid[1]] == \
+            ["gzip (modified/sw_pred.ras)"]
+        run, evaluation = by_tid[2]
+        assert run["name"].startswith("mcf")
+        assert evaluation["name"] == "eval.ildp_ipc"
+        assert span_contains(run, evaluation)
         meta = {e["args"]["name"] for e in doc["traceEvents"]
                 if e["ph"] == "M" and e["name"] == "thread_name"}
         assert {"worker-1", "worker-2"} <= meta
 
+    def test_eval_spans_nest_in_run_spans(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "t.json"
+        code = main(["experiment", "fig9", "-w", "gcc", "--budget", "5000",
+                     "--no-cache", "--trace-out", str(path)],
+                    out=io.StringIO())
+        assert code == 0
+        completes = validate_chrome_trace(json.loads(path.read_text()))
+        runs = [e for e in completes if e["name"].startswith("gcc (")]
+        evals = [e for e in completes if e["name"] == "eval.ildp_ipc"]
+        assert len(runs) == 2 and len(evals) == 6
+        # one span per run and evaluator call, inside its run's span
+        per_run = sorted(sum(span_contains(run, e) for e in evals)
+                         for run in runs)
+        assert per_run == [1, 5]
+
     def test_execute_chunk_reports_timestamps(self):
         from repro.harness.parallel import _execute_chunk
 
-        (triple,) = _execute_chunk([RunPoint.vm("gzip", budget=5_000)])
-        summary, started, ended = triple
+        (result,) = _execute_chunk([RunPoint.vm("gzip", budget=5_000)])
+        summary, started, ended, spans = result
         assert summary["workload"] == "gzip"
         assert ended >= started
+        assert spans == []      # no evaluators, no eval spans
 
     def test_point_labels(self):
         assert RunPoint.original("gzip").label() == "gzip (original)"
