@@ -41,8 +41,9 @@ def main(argv):
     budget = int(argv[2]) if len(argv) > 2 else 200_000
 
     trace, interp = run_original(workload, budget=budget)
-    expected = sum(record.v_weight for record in trace
-                   if record.btype != "uncond")
+    expected = sum(template.v_weight
+                   for template in trace.column("templates")
+                   if template.btype != "uncond")
     failures = []
 
     # translator faults: backoff, then blacklist, interpret forever

@@ -434,8 +434,9 @@ def _command_chaos(args, out):
         failures.append("final register state diverged")
     if vm.console_text() != interp.console_text():
         failures.append("console output diverged")
-    expected = sum(record.v_weight for record in trace
-                   if record.btype != "uncond")
+    expected = sum(template.v_weight
+                   for template in trace.column("templates")
+                   if template.btype != "uncond")
     committed = vm.stats.committed_v_instructions()
     if committed != expected:
         failures.append(f"committed count {committed} != {expected}")

@@ -20,7 +20,12 @@ DEFAULT_BUDGET = 250_000
 
 
 class RunResult:
-    """One VM run: the VM (with stats/tcache) plus its committed trace."""
+    """One VM run: the VM (with stats/tcache) plus its committed trace.
+
+    ``trace`` is the run's :class:`~repro.vm.events.Trace` (template
+    references plus four dynamic columns), or None when the run
+    collected none.
+    """
 
     def __init__(self, workload_name, config, vm):
         self.workload_name = workload_name

@@ -241,16 +241,18 @@ def _eval_mispredictions(params, trace):
 def _eval_instruction_mix(params, trace):
     counts = {"total": len(trace), "load": 0, "store": 0, "cond": 0,
               "callret": 0, "indirect": 0}
-    for record in trace:
-        if record.op_class == "load":
+    for template in trace.column("templates"):
+        op_class = template.op_class
+        btype = template.btype
+        if op_class == "load":
             counts["load"] += 1
-        elif record.op_class == "store":
+        elif op_class == "store":
             counts["store"] += 1
-        elif record.btype == "cond":
+        elif btype == "cond":
             counts["cond"] += 1
-        elif record.btype in ("call", "ret"):
+        elif btype in ("call", "ret"):
             counts["callret"] += 1
-        elif record.btype in ("call_ind", "indirect"):
+        elif btype in ("call_ind", "indirect"):
             counts["indirect"] += 1
     return counts
 
@@ -266,10 +268,13 @@ def count_mispredictions(trace, machine_config=None):
     """
     unit = BranchUnit(machine_config if machine_config is not None
                       else MachineConfig("predictor-only"))
-    for record in trace:
-        unit.note_instruction(record.v_weight)
-        if record.btype is not None:
-            unit.process(record)
+    note_instruction = unit.note_instruction
+    process = unit.process
+    for template, taken, target, _mem_addr, ras_hit in trace:
+        note_instruction(template.v_weight)
+        btype = template.btype
+        if btype is not None:
+            process(template.address, btype, taken, target, ras_hit)
     return unit.stats.per_kilo_instructions()
 
 
@@ -355,7 +360,8 @@ def _execute_original(point):
     summary = _base_summary(point)
     summary.update({
         "committed": interpreter.instruction_count,
-        "committed_nonnop": sum(record.v_weight for record in trace),
+        "committed_nonnop": sum(template.v_weight for template
+                                in trace.column("templates")),
         "console": interpreter.console_text(),
         "state": {"pc": interpreter.state.pc,
                   "regs": list(interpreter.state.regs)},
@@ -422,4 +428,4 @@ def _execute_vm(point):
         # process-local wall-clock measurements: like "elapsed", outside it
         "telemetry_host": vm.telemetry.host_summary(),
     })
-    return summary, result.trace if needs_trace else []
+    return summary, result.trace

@@ -40,7 +40,7 @@ Other field conventions
     V-ISA address of the source instruction (None for chaining glue).
 """
 
-from repro.ildp_isa.opcodes import IOp, CONTROL_OPS
+from repro.ildp_isa.opcodes import CONTROL_OPS, IFormat, IOp
 
 
 class IInstruction:
@@ -177,8 +177,6 @@ class IInstruction:
         operational file only for communication/live-out values; the ALPHA
         format writes ``dest_gpr`` directly.
         """
-        from repro.ildp_isa.opcodes import IFormat
-
         if self.iop in (IOp.COPY_TO_GPR, IOp.SAVE_VRA):
             return self.gpr
         if self.dest_gpr is None or self.iop not in (

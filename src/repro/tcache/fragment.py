@@ -90,17 +90,23 @@ class Fragment:
         self._jit_key = None
         self._jit_code = None
         self._jit_failed = False
+        #: per body index, the :class:`~repro.vm.events.Template` a traced
+        #: visit built for that instruction (None until the first traced
+        #: visit; managed by ``FragmentExecutor.run``)
+        self._trace_templates = None
 
     def invalidate_compiled(self):
-        """Drop generated code after an in-place body patch.
+        """Drop generated code and trace templates after an in-place
+        body patch.
 
         Chaining patches and corruption recovery rewrite body
-        instructions; the generated function bakes the old semantics
-        in, so it must go.  The next visit recompiles against the
-        patched body.
+        instructions; the generated function and the templates bake the
+        old instructions in, so they must go.  The next visit recompiles
+        and the next traced visit rebuilds against the patched body.
         """
         self._jit_code = None
         self._jit_failed = False
+        self._trace_templates = None
 
     def compute_checksum(self):
         """CRC32 over the body's semantic instruction fields.

@@ -19,33 +19,38 @@ class FrontEnd:
         self.mispredictions = 0
         self.misfetches = 0
 
-    def fetch(self, record):
-        """Advance the front end past ``record``; returns its fetch cycle."""
+    def fetch(self, address):
+        """Advance the front end past the instruction at ``address``;
+        returns its fetch cycle."""
         if self._group_used >= self.config.width:
             self.cycle += 1
             self._group_used = 0
-        line = record.address // self.config.icache.line
+        line = address // self.config.icache.line
         if line != self._last_line:
             self._last_line = line
-            extra = self.hierarchy.ifetch(record.address)
+            extra = self.hierarchy.ifetch(address)
             if extra:
                 self.cycle += extra
                 self._group_used = 0
         self._group_used += 1
         return self.cycle
 
-    def resolve_control(self, record, complete_cycle):
-        """Apply this control transfer's effect on the fetch stream.
+    def resolve_control(self, address, btype, taken, target, ras_hit,
+                        complete_cycle):
+        """Apply one control transfer's effect on the fetch stream.
 
-        Returns True when the transfer mispredicted (the caller charges the
-        execution-side resolution; fetch resumes ``redirect_latency`` after
+        The transfer is a trace row's fetch address, branch type and
+        dynamic fields (see :meth:`BranchUnit.process`).  Returns True
+        when it mispredicted (the caller charges the execution-side
+        resolution; fetch resumes ``redirect_latency`` after
         ``complete_cycle``).
         """
-        mispredicted = self.branch_unit.process(record)
+        mispredicted = self.branch_unit.process(address, btype, taken,
+                                                target, ras_hit)
         if self.config.perfect_prediction:
             # oracle front end: predictors still train (for statistics),
             # but no penalty is ever charged
-            if record.taken:
+            if taken:
                 self.cycle += 1
                 self._group_used = 0
             return False
@@ -56,7 +61,7 @@ class FrontEnd:
             self._group_used = 0
             self._last_line = None
             return True
-        if record.taken:
+        if taken:
             # correctly predicted taken transfer still ends the fetch group
             self.cycle += 1
             self._group_used = 0

@@ -51,21 +51,27 @@ class ILDPModel:
         self._v_instructions = 0
 
     def run(self, trace):
-        for record in trace:
-            self.step(record)
+        """Consume a :class:`~repro.vm.events.Trace`; returns the
+        :class:`TimingResult`."""
+        step = self.step
+        for template, taken, target, mem_addr, ras_hit in trace:
+            step(template, taken, target, mem_addr, ras_hit)
         return self.result()
 
-    def step(self, record):
+    def step(self, template, taken, target, mem_addr, ras_hit):
+        """Time one trace row: its template plus its dynamic fields."""
+        (address, _size, op_class, srcs, dst, acc, acc_read, acc_write,
+         strand_start, btype, v_weight, _dispatch) = template
         config = self.config
         self._instructions += 1
-        self._v_instructions += record.v_weight
-        self.branch_unit.note_instruction(record.v_weight)
+        self._v_instructions += v_weight
+        self.branch_unit.note_instruction(v_weight)
 
-        fetch = self.frontend.fetch(record)
+        fetch = self.frontend.fetch(address)
         dispatch = fetch + config.pipeline_depth
         dispatch = self.retire_unit.admit(dispatch)
 
-        pe = self._steer(record)
+        pe = self._steer(acc, strand_start, srcs)
         fifo = self._pe_fifo[pe]
         while fifo and fifo[0] <= dispatch:
             fifo.popleft()
@@ -76,11 +82,11 @@ class ILDPModel:
                 fifo.popleft()
 
         ready = dispatch
-        if record.acc_read and record.acc is not None:
-            when = self._acc_ready.get(record.acc)
+        if acc_read and acc is not None:
+            when = self._acc_ready.get(acc)
             if when is not None and when > ready:
                 ready = when
-        for src in record.srcs:
+        for src in srcs:
             entry = self._reg_ready.get(src)
             if entry is not None:
                 when, producer_pe = entry
@@ -89,9 +95,9 @@ class ILDPModel:
                 if when > ready:
                     ready = when
         block = None
-        if record.mem_addr is not None:
-            block = record.mem_addr >> 3
-            if record.op_class == "load":
+        if mem_addr is not None:
+            block = mem_addr >> 3
+            if op_class == "load":
                 when = self._mem_ready.get(block)
                 if when is not None and when > ready:
                     ready = when  # store-to-load dependence
@@ -101,19 +107,20 @@ class ILDPModel:
         self._pe_last_issue[pe] = start
         fifo.append(start)
 
-        complete = start + self._latency(record)
-        if record.acc_write and record.acc is not None:
-            self._acc_ready[record.acc] = complete
-        if record.dst is not None:
-            self._reg_ready[record.dst] = (complete, pe)
-        if block is not None and record.op_class == "store":
+        complete = start + self._latency(op_class, mem_addr, address)
+        if acc_write and acc is not None:
+            self._acc_ready[acc] = complete
+        if dst is not None:
+            self._reg_ready[dst] = (complete, pe)
+        if block is not None and op_class == "store":
             self._mem_ready[block] = complete
         self.retire_unit.retire(complete)
 
-        if record.is_control():
-            self.frontend.resolve_control(record, complete)
+        if btype is not None:
+            self.frontend.resolve_control(address, btype, taken, target,
+                                          ras_hit, complete)
 
-    def _steer(self, record):
+    def _steer(self, acc, strand_start, srcs):
         """Dependence-based steering with accumulator renaming.
 
         Following the ISCA 2002 microarchitecture: a strand-*start*
@@ -124,26 +131,25 @@ class ILDPModel:
         the strand simply follow their accumulator.  GPR-only instructions
         (stores, branches with global inputs) take the least-loaded PE.
         """
-        acc = record.acc
         if self.config.steering == "modulo":
             if acc is not None:
                 return acc % self.config.pe_count
             return self._least_loaded_pe()
-        if acc is not None and not record.strand_start:
+        if acc is not None and not strand_start:
             pe = self._acc_pe.get(acc)
             if pe is not None:
                 return pe
-        pe = self._choose_start_pe(record)
+        pe = self._choose_start_pe(srcs)
         if acc is not None:
             self._acc_pe[acc] = pe
         return pe
 
-    def _choose_start_pe(self, record):
+    def _choose_start_pe(self, srcs):
         if self.config.steering == "dependence":
             # prefer the producer PE of the latest-arriving GPR input,
             # unless its FIFO is congested
             best_input = None
-            for src in record.srcs:
+            for src in srcs:
                 entry = self._reg_ready.get(src)
                 if entry is not None and (best_input is None
                                           or entry[0] > best_input[0]):
@@ -164,19 +170,17 @@ class ILDPModel:
                 best_load = load
         return best
 
-    def _latency(self, record):
-        op_class = record.op_class
+    def _latency(self, op_class, mem_addr, address):
         if op_class == "load":
             if self.config.perfect_dcache:
                 return self.config.dcache.latency
-            return self.hierarchy.daccess(record.mem_addr
-                                          if record.mem_addr is not None
-                                          else record.address)
+            return self.hierarchy.daccess(mem_addr if mem_addr is not None
+                                          else address)
         if op_class == "mul":
             return self.config.mul_latency
-        if op_class == "store" and record.mem_addr is not None:
+        if op_class == "store" and mem_addr is not None:
             if not self.config.perfect_dcache:
-                self.hierarchy.daccess(record.mem_addr)
+                self.hierarchy.daccess(mem_addr)
             return self.config.int_latency
         return self.config.int_latency
 

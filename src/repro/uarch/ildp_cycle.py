@@ -31,12 +31,14 @@ from repro.uarch.superscalar import TimingResult
 
 
 class _Entry:
-    """One in-flight instruction."""
+    """One in-flight instruction: its trace template and address."""
 
-    __slots__ = ("record", "seq", "pe", "deps", "complete_cycle")
+    __slots__ = ("template", "mem_addr", "seq", "pe", "deps",
+                 "complete_cycle")
 
-    def __init__(self, record, seq):
-        self.record = record
+    def __init__(self, template, mem_addr, seq):
+        self.template = template
+        self.mem_addr = mem_addr
         self.seq = seq
         self.pe = None
         #: [(producer entry, is_gpr_dep)] bound at steer time
@@ -60,9 +62,11 @@ class CycleILDPModel:
         width = config.width
         comm = config.comm_latency
 
-        trace = list(trace)
-        instructions = len(trace)
-        v_instructions = sum(record.v_weight for record in trace)
+        # the fetch stage reads rows by index: one list per column
+        templates, takens, targets, mem_addrs, ras_hits = (
+            list(trace.column(name)) for name in trace.COLUMNS)
+        instructions = len(templates)
+        v_instructions = sum(template.v_weight for template in templates)
 
         fetch_index = 0
         fetch_stall_until = 0
@@ -79,7 +83,7 @@ class CycleILDPModel:
 
         max_cycles = 300 * max(instructions, 1) + 10_000
 
-        while (fetch_index < len(trace) or steer_queue or rob) and \
+        while (fetch_index < instructions or steer_queue or rob) and \
                 cycle < max_cycles:
             # ---- resolve a blocking mispredicted branch ----
             if blocking_branch is not None and \
@@ -109,25 +113,25 @@ class CycleILDPModel:
                 entry = fifo[0]
                 if self._ready(entry, cycle, comm):
                     fifo.popleft()
-                    entry.complete_cycle = cycle + \
-                        self._latency(entry.record)
+                    entry.complete_cycle = cycle + self._latency(entry)
 
             # ---- steer: program order, bounded by width / FIFO / ROB ----
             steered = 0
             while steer_queue and steered < width and \
                     len(rob) < config.rob_size:
                 entry = steer_queue[0]
-                record = entry.record
-                pe = self._steer(record, acc_pe, fifos, reg_writer)
+                template = entry.template
+                pe = self._steer(template, acc_pe, fifos, reg_writer)
                 if len(fifos[pe]) >= config.fifo_depth:
                     break
                 steer_queue.popleft()
                 entry.pe = pe
-                if record.acc is not None:
-                    if record.strand_start or record.acc not in acc_pe:
-                        acc_pe[record.acc] = pe
+                acc = template.acc
+                if acc is not None:
+                    if template.strand_start or acc not in acc_pe:
+                        acc_pe[acc] = pe
                     else:
-                        entry.pe = pe = acc_pe[record.acc]
+                        entry.pe = pe = acc_pe[acc]
                 self._bind_dependences(entry, reg_writer, acc_writer)
                 fifos[pe].append(entry)
                 rob.append(entry)
@@ -136,28 +140,34 @@ class CycleILDPModel:
             # ---- fetch ----
             if blocking_branch is None and cycle >= fetch_stall_until:
                 fetched = 0
-                while fetch_index < len(trace) and fetched < width:
-                    record = trace[fetch_index]
-                    line = record.address // config.icache.line
+                while fetch_index < instructions and fetched < width:
+                    index = fetch_index
+                    template = templates[index]
+                    address = template.address
+                    line = address // config.icache.line
                     if line != last_fetch_line:
                         last_fetch_line = line
-                        extra = self.hierarchy.ifetch(record.address)
+                        extra = self.hierarchy.ifetch(address)
                         if extra:
                             fetch_stall_until = cycle + extra
                             break
-                    entry = _Entry(record, seq)
+                    entry = _Entry(template, mem_addrs[index], seq)
                     seq += 1
                     fetch_index += 1
                     fetched += 1
                     steer_queue.append(entry)
-                    self.branch_unit.note_instruction(record.v_weight)
-                    if record.btype is not None:
-                        mispredicted = self.branch_unit.process(record)
+                    self.branch_unit.note_instruction(template.v_weight)
+                    btype = template.btype
+                    if btype is not None:
+                        taken = takens[index]
+                        mispredicted = self.branch_unit.process(
+                            address, btype, taken, targets[index],
+                            ras_hits[index])
                         if mispredicted and not \
                                 config.perfect_prediction:
                             blocking_branch = entry
                             break
-                        if record.taken:
+                        if taken:
                             break  # predicted-taken transfer ends group
 
             cycle += 1
@@ -170,19 +180,20 @@ class CycleILDPModel:
 
     def _bind_dependences(self, entry, reg_writer, acc_writer):
         """Program-order operand binding — the renaming step."""
-        record = entry.record
-        for src in record.srcs:
+        template = entry.template
+        for src in template.srcs:
             producer = reg_writer.get(src)
             if producer is not None:
                 entry.deps.append((producer, True))
-        if record.acc_read and record.acc is not None:
-            producer = acc_writer.get(record.acc)
+        acc = template.acc
+        if template.acc_read and acc is not None:
+            producer = acc_writer.get(acc)
             if producer is not None:
                 entry.deps.append((producer, False))
-        if record.dst is not None:
-            reg_writer[record.dst] = entry
-        if record.acc_write and record.acc is not None:
-            acc_writer[record.acc] = entry
+        if template.dst is not None:
+            reg_writer[template.dst] = entry
+        if template.acc_write and acc is not None:
+            acc_writer[acc] = entry
 
     def _ready(self, entry, cycle, comm):
         for producer, is_gpr in entry.deps:
@@ -195,19 +206,19 @@ class CycleILDPModel:
                 return False
         return True
 
-    def _steer(self, record, acc_pe, fifos, reg_writer):
+    def _steer(self, template, acc_pe, fifos, reg_writer):
         config = self.config
-        acc = record.acc
+        acc = template.acc
         if config.steering == "modulo":
             if acc is not None:
                 return acc % config.pe_count
             return self._least_loaded(fifos)
-        if acc is not None and not record.strand_start and acc in acc_pe:
+        if acc is not None and not template.strand_start and acc in acc_pe:
             return acc_pe[acc]
         if config.steering == "dependence":
             # steer toward the producer of the youngest unfinished input
             best = None
-            for src in record.srcs:
+            for src in template.srcs:
                 producer = reg_writer.get(src)
                 if producer is not None and producer.pe is not None and \
                         (best is None or producer.seq > best.seq):
@@ -221,17 +232,18 @@ class CycleILDPModel:
         lengths = [len(fifo) for fifo in fifos]
         return lengths.index(min(lengths))
 
-    def _latency(self, record):
-        op_class = record.op_class
+    def _latency(self, entry):
+        op_class = entry.template.op_class
+        mem_addr = entry.mem_addr
         if op_class == "load":
             if self.config.perfect_dcache:
                 return self.config.dcache.latency
             return self.hierarchy.daccess(
-                record.mem_addr if record.mem_addr is not None
-                else record.address)
+                mem_addr if mem_addr is not None
+                else entry.template.address)
         if op_class == "mul":
             return self.config.mul_latency
-        if op_class == "store" and record.mem_addr is not None:
-            self.hierarchy.daccess(record.mem_addr)
+        if op_class == "store" and mem_addr is not None:
+            self.hierarchy.daccess(mem_addr)
             return self.config.int_latency
         return max(self.config.int_latency, 1)

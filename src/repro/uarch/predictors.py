@@ -8,9 +8,10 @@
 * the dual-address RAS of Section 3.2, whose per-return outcome the
   functional executor already recorded in the trace (``ras_hit``).
 
-``BranchUnit.process(record)`` returns the misprediction class for one
-control-transfer record, and is shared by the Fig. 4 counting experiment
-and both timing models.
+``BranchUnit.process(pc, btype, taken, target, ras_hit)`` returns
+whether one control transfer — a trace row's fetch address, branch type
+and dynamic outcome — mispredicted, and is shared by the Fig. 4 counting
+experiment and all four timing models.
 """
 
 
@@ -112,7 +113,7 @@ class BranchStats:
 
 
 class BranchUnit:
-    """The front-end prediction stack, driven by trace records."""
+    """The front-end prediction stack, driven by trace rows."""
 
     def __init__(self, config):
         self.gshare = GShare(config.gshare_entries, config.gshare_history)
@@ -125,26 +126,28 @@ class BranchUnit:
         """Count executed instructions for the per-1,000 normalisation."""
         self.stats.instructions += count
 
-    def process(self, record):
+    def process(self, pc, btype, taken, target, ras_hit):
         """Predict one control transfer; returns True on misprediction.
 
-        BTB misses on taken direct branches are misfetches (short
-        redirect), not mispredictions; they are counted separately.
+        ``pc`` is the transfer's fetch address and ``btype`` its branch
+        type (None for a non-control row, which never mispredicts);
+        ``taken``, ``target`` and ``ras_hit`` are the trace row's
+        dynamic fields.  BTB misses on taken direct branches are
+        misfetches (short redirect), not mispredictions; they are
+        counted separately.
         """
-        btype = record.btype
         if btype is None:
             return False
-        pc = record.address
         stats = self.stats
 
         if btype == "cond":
             predicted = self.gshare.predict(pc)
-            self.gshare.update(pc, record.taken)
-            if record.taken:
+            self.gshare.update(pc, taken)
+            if taken:
                 if self.btb.lookup(pc) is None:
                     stats.btb_misfetches += 1
-                self.btb.update(pc, record.target)
-            if predicted != record.taken:
+                self.btb.update(pc, target)
+            if predicted != taken:
                 stats.cond_mispredictions += 1
                 return True
             return False
@@ -152,7 +155,7 @@ class BranchUnit:
         if btype == "uncond":
             if self.btb.lookup(pc) is None:
                 stats.btb_misfetches += 1
-            self.btb.update(pc, record.target)
+            self.btb.update(pc, target)
             return False
 
         if btype == "call":
@@ -160,43 +163,43 @@ class BranchUnit:
             self.ras.push(pc + 4)
             if self.btb.lookup(pc) is None:
                 stats.btb_misfetches += 1
-            self.btb.update(pc, record.target)
+            self.btb.update(pc, target)
             return False
 
         if btype == "call_ind":
             self.ras.push(pc + 4)
             predicted = self.btb.lookup(pc)
-            self.btb.update(pc, record.target)
-            if predicted != record.target:
+            self.btb.update(pc, target)
+            if predicted != target:
                 stats.target_mispredictions += 1
                 return True
             return False
 
         if btype == "ret":
-            if record.ras_hit is not None:
+            if ras_hit is not None:
                 # dual-address RAS outcome decided by the executor
-                if not record.ras_hit:
+                if not ras_hit:
                     stats.ras_mispredictions += 1
                     return True
                 return False
             if not self.use_ras:
                 # no RAS: returns fall back to the BTB like any indirect
                 predicted = self.btb.lookup(pc)
-                self.btb.update(pc, record.target)
-                if predicted != record.target:
+                self.btb.update(pc, target)
+                if predicted != target:
                     stats.ras_mispredictions += 1
                     return True
                 return False
             predicted = self.ras.pop()
-            if predicted != record.target:
+            if predicted != target:
                 stats.ras_mispredictions += 1
                 return True
             return False
 
         if btype == "indirect":
             predicted = self.btb.lookup(pc)
-            self.btb.update(pc, record.target)
-            if predicted != record.target:
+            self.btb.update(pc, target)
+            if predicted != target:
                 stats.target_mispredictions += 1
                 return True
             return False

@@ -60,31 +60,36 @@ class SuperscalarModel:
         self._v_instructions = 0
 
     def run(self, trace):
-        """Consume a trace; returns the :class:`TimingResult`."""
-        for record in trace:
-            self.step(record)
+        """Consume a :class:`~repro.vm.events.Trace`; returns the
+        :class:`TimingResult`."""
+        step = self.step
+        for template, taken, target, mem_addr, ras_hit in trace:
+            step(template, taken, target, mem_addr, ras_hit)
         return self.result()
 
-    def step(self, record):
+    def step(self, template, taken, target, mem_addr, ras_hit):
+        """Time one trace row: its template plus its dynamic fields."""
+        (address, _size, op_class, srcs, dst, _acc, _acc_read, _acc_write,
+         _strand_start, btype, v_weight, _dispatch) = template
         config = self.config
         frontend = self.frontend
         self._instructions += 1
-        self._v_instructions += record.v_weight
-        self.branch_unit.note_instruction(record.v_weight)
+        self._v_instructions += v_weight
+        self.branch_unit.note_instruction(v_weight)
 
-        fetch = frontend.fetch(record)
+        fetch = frontend.fetch(address)
         dispatch = fetch + config.pipeline_depth
         dispatch = self.retire_unit.admit(dispatch)
 
         ready = dispatch
-        for src in record.srcs:
+        for src in srcs:
             when = self._reg_ready.get(src)
             if when is not None and when > ready:
                 ready = when
         block = None
-        if record.mem_addr is not None:
-            block = record.mem_addr >> 3
-            if record.op_class == "load":
+        if mem_addr is not None:
+            block = mem_addr >> 3
+            if op_class == "load":
                 when = self._mem_ready.get(block)
                 if when is not None and when > ready:
                     ready = when  # wait for the conflicting store
@@ -93,30 +98,29 @@ class SuperscalarModel:
         start = max(ready, fu_free)
         heapq.heappush(self._fu_free, start + 1)  # fully pipelined
 
-        latency = self._latency(record)
+        latency = self._latency(op_class, mem_addr, address)
         complete = start + latency
-        if record.dst is not None:
-            self._reg_ready[record.dst] = complete
-        if block is not None and record.op_class == "store":
+        if dst is not None:
+            self._reg_ready[dst] = complete
+        if block is not None and op_class == "store":
             self._mem_ready[block] = complete
         self.retire_unit.retire(complete)
 
-        if record.is_control():
-            frontend.resolve_control(record, complete)
+        if btype is not None:
+            frontend.resolve_control(address, btype, taken, target, ras_hit,
+                                     complete)
 
-    def _latency(self, record):
-        op_class = record.op_class
+    def _latency(self, op_class, mem_addr, address):
         if op_class == "load":
             if self.config.perfect_dcache:
                 return self.config.dcache.latency
-            return self.hierarchy.daccess(record.mem_addr
-                                          if record.mem_addr is not None
-                                          else record.address)
+            return self.hierarchy.daccess(mem_addr if mem_addr is not None
+                                          else address)
         if op_class == "mul":
             return self.config.mul_latency
-        if op_class == "store" and record.mem_addr is not None:
+        if op_class == "store" and mem_addr is not None:
             if not self.config.perfect_dcache:
-                self.hierarchy.daccess(record.mem_addr)
+                self.hierarchy.daccess(mem_addr)
             return self.config.int_latency
         return self.config.int_latency
 

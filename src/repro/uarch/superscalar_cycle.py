@@ -20,12 +20,14 @@ from repro.uarch.superscalar import TimingResult
 
 
 class _Entry:
-    """One in-flight instruction."""
+    """One in-flight instruction: its trace template and address."""
 
-    __slots__ = ("record", "seq", "deps", "complete_cycle", "issued")
+    __slots__ = ("template", "mem_addr", "seq", "deps", "complete_cycle",
+                 "issued")
 
-    def __init__(self, record, seq):
-        self.record = record
+    def __init__(self, template, mem_addr, seq):
+        self.template = template
+        self.mem_addr = mem_addr
         self.seq = seq
         self.deps = []
         self.complete_cycle = None
@@ -44,9 +46,11 @@ class CycleSuperscalarModel:
         config = self.config
         width = config.width
 
-        trace = list(trace)
-        instructions = len(trace)
-        v_instructions = sum(record.v_weight for record in trace)
+        # the fetch stage reads rows by index: one list per column
+        templates, takens, targets, mem_addrs, ras_hits = (
+            list(trace.column(name)) for name in trace.COLUMNS)
+        instructions = len(templates)
+        v_instructions = sum(template.v_weight for template in templates)
 
         fetch_index = 0
         fetch_stall_until = 0
@@ -61,7 +65,7 @@ class CycleSuperscalarModel:
 
         max_cycles = 300 * max(instructions, 1) + 10_000
 
-        while (fetch_index < len(trace) or dispatch_queue or rob) and \
+        while (fetch_index < instructions or dispatch_queue or rob) and \
                 cycle < max_cycles:
             # ---- resolve a blocking mispredicted branch ----
             if blocking_branch is not None and \
@@ -92,8 +96,7 @@ class CycleSuperscalarModel:
                     continue
                 if self._ready(entry, cycle):
                     entry.issued = True
-                    entry.complete_cycle = cycle + \
-                        self._latency(entry.record)
+                    entry.complete_cycle = cycle + self._latency(entry)
                     issued += 1
 
             # ---- dispatch into the window / ROB ----
@@ -108,28 +111,34 @@ class CycleSuperscalarModel:
             # ---- fetch ----
             if blocking_branch is None and cycle >= fetch_stall_until:
                 fetched = 0
-                while fetch_index < len(trace) and fetched < width:
-                    record = trace[fetch_index]
-                    line = record.address // config.icache.line
+                while fetch_index < instructions and fetched < width:
+                    index = fetch_index
+                    template = templates[index]
+                    address = template.address
+                    line = address // config.icache.line
                     if line != last_fetch_line:
                         last_fetch_line = line
-                        extra = self.hierarchy.ifetch(record.address)
+                        extra = self.hierarchy.ifetch(address)
                         if extra:
                             fetch_stall_until = cycle + extra
                             break
-                    entry = _Entry(record, seq)
+                    entry = _Entry(template, mem_addrs[index], seq)
                     seq += 1
                     fetch_index += 1
                     fetched += 1
                     dispatch_queue.append(entry)
-                    self.branch_unit.note_instruction(record.v_weight)
-                    if record.btype is not None:
-                        mispredicted = self.branch_unit.process(record)
+                    self.branch_unit.note_instruction(template.v_weight)
+                    btype = template.btype
+                    if btype is not None:
+                        taken = takens[index]
+                        mispredicted = self.branch_unit.process(
+                            address, btype, taken, targets[index],
+                            ras_hits[index])
                         if mispredicted and not \
                                 config.perfect_prediction:
                             blocking_branch = entry
                             break
-                        if record.taken:
+                        if taken:
                             break
 
             cycle += 1
@@ -142,21 +151,21 @@ class CycleSuperscalarModel:
 
     def _bind(self, entry, reg_writer, mem_writer):
         """Program-order operand binding (renaming semantics)."""
-        record = entry.record
-        for src in record.srcs:
+        template = entry.template
+        for src in template.srcs:
             producer = reg_writer.get(src)
             if producer is not None:
                 entry.deps.append(producer)
-        if record.mem_addr is not None:
-            block = record.mem_addr >> 3
-            if record.op_class == "load":
+        if entry.mem_addr is not None:
+            block = entry.mem_addr >> 3
+            if template.op_class == "load":
                 producer = mem_writer.get(block)
                 if producer is not None:
                     entry.deps.append(producer)
-            elif record.op_class == "store":
+            elif template.op_class == "store":
                 mem_writer[block] = entry
-        if record.dst is not None:
-            reg_writer[record.dst] = entry
+        if template.dst is not None:
+            reg_writer[template.dst] = entry
 
     def _ready(self, entry, cycle):
         for producer in entry.deps:
@@ -165,18 +174,19 @@ class CycleSuperscalarModel:
                 return False
         return True
 
-    def _latency(self, record):
-        op_class = record.op_class
+    def _latency(self, entry):
+        op_class = entry.template.op_class
+        mem_addr = entry.mem_addr
         if op_class == "load":
             if self.config.perfect_dcache:
                 return self.config.dcache.latency
             return self.hierarchy.daccess(
-                record.mem_addr if record.mem_addr is not None
-                else record.address)
+                mem_addr if mem_addr is not None
+                else entry.template.address)
         if op_class == "mul":
             return self.config.mul_latency
-        if op_class == "store" and record.mem_addr is not None:
+        if op_class == "store" and mem_addr is not None:
             if not self.config.perfect_dcache:
-                self.hierarchy.daccess(record.mem_addr)
+                self.hierarchy.daccess(mem_addr)
             return self.config.int_latency
         return max(self.config.int_latency, 1)

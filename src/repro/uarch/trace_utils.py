@@ -2,81 +2,84 @@
 
 The paper's "original" configuration is the unmodified Alpha binary running
 on the superscalar simulator.  This module runs the interpreter over a
-program and converts each executed instruction into a
-:class:`~repro.vm.events.TraceRecord`, including the branch-type
-annotations the predictor models need (conventional RAS push/pop on
-BSR/JSR/RET).
+program and records each executed instruction as one row of a
+:class:`~repro.vm.events.Trace`, including the branch-type annotations the
+predictor models need (conventional RAS push/pop on BSR/JSR/RET).
+
+The static part of a row is classified once per PC
+(:func:`instruction_template`); every later execution of the PC reuses
+the template and records only the branch outcome and the effective
+address.
 """
 
 from repro.interp.interpreter import Halted, Interpreter
 from repro.isa.opcodes import Format, Kind
-from repro.vm.events import TraceRecord
+from repro.vm.events import BLOCK_ROWS, Template, Trace
 
 _MUL_MNEMONICS = frozenset({"mull", "mulq", "umulh"})
 
 
-def _branch_type(instr):
+def instruction_template(pc, instr):
+    """The static trace fields of the V-ISA instruction ``instr`` at
+    ``pc``: its class, registers, branch type and V-ISA weight (0 for
+    NOPs, which the paper does not count)."""
     kind = instr.kind
-    if kind is Kind.COND_BRANCH:
-        return "cond"
-    if kind is Kind.UNCOND_BRANCH:
-        return "call" if instr.ra != 31 else "uncond"
-    if kind is Kind.JUMP:
-        if instr.mnemonic == "ret":
-            return "ret"
-        if instr.ra != 31:
-            return "call_ind"
-        return "indirect"
-    return None
-
-
-def _op_class(instr):
-    kind = instr.kind
+    btype = None
     if kind is Kind.LOAD:
-        return "load"
-    if kind is Kind.STORE:
-        return "store"
-    if kind in (Kind.COND_BRANCH, Kind.UNCOND_BRANCH, Kind.JUMP):
-        return "branch"
-    if instr.mnemonic in _MUL_MNEMONICS:
-        return "mul"
-    return "int"
-
-
-def _is_nop(instr):
-    if instr.fmt is Format.OPERATE and instr.rc == 31:
-        return True
-    return instr.kind is Kind.LDA and instr.ra == 31
-
-
-def record_for_event(event):
-    """Convert one interpreter :class:`ExecEvent` into a trace record."""
-    instr = event.instr
-    btype = _branch_type(instr)
-    return TraceRecord(
-        event.pc, 4, _op_class(instr),
-        srcs=instr.sources(),
-        dst=instr.dest(),
-        btype=btype,
-        taken=event.taken,
-        target=event.next_pc if event.taken else None,
-        mem_addr=event.mem_addr,
-        v_weight=0 if _is_nop(instr) else 1,
-    )
+        op_class = "load"
+    elif kind is Kind.STORE:
+        op_class = "store"
+    elif kind is Kind.COND_BRANCH:
+        op_class, btype = "branch", "cond"
+    elif kind is Kind.UNCOND_BRANCH:
+        op_class = "branch"
+        btype = "call" if instr.ra != 31 else "uncond"
+    elif kind is Kind.JUMP:
+        op_class = "branch"
+        if instr.mnemonic == "ret":
+            btype = "ret"
+        else:
+            btype = "call_ind" if instr.ra != 31 else "indirect"
+    elif instr.mnemonic in _MUL_MNEMONICS:
+        op_class = "mul"
+    else:
+        op_class = "int"
+    nop = (instr.fmt is Format.OPERATE and instr.rc == 31) or \
+        (kind is Kind.LDA and instr.ra == 31)
+    return Template(pc, 4, op_class, instr.sources(), instr.dest(),
+                    btype=btype, v_weight=0 if nop else 1)
 
 
 def interpreter_trace(program, max_instructions=200_000):
     """Run ``program`` under pure interpretation, collecting a trace.
 
     Returns ``(trace, interpreter)``; the interpreter exposes final state
-    and console output for verification.
+    and console output for verification.  Templates are kept per PC for
+    the run and re-checked against the decoded instruction, so a word
+    the program rewrites gets a fresh template.
     """
     interpreter = Interpreter(program)
-    trace = []
+    step = interpreter.step
+    trace = Trace()
+    by_pc = {}   # pc -> (decoded instruction, its template)
     try:
-        for _ in range(max_instructions):
-            event = interpreter.step()
-            trace.append(record_for_event(event))
+        for first in range(0, max_instructions, BLOCK_ROWS):
+            (add_template, add_taken, add_target, add_mem_addr,
+             add_ras_hit) = (column.append for column in trace.new_block())
+            for _ in range(min(BLOCK_ROWS, max_instructions - first)):
+                event = step()
+                pc = event.pc
+                instr = event.instr
+                known = by_pc.get(pc)
+                if known is None or known[0] is not instr:
+                    known = by_pc[pc] = (instr,
+                                         instruction_template(pc, instr))
+                add_template(known[1])
+                taken = event.taken
+                add_taken(taken)
+                add_target(event.next_pc if taken else None)
+                add_mem_addr(event.mem_addr)
+                add_ras_hit(None)
     except Halted:
         pass
     return trace, interpreter

@@ -7,7 +7,7 @@ as Section 4.1 describes.
 """
 
 from repro.vm.config import VMConfig
-from repro.vm.events import TraceRecord
+from repro.vm.events import Template, Trace
 from repro.vm.executor import FragmentExecutor, ExecResult, ExitReason
 from repro.vm.traps import VMTrap, reconstruct_state
 from repro.vm.stats import VMStats
@@ -15,7 +15,8 @@ from repro.vm.system import CoDesignedVM
 
 __all__ = [
     "VMConfig",
-    "TraceRecord",
+    "Template",
+    "Trace",
     "FragmentExecutor",
     "ExecResult",
     "ExitReason",

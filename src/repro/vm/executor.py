@@ -21,6 +21,14 @@ default, runs each fragment as one generated Python function
 the generated code cannot serve — trace collection on, or a compile
 failure — take the same reference walk.  Both produce identical
 architected state, traces and ``VMStats``.
+
+With trace collection on, each committed instruction appends one row to
+the :class:`~repro.vm.events.Trace`: a reference to the instruction's
+:class:`~repro.vm.events.Template`, built on its first traced visit and
+kept with the fragment (``Fragment._trace_templates``, dropped with the
+generated code by ``Fragment.invalidate_compiled``), plus the four
+dynamic fields.  The shared dispatch body's templates are built once
+per executor.  Untraced runs build no template.
 """
 
 import enum
@@ -31,7 +39,7 @@ from repro.ildp_isa.semantics import IALU_OPS, icond_taken
 from repro.isa.semantics import CMOV_CONDITIONS, Trap, TrapKind
 from repro.obs.telemetry import Telemetry
 from repro.utils.bitops import MASK64, sext
-from repro.vm.events import TraceRecord
+from repro.vm.events import Template
 
 #: Dynamic instruction-count weight per special op in the ALPHA format
 #: (embedding a 64-bit address costs an ldah+lda pair on a conventional
@@ -58,6 +66,88 @@ _compile_fragment_jit = None
 
 #: jit code-size histogram buckets (generated source lines per fragment).
 _JIT_SIZE_BUCKETS = (8, 16, 32, 64, 128, 256, 512)
+
+
+def _body_template(instr, fmt):
+    """The static trace fields of fragment body instruction ``instr``.
+
+    Classifies the instruction once — class, GPR sources and
+    destination, accumulator use, branch type — so every traced
+    execution appends the same tuple plus its dynamic fields.
+    """
+    iop = instr.iop
+    address, size, v_weight = instr.address, instr.size, instr.v_weight
+    if iop is IOp.BRANCH or iop is IOp.COND_CALL_TRANSLATOR:
+        cond_src = instr.cond_src
+        return Template(address, size, "branch",
+                        (instr.gpr,) if cond_src == "gpr" else (),
+                        acc=instr.acc if cond_src == "acc" else None,
+                        btype="cond", v_weight=v_weight)
+    if iop is IOp.BR or iop is IOp.CALL_TRANSLATOR:
+        return Template(address, size, "branch", btype="uncond",
+                        v_weight=v_weight)
+    if iop is IOp.RET_RAS:
+        return Template(address, size, "branch", (instr.gpr,), btype="ret",
+                        v_weight=v_weight)
+    if iop is IOp.TO_DISPATCH:
+        return Template(address, size, "branch", (instr.gpr,),
+                        btype="uncond", v_weight=v_weight)
+    op_class = "int"
+    srcs = ()
+    dst = None
+    acc_read = False
+    if iop is IOp.ALU:
+        srcs = tuple(instr.gpr if source == "gpr" else instr.gpr2
+                     for source in (instr.src_a, instr.src_b)
+                     if source == "gpr" or source == "gpr2")
+        if fmt is IFormat.ALPHA and instr.op in CMOV_CONDITIONS and \
+                instr.dest_gpr is not None:
+            srcs += (instr.dest_gpr,)   # the old destination value
+        if instr.op in _MUL_OPS:
+            op_class = "mul"
+        dst = instr.gpr_dest(fmt)
+        acc_read = instr.src_a == "acc" or instr.src_b == "acc"
+    elif iop is IOp.LOAD:
+        op_class = "load"
+        srcs = (instr.gpr,) if instr.addr_src == "gpr" else ()
+        dst = instr.gpr_dest(fmt)
+        acc_read = instr.addr_src == "acc"
+    elif iop is IOp.STORE:
+        op_class = "store"
+        if instr.addr_src == "gpr":
+            srcs = (instr.gpr,)
+        if instr.data_src == "gpr":
+            srcs += (instr.gpr,)
+        elif instr.data_src == "gpr2":
+            srcs += (instr.gpr2,)
+        acc_read = instr.addr_src == "acc" or instr.data_src == "acc"
+    elif iop is IOp.COPY_TO_GPR:
+        dst = instr.gpr
+        acc_read = True
+    elif iop is IOp.COPY_FROM_GPR:
+        srcs = (instr.gpr,)
+    elif iop is IOp.SAVE_VRA:
+        dst = instr.gpr
+    elif iop is IOp.PUTC or iop is IOp.SYSCALL:
+        srcs = (16,)
+    return Template(address, size, op_class, srcs, dst, instr.acc, acc_read,
+                    instr.writes_acc(), instr.strand_start, None, v_weight)
+
+
+def _dispatch_templates(body):
+    """Templates of the shared dispatch body: a hash-probe chain through
+    one accumulator, ending in its one ``JMP_DISPATCH``
+    (:func:`repro.tcache.dispatch.build_dispatch_code`)."""
+    *chain, jump = body
+    templates = [Template(instr.address, instr.size,
+                          "load" if instr.iop is IOp.LOAD else "int",
+                          acc=instr.acc, acc_read=True, acc_write=True,
+                          is_dispatch=True)
+                 for instr in chain]
+    templates.append(Template(jump.address, jump.size, "branch",
+                              acc=jump.acc, acc_read=True,
+                              btype="indirect", is_dispatch=True))
+    return templates
 
 
 class ExitReason(enum.Enum):
@@ -119,6 +209,9 @@ class FragmentExecutor:
         #: raised a trap (set by generated code, read by ``run`` to build
         #: the precise ``ExecResult``)
         self._jit_pei = None
+        #: templates of the dispatch body's probe chain and of its final
+        #: jump, built on the first traced dispatch
+        self._dispatch_rows = None
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry()
         registry = self.telemetry.registry
@@ -187,7 +280,8 @@ class FragmentExecutor:
         stats = self.stats
         iop_counts = stats.iop_counts
         execute = self._execute
-        jit = self.trace is None and self.config.exec_engine == "jit"
+        traced = self.trace is not None
+        jit = not traced and self.config.exec_engine == "jit"
         key = self._compile_key
         self._stale.clear()
         frag = fragment
@@ -214,6 +308,12 @@ class FragmentExecutor:
                 body = frag.body
                 fmt = frag.fmt
                 alpha = fmt is IFormat.ALPHA
+                templates = template = None
+                if traced:
+                    templates = frag._trace_templates
+                    if templates is None:
+                        templates = frag._trace_templates = \
+                            [None] * len(body)
                 index = 0
                 while True:
                     instr = body[index]
@@ -225,8 +325,13 @@ class FragmentExecutor:
                     if iop in _COPY_IOPS:
                         stats.copies_executed += 1
                     stats.source_instructions_executed += instr.v_weight
+                    if templates is not None:
+                        template = templates[index]
+                        if template is None:
+                            template = templates[index] = \
+                                _body_template(instr, fmt)
                     try:
-                        outcome = execute(instr, iop, regs, fmt)
+                        outcome = execute(instr, iop, regs, fmt, template)
                     except Trap as trap:
                         trap.vpc = instr.vpc
                         return ExecResult(ExitReason.TRAP, vpc=instr.vpc,
@@ -321,63 +426,72 @@ class FragmentExecutor:
 
     # -- single-instruction semantics -------------------------------------------
 
-    def _execute(self, instr, iop, regs, fmt):
+    def _execute(self, instr, iop, regs, fmt, template=None):
+        """Execute one body instruction; with ``template`` (trace
+        collection on) also append its trace row."""
         if iop is IOp.ALU:
-            self._do_alu(instr, regs, fmt)
+            self._do_alu(instr, regs, fmt, template)
         elif iop is IOp.LOAD:
-            self._do_load(instr, regs, fmt)
+            self._do_load(instr, regs, fmt, template)
         elif iop is IOp.STORE:
-            self._do_store(instr, regs, fmt)
+            self._do_store(instr, regs, fmt, template)
         elif iop is IOp.COPY_TO_GPR:
-            self._trace_simple(instr, "int", dst=instr.gpr, acc=instr.acc,
-                               acc_read=True)
+            if template is not None:
+                self.trace.append(template)
             self._write_gpr(regs, instr.gpr, self.accs[instr.acc])
         elif iop is IOp.COPY_FROM_GPR:
-            self._trace_simple(instr, "int", srcs=(instr.gpr,),
-                               acc=instr.acc)
+            if template is not None:
+                self.trace.append(template)
             self.accs[instr.acc] = self._read_gpr(regs, instr.gpr, fmt)
         elif iop is IOp.BRANCH:
-            return self._do_branch(instr, regs, fmt)
+            return self._do_branch(instr, regs, fmt, template)
         elif iop is IOp.BR:
-            self._trace_control(instr, "uncond", True, instr.target)
+            if template is not None:
+                self.trace.append(template, True, instr.target)
             return self._transfer(instr.target)
         elif iop is IOp.SET_VPC_BASE:
-            self._trace_simple(instr, "int")
+            if template is not None:
+                self.trace.append(template)
         elif iop is IOp.SAVE_VRA:
-            self._trace_simple(instr, "int", dst=instr.gpr)
+            if template is not None:
+                self.trace.append(template)
             self._write_gpr(regs, instr.gpr, instr.vtarget)
         elif iop is IOp.PUSH_RAS:
-            self._trace_simple(instr, "int")
+            if template is not None:
+                self.trace.append(template)
             self._push_ras(instr)
         elif iop is IOp.RET_RAS:
-            return self._do_ret_ras(instr, regs, fmt)
+            return self._do_ret_ras(instr, regs, fmt, template)
         elif iop is IOp.LOAD_EMB:
-            self._trace_simple(instr, "int", acc=instr.acc)
+            if template is not None:
+                self.trace.append(template)
             self.accs[instr.acc] = instr.vtarget
         elif iop is IOp.CALL_TRANSLATOR:
-            self._trace_control(instr, "uncond", True, None)
+            if template is not None:
+                self.trace.append(template, True)
             return ("exit", ExecResult(ExitReason.UNTRANSLATED,
                                        vpc=instr.vtarget))
         elif iop is IOp.COND_CALL_TRANSLATOR:
             value = self._operand(instr, instr.cond_src, regs, fmt)
             taken = icond_taken(instr.op, value)
-            self._trace_control(instr, "cond", taken, None,
-                                srcs=self._cond_srcs(instr),
-                                acc=instr.acc if instr.cond_src == "acc"
-                                else None)
+            if template is not None:
+                self.trace.append(template, taken)
             if taken:
                 return ("exit", ExecResult(ExitReason.UNTRANSLATED,
                                            vpc=instr.vtarget))
         elif iop is IOp.TO_DISPATCH:
-            return self._do_dispatch(instr, regs, fmt)
+            return self._do_dispatch(instr, regs, fmt, template)
         elif iop is IOp.HALT:
-            self._trace_simple(instr, "int")
+            if template is not None:
+                self.trace.append(template)
             return ("exit", ExecResult(ExitReason.HALT, vpc=instr.vpc))
         elif iop is IOp.PUTC:
-            self._trace_simple(instr, "int", srcs=(16,))
+            if template is not None:
+                self.trace.append(template)
             self.console.append(self._read_gpr(regs, 16, fmt) & 0xFF)
         elif iop is IOp.SYSCALL:
-            self._trace_simple(instr, "int", srcs=(16,))
+            if template is not None:
+                self.trace.append(template)
             self.pal.call(regs, instr.imm, instr.vpc, translated=True)
         elif iop is IOp.GENTRAP:
             raise Trap(TrapKind.GENTRAP, vpc=instr.vpc)
@@ -387,24 +501,17 @@ class FragmentExecutor:
 
     # -- computation ------------------------------------------------------------
 
-    def _do_alu(self, instr, regs, fmt):
+    def _do_alu(self, instr, regs, fmt, template):
         op = instr.op
         a = self._operand(instr, instr.src_a, regs, fmt)
         b = self._operand(instr, instr.src_b, regs, fmt)
-        is_cmov = fmt is IFormat.ALPHA and op in CMOV_CONDITIONS
-        if is_cmov:
+        if fmt is IFormat.ALPHA and op in CMOV_CONDITIONS:
             old = regs[instr.dest_gpr] if instr.dest_gpr is not None else 0
             result = b if CMOV_CONDITIONS[op](a) else old
         else:
             result = IALU_OPS[op](a, b)
-        if self.trace is not None:
-            srcs = self._alu_srcs(instr)
-            if is_cmov and instr.dest_gpr is not None:
-                srcs += (instr.dest_gpr,)
-            self._trace_simple(instr, "mul" if op in _MUL_OPS else "int",
-                               srcs=srcs, dst=instr.gpr_dest(fmt),
-                               acc=instr.acc, acc_read=instr.src_a == "acc"
-                               or instr.src_b == "acc")
+        if template is not None:
+            self.trace.append(template)
         self._commit_result(instr, result, regs, fmt)
 
     def _commit_result(self, instr, result, regs, fmt):
@@ -419,27 +526,21 @@ class FragmentExecutor:
                                 operational=instr.operational)
         # basic format: architected state is maintained by copy-to-GPR
 
-    def _do_load(self, instr, regs, fmt):
+    def _do_load(self, instr, regs, fmt, template):
         base = self._operand(instr, instr.addr_src, regs, fmt)
         address = (base + instr.imm) & MASK64
         raw = self.memory.load(address, instr.mem_size, vpc=instr.vpc)
         value = sext(raw, 8 * instr.mem_size) if instr.mem_signed else raw
-        if self.trace is not None:
-            self._trace_simple(instr, "load", srcs=self._addr_srcs(instr),
-                               dst=instr.gpr_dest(fmt), acc=instr.acc,
-                               acc_read=instr.addr_src == "acc",
-                               mem_addr=address)
+        if template is not None:
+            self.trace.append(template, False, None, address)
         self._commit_result(instr, value, regs, fmt)
 
-    def _do_store(self, instr, regs, fmt):
+    def _do_store(self, instr, regs, fmt, template):
         base = self._operand(instr, instr.addr_src, regs, fmt)
         address = (base + instr.imm) & MASK64
         data = self._operand(instr, instr.data_src, regs, fmt)
-        if self.trace is not None:
-            self._trace_simple(instr, "store", srcs=self._store_srcs(instr),
-                               acc=instr.acc,
-                               acc_read=instr.addr_src == "acc"
-                               or instr.data_src == "acc", mem_addr=address)
+        if template is not None:
+            self.trace.append(template, False, None, address)
         self.memory.store(address, data & MASK64, instr.mem_size,
                           vpc=instr.vpc)
 
@@ -452,14 +553,12 @@ class FragmentExecutor:
                 f"control transfer to non-entry address {address:#x}")
         return ("goto", (frag, 0))
 
-    def _do_branch(self, instr, regs, fmt):
+    def _do_branch(self, instr, regs, fmt, template):
         value = self._operand(instr, instr.cond_src, regs, fmt)
         taken = icond_taken(instr.op, value)
-        self._trace_control(instr, "cond", taken,
-                            instr.target if taken else None,
-                            srcs=self._cond_srcs(instr),
-                            acc=instr.acc if instr.cond_src == "acc"
-                            else None)
+        if template is not None:
+            self.trace.append(template, taken,
+                              instr.target if taken else None)
         if taken:
             return self._transfer(instr.target)
         return None
@@ -471,7 +570,7 @@ class FragmentExecutor:
         if len(self.ras) > self.config.ras_depth:
             self.ras.pop(0)
 
-    def _do_ret_ras(self, instr, regs, fmt):
+    def _do_ret_ras(self, instr, regs, fmt, template):
         actual = self._read_gpr(regs, instr.gpr, fmt) & ~3 & MASK64
         hit = False
         target = None
@@ -483,17 +582,16 @@ class FragmentExecutor:
                 hit = True
                 target = i_pred
         self.stats.count_ras(hit)
-        self._trace_control(instr, "ret", hit, target,
-                            srcs=(instr.gpr,), ras_hit=hit)
+        if template is not None:
+            self.trace.append(template, hit, target, None, hit)
         if hit:
             return self._transfer(target)
         return None  # fall through to the TO_DISPATCH that follows
 
-    def _do_dispatch(self, instr, regs, fmt):
+    def _do_dispatch(self, instr, regs, fmt, template=None):
         vtarget = self._read_gpr(regs, instr.gpr, fmt) & ~3 & MASK64
-        self._trace_control(instr, "uncond", True,
-                            self.tcache.dispatch_address,
-                            srcs=(instr.gpr,))
+        if template is not None:
+            self.trace.append(template, True, self.tcache.dispatch_address)
         frag = self.tcache.lookup(vtarget)
         self.stats.count_dispatch()
         self._emit_dispatch_trace(frag)
@@ -503,66 +601,21 @@ class FragmentExecutor:
         return ("goto", (frag, 0))
 
     def _emit_dispatch_trace(self, target_fragment):
+        """Count the shared dispatch body and, when tracing, append its
+        rows: the probe chain's, then the final jump's, whose target is
+        the only dynamic field."""
         body = self.tcache.dispatch_body
         self.stats.count_dispatch_instructions(len(body))
-        if self.trace is None:
+        trace = self.trace
+        if trace is None:
             return
-        final_target = (target_fragment.entry_address()
-                        if target_fragment is not None else None)
-        for instr in body:
-            if instr.iop is IOp.JMP_DISPATCH:
-                self.trace.append(TraceRecord(
-                    instr.address, instr.size, "branch", acc=instr.acc,
-                    acc_read=True, btype="indirect", taken=True,
-                    target=final_target, is_dispatch=True))
-            else:
-                op_class = "load" if instr.iop is IOp.LOAD else "int"
-                self.trace.append(TraceRecord(
-                    instr.address, instr.size, op_class, acc=instr.acc,
-                    acc_read=True, acc_write=True, is_dispatch=True))
-
-    # -- trace helpers -----------------------------------------------------------
-
-    def _alu_srcs(self, instr):
-        srcs = []
-        for source in (instr.src_a, instr.src_b):
-            if source == "gpr":
-                srcs.append(instr.gpr)
-            elif source == "gpr2":
-                srcs.append(instr.gpr2)
-        return tuple(srcs)
-
-    def _addr_srcs(self, instr):
-        return (instr.gpr,) if instr.addr_src == "gpr" else ()
-
-    def _store_srcs(self, instr):
-        srcs = []
-        if instr.addr_src == "gpr":
-            srcs.append(instr.gpr)
-        if instr.data_src == "gpr":
-            srcs.append(instr.gpr)
-        elif instr.data_src == "gpr2":
-            srcs.append(instr.gpr2)
-        return tuple(srcs)
-
-    def _cond_srcs(self, instr):
-        return (instr.gpr,) if instr.cond_src == "gpr" else ()
-
-    def _trace_simple(self, instr, op_class, srcs=(), dst=None, acc=None,
-                      acc_read=False, mem_addr=None):
-        if self.trace is None:
-            return
-        self.trace.append(TraceRecord(
-            instr.address, instr.size, op_class, srcs=srcs, dst=dst,
-            acc=acc if acc is not None else instr.acc, acc_read=acc_read,
-            acc_write=instr.writes_acc(), strand_start=instr.strand_start,
-            mem_addr=mem_addr, v_weight=instr.v_weight))
-
-    def _trace_control(self, instr, btype, taken, target, srcs=(),
-                       acc=None, ras_hit=None):
-        if self.trace is None:
-            return
-        self.trace.append(TraceRecord(
-            instr.address, instr.size, "branch", srcs=srcs, acc=acc,
-            btype=btype, taken=taken, target=target, ras_hit=ras_hit,
-            v_weight=instr.v_weight))
+        rows = self._dispatch_rows
+        if rows is None:
+            *probe, jump = _dispatch_templates(body)
+            rows = self._dispatch_rows = (probe, jump)
+        probe, jump = rows
+        append = trace.append
+        for template in probe:
+            append(template)
+        append(jump, True, target_fragment.entry_address()
+               if target_fragment is not None else None)

@@ -33,6 +33,7 @@ from repro.translator.superblock import (
 )
 from repro.utils.weak import weak_method
 from repro.vm.config import VMConfig
+from repro.vm.events import Trace
 from repro.vm.executor import ExitReason, FragmentExecutor
 from repro.vm.stats import VMStats
 from repro.vm.traps import VMTrap, reconstruct_state
@@ -80,7 +81,7 @@ class CoDesignedVM:
             cost_model=self.cost_model, telemetry=self.telemetry,
             tracer=self.tracer, injector=self.injector)
         self.stats = VMStats()
-        self.trace = [] if self.config.collect_trace else None
+        self.trace = Trace() if self.config.collect_trace else None
         self.executor = FragmentExecutor(
             self.config, self.tcache, program.memory,
             self.interpreter.console, self.stats, trace=self.trace,

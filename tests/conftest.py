@@ -6,7 +6,7 @@ from repro.asm import assemble
 from repro.ildp_isa.opcodes import IFormat
 from repro.interp import Interpreter
 from repro.translator.chaining import ChainingPolicy
-from repro.vm import CoDesignedVM, VMConfig
+from repro.vm import CoDesignedVM, Trace, VMConfig
 
 #: The paper's Fig. 2 kernel (the 164.gzip inner loop), wrapped in enough
 #: scaffolding to run: a CRC pass over a byte buffer through a table.
@@ -74,6 +74,14 @@ def run_cosim(source, config, max_v_instructions=1_000_000):
     vm = CoDesignedVM(assemble(source), config)
     vm.run(max_v_instructions=max_v_instructions)
     return vm
+
+
+def assert_traces_equal(ours, reference):
+    """Two traces hold the same rows: all five columns equal, templates
+    compared by value."""
+    for column in Trace.COLUMNS:
+        assert list(ours.column(column)) == \
+            list(reference.column(column)), column
 
 
 def assert_cosim_equivalent(source, config, max_instructions=1_000_000):

@@ -42,8 +42,9 @@ SCHEDULES = {
 def _reference(name):
     """Fault-free interpreter reference, computed once per workload."""
     trace, interp = run_original(name, budget=HALT_BUDGET)
-    expected_committed = sum(record.v_weight for record in trace
-                             if record.btype != "uncond")
+    expected_committed = sum(template.v_weight
+                             for template in trace.column("templates")
+                             if template.btype != "uncond")
     return interp, expected_committed
 
 

@@ -41,8 +41,9 @@ def _assert_equivalent(name, config):
     assert vm.console_text() == interp.console_text()
     # v_weight is already 0 for NOPs; btype "uncond" marks the plain BRs
     # that code straightening removes
-    expected = sum(record.v_weight for record in trace
-                   if record.btype != "uncond")
+    expected = sum(template.v_weight
+                   for template in trace.column("templates")
+                   if template.btype != "uncond")
     assert result.stats.committed_v_instructions() == expected
 
 

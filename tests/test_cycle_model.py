@@ -9,15 +9,17 @@ from repro.uarch.config import SUPERSCALAR, ildp_config
 from repro.uarch.ildp import ILDPModel
 from repro.uarch.ildp_cycle import CycleILDPModel
 from repro.vm.config import VMConfig
-from repro.vm.events import TraceRecord
+from repro.vm.events import Template, Trace
 
 
 def alu(addr, srcs=(), dst=None, acc=None, acc_read=False,
         strand_start=False, op_class="int"):
-    return TraceRecord(0x1000 + (addr - 0x1000) % 2048, 4, op_class,
-                       srcs=srcs, dst=dst, acc=acc, acc_read=acc_read,
-                       acc_write=acc is not None,
-                       strand_start=strand_start, v_weight=1)
+    """One ALU trace row."""
+    return (Template(0x1000 + (addr - 0x1000) % 2048, 4, op_class,
+                     srcs=srcs, dst=dst, acc=acc, acc_read=acc_read,
+                     acc_write=acc is not None, strand_start=strand_start,
+                     v_weight=1),
+            False, None, None, None)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +30,59 @@ def workload_traces():
                         budget=15_000)
         traces[name] = result.trace
     return traces
+
+
+@pytest.fixture(scope="module")
+def original_traces():
+    from repro.harness.runner import run_original
+
+    return {name: run_original(name, budget=15_000)[0]
+            for name in ("gzip", "gcc")}
+
+
+def _pinned(result):
+    stats = result.branch_stats
+    return (result.cycles, result.instructions, result.v_instructions,
+            stats.instructions, stats.cond_mispredictions,
+            stats.target_mispredictions, stats.ras_mispredictions,
+            stats.btb_misfetches)
+
+
+class TestPinnedResults:
+    """Exact outputs of the cycle-stepped models on real 15k traces.
+
+    The golden report gates only the fast models; these figures pin the
+    reference models byte for byte, so a rewrite of how they read a
+    trace cannot drift inside the cross-validation band unnoticed.
+    Fields: cycles, instructions, V-ISA instructions, then the branch
+    unit's instructions and cond/target/RAS mispredictions and BTB
+    misfetches.
+    """
+
+    ILDP = {
+        "gzip": (9939, 15216, 13248, 13248, 10, 0, 0, 7),
+        "mcf": (6810, 19516, 13310, 13310, 28, 0, 0, 55),
+        "twolf": (8934, 22262, 13787, 13787, 10, 0, 0, 12),
+    }
+    SUPERSCALAR = {
+        "gzip": (9167, 15000, 15000, 15000, 3, 0, 0, 5),
+        "gcc": (11289, 15000, 15000, 15000, 587, 0, 0, 11),
+    }
+
+    def test_cycle_ildp_exact(self, workload_traces):
+        for name, expected in self.ILDP.items():
+            result = CycleILDPModel(ildp_config(8, 0)).run(
+                workload_traces[name])
+            assert _pinned(result) == expected, name
+
+    def test_cycle_superscalar_exact(self, original_traces):
+        from repro.uarch.config import MachineConfig
+        from repro.uarch.superscalar_cycle import CycleSuperscalarModel
+
+        for name, expected in self.SUPERSCALAR.items():
+            result = CycleSuperscalarModel(MachineConfig("t")).run(
+                original_traces[name])
+            assert _pinned(result) == expected, name
 
 
 class TestCrossValidation:
@@ -55,8 +110,9 @@ class TestCrossValidation:
 
 class TestBehaviour:
     def test_serial_chain_one_per_cycle(self):
-        trace = [alu(0x1000 + 4 * i, acc=0, acc_read=i > 0,
-                     strand_start=i == 0) for i in range(4000)]
+        trace = Trace.from_rows(alu(0x1000 + 4 * i, acc=0, acc_read=i > 0,
+                                    strand_start=i == 0)
+                                for i in range(4000))
         result = CycleILDPModel(ildp_config(8, 0)).run(trace)
         assert result.ipc < 1.1
 
@@ -66,15 +122,17 @@ class TestBehaviour:
             for acc in range(4):
                 trace.append(alu(0x1000 + 16 * i + 4 * acc, acc=acc,
                                  acc_read=i > 0, strand_start=i == 0))
-        result = CycleILDPModel(ildp_config(8, 0)).run(trace)
+        result = CycleILDPModel(ildp_config(8, 0)).run(
+            Trace.from_rows(trace))
         assert result.ipc > 2.0
 
     def test_mul_latency_respected(self):
-        ints = [alu(0x1000 + 4 * i, acc=0, acc_read=i > 0,
-                    strand_start=i == 0) for i in range(2000)]
-        muls = [alu(0x1000 + 4 * i, acc=0, acc_read=i > 0,
-                    strand_start=i == 0, op_class="mul")
-                for i in range(2000)]
+        ints = Trace.from_rows(alu(0x1000 + 4 * i, acc=0, acc_read=i > 0,
+                                   strand_start=i == 0)
+                               for i in range(2000))
+        muls = Trace.from_rows(alu(0x1000 + 4 * i, acc=0, acc_read=i > 0,
+                                   strand_start=i == 0, op_class="mul")
+                               for i in range(2000))
         fast = CycleILDPModel(ildp_config(8, 0)).run(ints)
         slow = CycleILDPModel(ildp_config(8, 0)).run(muls)
         assert slow.cycles > 4 * fast.cycles
@@ -84,7 +142,7 @@ class TestBehaviour:
             CycleILDPModel(SUPERSCALAR)
 
     def test_empty_trace(self):
-        result = CycleILDPModel(ildp_config(8, 0)).run([])
+        result = CycleILDPModel(ildp_config(8, 0)).run(Trace())
         assert result.instructions == 0
 
     def test_all_instructions_commit(self, workload_traces):
@@ -112,14 +170,12 @@ class TestCycleSuperscalar:
     from detailed simulators.
     """
 
-    def test_cross_validation(self, workload_traces):
-        from repro.harness.runner import run_original
+    def test_cross_validation(self, original_traces):
         from repro.uarch.config import MachineConfig
         from repro.uarch.superscalar import SuperscalarModel
         from repro.uarch.superscalar_cycle import CycleSuperscalarModel
 
-        for name in ("gzip", "gcc"):
-            trace, _interp = run_original(name, budget=15_000)
+        for name, trace in original_traces.items():
             fast = SuperscalarModel(MachineConfig("t")).run(trace)
             cycle = CycleSuperscalarModel(MachineConfig("t")).run(trace)
             ratio = cycle.ipc / fast.ipc
@@ -128,36 +184,29 @@ class TestCycleSuperscalar:
     def test_dependence_chain_serialises(self):
         from repro.uarch.config import MachineConfig
         from repro.uarch.superscalar_cycle import CycleSuperscalarModel
-        from repro.vm.events import TraceRecord
-
-        trace = [TraceRecord(0x1000 + (4 * i) % 2048, 4, "int", srcs=(1,),
-                             dst=1, v_weight=1) for i in range(4000)]
+        trace = Trace.from_rows(alu(0x1000 + 4 * i, srcs=(1,), dst=1)
+                                for i in range(4000))
         result = CycleSuperscalarModel(MachineConfig("t")).run(trace)
         assert result.ipc < 1.1
 
     def test_independent_reach_width(self):
         from repro.uarch.config import MachineConfig
         from repro.uarch.superscalar_cycle import CycleSuperscalarModel
-        from repro.vm.events import TraceRecord
-
-        trace = [TraceRecord(0x1000 + (4 * i) % 2048, 4, "int",
-                             v_weight=1) for i in range(40000)]
+        trace = Trace.from_rows(alu(0x1000 + 4 * i) for i in range(40000))
         result = CycleSuperscalarModel(MachineConfig("t")).run(trace)
         assert result.ipc > 3.0
 
     def test_store_load_dependence(self):
         from repro.uarch.config import MachineConfig
         from repro.uarch.superscalar_cycle import CycleSuperscalarModel
-        from repro.vm.events import TraceRecord
-
         def build(same):
-            out = []
+            out = Trace()
             for i in range(3000):
-                out.append(TraceRecord(0x1000 + (8 * i) % 2048, 4, "store",
-                                       mem_addr=0x100000, v_weight=1))
-                out.append(TraceRecord(0x1004 + (8 * i) % 2048, 4, "load",
-                                       mem_addr=0x100000 if same
-                                       else 0x100800, v_weight=1))
+                out.append(Template(0x1000 + (8 * i) % 2048, 4, "store",
+                                    v_weight=1), mem_addr=0x100000)
+                out.append(Template(0x1004 + (8 * i) % 2048, 4, "load",
+                                    v_weight=1),
+                           mem_addr=0x100000 if same else 0x100800)
             return out
 
         conflict = CycleSuperscalarModel(MachineConfig("t")).run(

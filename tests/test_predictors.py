@@ -9,27 +9,25 @@ from repro.uarch.predictors import (
     GShare,
     ReturnAddressStack,
 )
-from repro.vm.events import TraceRecord
+
+# ``BranchUnit.process`` arguments (pc, btype, taken, target, ras_hit)
+# for one control transfer of each kind
 
 
 def cond(pc, taken, target=None):
-    return TraceRecord(pc, 4, "branch", btype="cond", taken=taken,
-                       target=target if taken else None)
+    return (pc, "cond", taken, target if taken else None, None)
 
 
 def ret(pc, target, ras_hit=None):
-    return TraceRecord(pc, 4, "branch", btype="ret", taken=True,
-                       target=target, ras_hit=ras_hit)
+    return (pc, "ret", True, target, ras_hit)
 
 
 def call(pc, target):
-    return TraceRecord(pc, 4, "branch", btype="call", taken=True,
-                       target=target)
+    return (pc, "call", True, target, None)
 
 
 def indirect(pc, target):
-    return TraceRecord(pc, 4, "branch", btype="indirect", taken=True,
-                       target=target)
+    return (pc, "indirect", True, target, None)
 
 
 class TestGShare:
@@ -103,7 +101,7 @@ class TestBranchUnit:
     def test_cond_misprediction_counted(self):
         unit = self._unit()
         # a never-taken branch first predicted taken (counters start weak)
-        mispredicted = unit.process(cond(0x1000, False))
+        mispredicted = unit.process(*cond(0x1000, False))
         assert mispredicted
         assert unit.stats.cond_mispredictions == 1
 
@@ -111,41 +109,41 @@ class TestBranchUnit:
         unit = self._unit()
         for i in range(20):
             call_pc = 0x1000 + i * 32
-            unit.process(call(call_pc, 0x8000))
-            assert not unit.process(ret(0x8004, call_pc + 4))
+            unit.process(*call(call_pc, 0x8000))
+            assert not unit.process(*ret(0x8004, call_pc + 4))
         assert unit.stats.ras_mispredictions == 0
 
     def test_ret_without_ras_uses_btb(self):
         unit = self._unit(use_conventional_ras=False)
-        unit.process(call(0x1000, 0x8000))
-        unit.process(call(0x2000, 0x8000))
+        unit.process(*call(0x1000, 0x8000))
+        unit.process(*call(0x2000, 0x8000))
         # returns alternate: BTB-predicted returns must miss
-        assert unit.process(ret(0x8004, 0x2004))
-        assert unit.process(ret(0x8004, 0x1004))
+        assert unit.process(*ret(0x8004, 0x2004))
+        assert unit.process(*ret(0x8004, 0x1004))
 
     def test_dual_ras_outcome_honoured(self):
         unit = self._unit()
-        assert not unit.process(ret(0x1000, 0x2000, ras_hit=True))
-        assert unit.process(ret(0x1000, 0x2000, ras_hit=False))
+        assert not unit.process(*ret(0x1000, 0x2000, ras_hit=True))
+        assert unit.process(*ret(0x1000, 0x2000, ras_hit=False))
         assert unit.stats.ras_mispredictions == 1
 
     def test_indirect_target_mispredict(self):
         unit = self._unit()
-        assert unit.process(indirect(0x1000, 0x2000))  # cold BTB
-        assert not unit.process(indirect(0x1000, 0x2000))  # learned
-        assert unit.process(indirect(0x1000, 0x3000))  # target changed
+        assert unit.process(*indirect(0x1000, 0x2000))  # cold BTB
+        assert not unit.process(*indirect(0x1000, 0x2000))  # learned
+        assert unit.process(*indirect(0x1000, 0x3000))  # target changed
 
     def test_shared_dispatch_jump_thrashes(self):
         """The paper's no_pred pathology: one jump address serving many
         targets mispredicts almost always."""
         unit = self._unit()
         targets = [0x2000, 0x3000, 0x4000, 0x5000]
-        missed = sum(unit.process(indirect(0x1000, targets[i % 4]))
+        missed = sum(unit.process(*indirect(0x1000, targets[i % 4]))
                      for i in range(100))
         assert missed > 90
 
     def test_per_kilo_normalisation(self):
         unit = self._unit()
         unit.note_instruction(500)
-        unit.process(ret(0x1000, 0x2000, ras_hit=False))
+        unit.process(*ret(0x1000, 0x2000, ras_hit=False))
         assert unit.stats.per_kilo_instructions() == pytest.approx(2.0)

@@ -5,7 +5,7 @@ import pytest
 from repro.uarch.config import MachineConfig, SUPERSCALAR, ildp_config
 from repro.uarch.ildp import ILDPModel
 from repro.uarch.superscalar import SuperscalarModel
-from repro.vm.events import TraceRecord
+from repro.vm.events import Template, Trace
 
 
 def _wrap(addr):
@@ -16,23 +16,31 @@ def _wrap(addr):
 
 def alu(addr, srcs=(), dst=None, acc=None, acc_read=False,
         strand_start=False):
-    return TraceRecord(_wrap(addr), 4, "int", srcs=srcs, dst=dst, acc=acc,
-                       acc_read=acc_read, acc_write=acc is not None,
-                       strand_start=strand_start, v_weight=1)
+    """One ALU trace row."""
+    return (Template(_wrap(addr), 4, "int", srcs=srcs, dst=dst, acc=acc,
+                     acc_read=acc_read, acc_write=acc is not None,
+                     strand_start=strand_start, v_weight=1),
+            False, None, None, None)
+
+
+def memory_row(addr, op_class, mem_addr, **fields):
+    """One load or store trace row."""
+    return (Template(_wrap(addr), 4, op_class, v_weight=1, **fields),
+            False, None, mem_addr, None)
 
 
 def load(addr, mem_addr, srcs=(), dst=None, acc=None):
-    return TraceRecord(_wrap(addr), 4, "load", srcs=srcs, dst=dst, acc=acc,
-                       acc_write=acc is not None, mem_addr=mem_addr,
-                       v_weight=1)
+    return memory_row(addr, "load", mem_addr, srcs=srcs, dst=dst, acc=acc,
+                      acc_write=acc is not None)
 
 
 def independent_trace(n):
-    return [alu(0x1000 + 4 * i, dst=None) for i in range(n)]
+    return Trace.from_rows(alu(0x1000 + 4 * i, dst=None) for i in range(n))
 
 
 def dependent_trace(n):
-    return [alu(0x1000 + 4 * i, srcs=(1,), dst=1) for i in range(n)]
+    return Trace.from_rows(alu(0x1000 + 4 * i, srcs=(1,), dst=1)
+                           for i in range(n))
 
 
 class TestSuperscalar:
@@ -50,14 +58,14 @@ class TestSuperscalar:
         for i in range(20000):
             trace.append(alu(0x1000 + 8 * i, srcs=(1,), dst=1))
             trace.append(alu(0x1004 + 8 * i, srcs=(2,), dst=2))
-        result = SuperscalarModel(SUPERSCALAR).run(trace)
+        result = SuperscalarModel(SUPERSCALAR).run(Trace.from_rows(trace))
         assert 1.5 < result.ipc < 2.5
 
     def test_load_latency_on_consumers(self):
         # a serial pointer-chase (load feeding the next load's address) is
         # slower than an equally serial ALU chain: 2-cycle hits vs 1-cycle
-        chase = [load(0x1000 + 4 * i, 0x100000, srcs=(1,), dst=1)
-                 for i in range(10000)]
+        chase = Trace.from_rows(load(0x1000 + 4 * i, 0x100000, srcs=(1,),
+                                     dst=1) for i in range(10000))
         load_result = SuperscalarModel(SUPERSCALAR).run(chase)
         alu_result = SuperscalarModel(SUPERSCALAR).run(
             dependent_trace(10000))
@@ -67,16 +75,14 @@ class TestSuperscalar:
         from repro.utils.rng import Xorshift64
 
         rng = Xorshift64(seed=11)
-        random_dir = []
+        branch = Template(0x1000, 4, "branch", btype="cond", v_weight=1)
+        random_dir = Trace()
         for _ in range(4000):
             taken = bool(rng.next_u64() & 1)
-            random_dir.append(TraceRecord(
-                0x1000, 4, "branch", btype="cond", taken=taken,
-                target=0x2000 if taken else None, v_weight=1))
+            random_dir.append(branch, taken, 0x2000 if taken else None)
         bad = SuperscalarModel(MachineConfig("t")).run(random_dir)
-        always = [TraceRecord(0x1000, 4, "branch", btype="cond",
-                              taken=True, target=0x2000, v_weight=1)
-                  for _ in range(4000)]
+        always = Trace.from_rows((branch, True, 0x2000, None, None)
+                                 for _ in range(4000))
         good = SuperscalarModel(MachineConfig("t")).run(always)
         assert bad.ipc < 0.7 * good.ipc
 
@@ -90,8 +96,9 @@ class TestSuperscalar:
 
 class TestILDP:
     def test_single_strand_serialises(self):
-        trace = [alu(0x1000 + 4 * i, acc=0, acc_read=i > 0,
-                     strand_start=i == 0) for i in range(2000)]
+        trace = Trace.from_rows(alu(0x1000 + 4 * i, acc=0, acc_read=i > 0,
+                                    strand_start=i == 0)
+                                for i in range(2000))
         result = ILDPModel(ildp_config(8, 0)).run(trace)
         assert result.ipc < 1.1
 
@@ -101,7 +108,7 @@ class TestILDP:
             for acc in range(4):
                 trace.append(alu(0x1000 + 16 * i + 4 * acc, acc=acc,
                                  acc_read=i > 0, strand_start=i == 0))
-        result = ILDPModel(ildp_config(8, 0)).run(trace)
+        result = ILDPModel(ildp_config(8, 0)).run(Trace.from_rows(trace))
         assert result.ipc > 2.5
 
     def test_communication_latency_costs(self):
@@ -113,7 +120,7 @@ class TestILDP:
                                  acc_read=False, strand_start=True))
                 trace.append(alu(0x1004 + 8 * i, srcs=(1,), acc=1,
                                  acc_read=False, strand_start=True))
-            return trace
+            return Trace.from_rows(trace)
 
         fast = ILDPModel(ildp_config(8, 0)).run(build())
         slow = ILDPModel(ildp_config(8, 2)).run(build())
@@ -137,9 +144,9 @@ class TestILDP:
         model = ILDPModel(ildp_config(8, 2))
         # producer in some PE writes r5; a strand start reading r5 must
         # steer to the same PE (no communication penalty)
-        model.step(alu(0x1000, acc=0, dst=5, strand_start=True))
+        model.step(*alu(0x1000, acc=0, dst=5, strand_start=True))
         producer_pe = model._reg_ready[5][1]
-        model.step(alu(0x1004, srcs=(5,), acc=1, strand_start=True))
+        model.step(*alu(0x1004, srcs=(5,), acc=1, strand_start=True))
         assert model._acc_pe[1] == producer_pe
 
     def test_requires_pe_config(self):
@@ -147,8 +154,7 @@ class TestILDP:
             ILDPModel(SUPERSCALAR)
 
     def test_gpr_only_instructions_steered(self):
-        trace = [TraceRecord(0x1000 + 4 * i, 4, "int", srcs=(), dst=None,
-                             v_weight=1) for i in range(100)]
+        trace = Trace.from_rows(alu(0x1000 + 4 * i) for i in range(100))
         result = ILDPModel(ildp_config(4, 0)).run(trace)
         assert result.cycles > 0
 
@@ -160,12 +166,10 @@ class TestMemoryDependence:
             for i in range(3000):
                 store_addr = 0x100000
                 load_addr = 0x100000 if same_block else 0x100800
-                trace.append(TraceRecord(_wrap(0x1000 + 8 * i), 4, "store",
-                                         mem_addr=store_addr, v_weight=1))
-                trace.append(TraceRecord(_wrap(0x1004 + 8 * i), 4, "load",
-                                         mem_addr=load_addr, dst=None,
-                                         v_weight=1))
-            return trace
+                trace.append(memory_row(0x1000 + 8 * i, "store",
+                                        store_addr))
+                trace.append(memory_row(0x1004 + 8 * i, "load", load_addr))
+            return Trace.from_rows(trace)
 
         conflicting = SuperscalarModel(SUPERSCALAR).run(build(True))
         disjoint = SuperscalarModel(SUPERSCALAR).run(build(False))
@@ -176,15 +180,13 @@ class TestMemoryDependence:
             trace = []
             for i in range(3000):
                 load_addr = 0x100000 if same_block else 0x100800
-                trace.append(TraceRecord(_wrap(0x1000 + 8 * i), 4, "store",
-                                         acc=0, acc_write=False,
-                                         strand_start=i == 0,
-                                         mem_addr=0x100000, v_weight=1))
-                trace.append(TraceRecord(_wrap(0x1004 + 8 * i), 4, "load",
-                                         acc=1, acc_write=True,
-                                         strand_start=i == 0,
-                                         mem_addr=load_addr, v_weight=1))
-            return trace
+                trace.append(memory_row(0x1000 + 8 * i, "store",
+                                        0x100000, acc=0,
+                                        strand_start=i == 0))
+                trace.append(memory_row(0x1004 + 8 * i, "load", load_addr,
+                                        acc=1, acc_write=True,
+                                        strand_start=i == 0))
+            return Trace.from_rows(trace)
 
         conflicting = ILDPModel(ildp_config(8, 0)).run(build(True))
         disjoint = ILDPModel(ildp_config(8, 0)).run(build(False))

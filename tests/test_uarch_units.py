@@ -7,18 +7,12 @@ from repro.uarch.config import MachineConfig
 from repro.uarch.frontend import FrontEnd
 from repro.uarch.predictors import BranchUnit
 from repro.uarch.retire import RetireUnit
-from repro.vm.events import TraceRecord
 
 
 def make_frontend(**overrides):
     config = MachineConfig("test", **overrides)
     hierarchy = MemoryHierarchy(config)
     return FrontEnd(config, hierarchy, BranchUnit(config)), config
-
-
-def record(addr, btype=None, taken=False, target=None):
-    return TraceRecord(addr, 4, "int" if btype is None else "branch",
-                       btype=btype, taken=taken, target=target, v_weight=1)
 
 
 class TestRetireUnit:
@@ -50,35 +44,34 @@ class TestRetireUnit:
 class TestFrontEnd:
     def test_width_limits_group(self):
         frontend, _config = make_frontend()
-        cycles = [frontend.fetch(record(0x1000 + 4 * i)) for i in range(8)]
+        cycles = [frontend.fetch(0x1000 + 4 * i) for i in range(8)]
         # warm-up miss aside, instructions 0-3 share a cycle, 4-7 the next
         assert cycles[3] == cycles[0]
         assert cycles[4] == cycles[0] + 1
 
     def test_taken_branch_ends_group(self):
         frontend, _config = make_frontend()
-        frontend.fetch(record(0x1000))
-        branch = record(0x1004, btype="uncond", taken=True, target=0x2000)
-        cycle = frontend.fetch(branch)
-        frontend.resolve_control(branch, cycle)
-        next_cycle = frontend.fetch(record(0x2000))
+        frontend.fetch(0x1000)
+        cycle = frontend.fetch(0x1004)
+        frontend.resolve_control(0x1004, "uncond", True, 0x2000, None, cycle)
+        next_cycle = frontend.fetch(0x2000)
         assert next_cycle > cycle
 
     def test_mispredict_redirects_fetch(self):
         frontend, config = make_frontend()
         # a never-taken branch first predicted taken mispredicts
-        branch = record(0x1000, btype="cond", taken=False)
-        cycle = frontend.fetch(branch)
-        assert frontend.resolve_control(branch, cycle + 10)
+        cycle = frontend.fetch(0x1000)
+        assert frontend.resolve_control(0x1000, "cond", False, None, None,
+                                        cycle + 10)
         assert frontend.cycle >= cycle + 10 + config.redirect_latency
         assert frontend.mispredictions == 1
 
     def test_icache_miss_stalls(self):
         frontend, _config = make_frontend()
-        first = frontend.fetch(record(0x1000))   # cold miss charged
+        first = frontend.fetch(0x1000)   # cold miss charged
         frontend_warm, _ = make_frontend()
-        frontend_warm.fetch(record(0x1000))
-        warm = frontend_warm.fetch(record(0x1004))  # same line: no miss
+        frontend_warm.fetch(0x1000)
+        warm = frontend_warm.fetch(0x1004)  # same line: no miss
         assert warm < first + 80
 
 

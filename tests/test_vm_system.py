@@ -128,9 +128,9 @@ class TestTranslationCost:
 class TestRunLifetime:
     def test_finished_traced_run_is_freed_without_collector(self):
         """With the cyclic collector off, a finished traced VM, its
-        trace list and its translation cache die as soon as the caller
-        drops the result: none of the hooks wired between the VM, the
-        cache and guest memory refers back to its owner."""
+        trace and its translation cache die as soon as the caller drops
+        the result: none of the hooks wired between the VM, the cache
+        and guest memory refers back to its owner."""
 
         class Marker:
             pass
@@ -142,8 +142,8 @@ class TestRunLifetime:
             assert result.vm.stats.fragments_created > 0
             assert result.trace
             marker = Marker()
-            result.trace.append(marker)   # lives exactly as long as
-            trace_alive = weakref.ref(marker)   # the trace list
+            result.trace.append(marker)   # a template: lives exactly as
+            trace_alive = weakref.ref(marker)   # long as the trace
             vm_alive = weakref.ref(result.vm)
             tcache_alive = weakref.ref(result.tcache)
             del marker, result
