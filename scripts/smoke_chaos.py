@@ -6,9 +6,9 @@ injected fragment corruption (with checksum verification), and under a
 genuinely bounded translation cache — and checks each run converges to
 the fault-free pure interpreter: same halt, same architected state, same
 console output, same committed-instruction accounting.  Also checks the
-no-op parity contract (``faults=None`` selects the shared null injector
-and changes no stats) and that the fuel watchdog trips cleanly.  Exits
-non-zero on any failure.
+no-op parity contract (``faults=None`` gives an injector over the empty
+plan that never fires, and changes no stats) and that the fuel watchdog
+trips cleanly.  Exits non-zero on any failure.
 
 Usage: PYTHONPATH=src python scripts/smoke_chaos.py [workload] [budget]
 """
@@ -73,9 +73,9 @@ def main(argv):
     if bounded.stats.tcache_capacity_flushes == 0:
         failures.append("bounded tcache: no capacity flushes happened")
 
-    # no-op parity: faults unset means the null injector and zero deltas
+    # no-op parity: faults unset means an empty plan and zero deltas
     plain = run_vm(workload, VMConfig(), budget=budget, collect_trace=False)
-    if plain.vm.injector.enabled:
+    if plain.vm.injector.plan.specs or plain.vm.injector.total_injected():
         failures.append("no-op parity: faultless VM holds a live injector")
     if any(plain.stats.resilience().values()):
         failures.append("no-op parity: resilience counters nonzero")

@@ -9,21 +9,15 @@ failure, translation-cache exhaustion, fragment corruption, spurious SMC
 and protect invalidation) and a seeded :class:`FaultInjector` fires them
 at exactly the same occurrences on every run.
 
-``VMConfig.faults`` selects between a live injector and the shared
-:data:`NULL_INJECTOR` no-op twin — the same pattern as
-``repro.obs.trace`` — so the fault-free paths stay bit-identical to a
-build without this package.  See
-``docs/robustness.md`` for the spec grammar and the degradation paths
-each site drives.
+``VMConfig`` parses ``faults`` once into ``VMConfig.fault_plan``, and the
+VM builds one injector from it.  A fault-free run's plan is empty, so
+its injector never fires and the run stays bit-identical to one
+without fault injection.  See ``docs/robustness.md`` for the spec
+grammar and the degradation paths each site drives.
 """
 
 from repro.faults.plan import FaultPlan, FaultSite, FaultSpec, parse_fault_spec
-from repro.faults.inject import (
-    FaultInjector,
-    NULL_INJECTOR,
-    NullFaultInjector,
-    make_injector,
-)
+from repro.faults.inject import FaultInjector
 
 __all__ = [
     "FaultPlan",
@@ -31,7 +25,4 @@ __all__ = [
     "FaultSpec",
     "parse_fault_spec",
     "FaultInjector",
-    "NullFaultInjector",
-    "NULL_INJECTOR",
-    "make_injector",
 ]

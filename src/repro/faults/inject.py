@@ -9,16 +9,14 @@ seeded from the plan, so the same plan + seed produces the same fault
 schedule on every run — the property the differential chaos suite and
 the result-cache exclusion both rely on.
 
-With ``VMConfig.faults`` unset the stack holds the shared
-:data:`NULL_INJECTOR`, whose ``fire`` is a constant ``False``: the
-fault-free hot paths pay one attribute load and (at most) one branch per
-*site occurrence* — translation, cache installation and invalidation,
-never per instruction.
+A fault-free VM holds an injector over the empty plan
+(``VMConfig.fault_plan``), whose ``fire`` only counts the occurrence:
+the fault-free paths pay one call per *site occurrence* — translation,
+cache installation and invalidation, never per instruction.
 """
 
 from collections import Counter
 
-from repro.faults.plan import FaultPlan
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER
 from repro.utils.bitops import MASK64
@@ -28,11 +26,7 @@ from repro.utils.rng import Xorshift64
 class FaultInjector:
     """Fires a :class:`~repro.faults.plan.FaultPlan`'s faults on demand."""
 
-    enabled = True
-
     def __init__(self, plan, telemetry=None, tracer=None):
-        if isinstance(plan, str):
-            plan = FaultPlan.parse(plan)
         self.plan = plan
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry()
@@ -91,43 +85,3 @@ class FaultInjector:
     def __repr__(self):
         return (f"FaultInjector({self.plan.spec_text()!r}, "
                 f"{self.total_injected()} injected)")
-
-
-class NullFaultInjector:
-    """Fault injection disabled: the same surface, ``fire`` always False."""
-
-    enabled = False
-    occurrences = {}
-    injected = {}
-
-    def fire(self, site, **attrs):
-        """Never faults."""
-        return False
-
-    def total_injected(self):
-        """Always zero."""
-        return 0
-
-    def summary(self):
-        """An empty summary."""
-        return {"plan": None, "seed": 0, "occurrences": {}, "injected": {}}
-
-    def __repr__(self):
-        return "NullFaultInjector()"
-
-
-NULL_INJECTOR = NullFaultInjector()
-
-
-def make_injector(config, telemetry=None, tracer=None):
-    """The injector ``config`` asks for.
-
-    ``VMConfig.faults`` truthy (a spec string) builds a fresh
-    :class:`FaultInjector` seeded with ``config.fault_seed``; anything
-    else returns the shared :data:`NULL_INJECTOR`.
-    """
-    spec = getattr(config, "faults", None)
-    if spec:
-        plan = FaultPlan.parse(spec, seed=getattr(config, "fault_seed", 0))
-        return FaultInjector(plan, telemetry=telemetry, tracer=tracer)
-    return NULL_INJECTOR

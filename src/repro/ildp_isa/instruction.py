@@ -110,9 +110,6 @@ class IInstruction:
         """True when the instruction may redirect fetch."""
         return self.iop in CONTROL_OPS
 
-    def is_conditional(self):
-        return self.iop in (IOp.BRANCH, IOp.COND_CALL_TRANSLATOR)
-
     def is_copy(self):
         """True for the register-state copy instructions Table 2 counts."""
         return self.iop in (IOp.COPY_TO_GPR, IOp.COPY_FROM_GPR)
@@ -125,49 +122,6 @@ class IInstruction:
         """True when the instruction produces a value into its accumulator."""
         return self.acc is not None and self.iop in (
             IOp.ALU, IOp.LOAD, IOp.COPY_FROM_GPR, IOp.LOAD_EMB)
-
-    def reads_acc(self):
-        """True when the accumulator's old value is a source operand."""
-        if self.acc is None:
-            return False
-        if self.iop is IOp.ALU:
-            return self.src_a == "acc" or self.src_b == "acc"
-        if self.iop is IOp.LOAD:
-            return self.addr_src == "acc"
-        if self.iop is IOp.STORE:
-            return self.addr_src == "acc" or self.data_src == "acc"
-        if self.iop in (IOp.BRANCH, IOp.COND_CALL_TRANSLATOR):
-            return self.cond_src == "acc"
-        if self.iop in (IOp.COPY_TO_GPR, IOp.JMP_DISPATCH):
-            return True
-        return False
-
-    def gpr_sources(self):
-        """Tuple of GPR indices read by this instruction."""
-        out = []
-        if self.iop is IOp.ALU:
-            if self.src_a == "gpr" or self.src_b == "gpr":
-                out.append(self.gpr)
-            if self.src_a == "gpr2" or self.src_b == "gpr2":
-                out.append(self.gpr2)
-        elif self.iop is IOp.LOAD:
-            if self.addr_src == "gpr":
-                out.append(self.gpr)
-        elif self.iop is IOp.STORE:
-            if self.addr_src == "gpr":
-                out.append(self.gpr)
-            if self.data_src == "gpr":
-                out.append(self.gpr)
-            if self.data_src == "gpr2":
-                out.append(self.gpr2)
-        elif self.iop in (IOp.BRANCH, IOp.COND_CALL_TRANSLATOR):
-            if self.cond_src == "gpr":
-                out.append(self.gpr)
-        elif self.iop is IOp.COPY_FROM_GPR:
-            out.append(self.gpr)
-        elif self.iop is IOp.RET_RAS:
-            out.append(self.gpr)
-        return tuple(r for r in out if r is not None)
 
     def gpr_dest(self, fmt):
         """GPR written on the critical path under format ``fmt``, or None.

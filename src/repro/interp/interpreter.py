@@ -8,12 +8,14 @@ exactly the architected state transitions this interpreter produces.
 describing what happened, which the VM uses for profiling, superblock
 capture and trace generation.
 
-Two engines execute steps (selected per interpreter, default
-``"specialized"``):
+Two engines execute steps, named like ``VMConfig.exec_engine`` (default
+``"jit"``):
 
-* **specialized** — each decoded instruction carries a pre-bound step
-  closure (see :mod:`repro.interp.specialize`) built once at decode time:
-  no per-step ``Kind`` dispatch, no table lookups, no dict construction.
+* **jit** — each decoded instruction carries a pre-bound step closure
+  (see :mod:`repro.interp.specialize`) built once at decode time: no
+  per-step ``Kind`` dispatch, no table lookups, no dict construction.
+  Single-step interpretation has no hot bodies to compile, so this is
+  all the jit engine changes here.
 * **naive** — the readable reference dispatch below, kept for
   differential testing and as the semantics of record.
   ``Interpreter(..., exec_engine="naive")`` builds a
@@ -85,7 +87,7 @@ class ExecEvent:
 class Interpreter:
     """Executes a loaded V-ISA program instruction by instruction."""
 
-    def __new__(cls, program=None, console=None, exec_engine="specialized"):
+    def __new__(cls, program=None, console=None, exec_engine="jit"):
         # the engine picks the class and the class binds ``step``, so the
         # hot loop pays no per-step engine check and an instance holds no
         # bound method of itself: a dropped interpreter, with its
@@ -94,8 +96,8 @@ class Interpreter:
             cls = NaiveInterpreter
         return super().__new__(cls)
 
-    def __init__(self, program, console=None, exec_engine="specialized"):
-        if exec_engine not in ("jit", "specialized", "naive"):
+    def __init__(self, program, console=None, exec_engine="jit"):
+        if exec_engine not in ("jit", "naive"):
             raise ValueError(f"unknown exec engine {exec_engine!r}")
         self.program = program
         self.memory = program.memory
@@ -106,7 +108,6 @@ class Interpreter:
         #: interpreted CALL_PALs see one cursor and one break
         self.pal = PalContext(program)
         self.instruction_count = 0
-        self.exec_engine = exec_engine
         self._decode_cache = DECODE_CACHE
         #: process-local telemetry: words decoded because they were absent
         #: from the (process-global) :data:`DECODE_CACHE`.  Nondeterministic
@@ -129,7 +130,7 @@ class Interpreter:
             entry = _decode_entry(word)
         return entry[0]
 
-    # -- specialized engine ---------------------------------------------------
+    # -- jit engine: pre-bound step closures ----------------------------------
 
     def _step_specialized(self):
         """Execute one instruction via its pre-bound step closure."""
@@ -144,9 +145,8 @@ class Interpreter:
         self.instruction_count += 1
         return event
 
-    #: Execute one instruction and return its :class:`ExecEvent`.  The jit
-    #: engine only compiles *fragments* — single-step interpretation has
-    #: no hot bodies to compile, so it shares the specialized step.
+    #: Execute one instruction and return its :class:`ExecEvent` (the jit
+    #: engine's step).
     step = _step_specialized
 
     # -- naive engine (the reference semantics) -------------------------------

@@ -57,10 +57,6 @@ class HotnessProfiler:
     def candidate_kind(self, vpc):
         return self._kinds.get(vpc)
 
-    def threshold_for(self, vpc):
-        """The effective hot threshold for ``vpc`` (backoff-aware)."""
-        return self._thresholds.get(vpc, self.threshold)
-
     def record_execution(self, vpc):
         """Bump the counter for ``vpc``; returns True when it becomes hot."""
         count = self._counters.get(vpc)
@@ -97,10 +93,6 @@ class HotnessProfiler:
         self._counters.pop(vpc, None)
         self._kinds.pop(vpc, None)
         self._thresholds.pop(vpc, None)
-
-    def is_blacklisted(self, vpc):
-        """Whether ``vpc`` has been barred from translation."""
-        return vpc in self._blacklist
 
     def blacklisted_count(self):
         """How many V-PCs have been blacklisted this run."""

@@ -12,8 +12,8 @@ branch.  The rewritten instruction keeps its original encoding slot, as an
 in-place binary patch must.
 """
 
-from repro.faults.inject import NULL_INJECTOR as _NULL_INJECTOR
-from repro.faults.plan import FaultSite
+from repro.faults.inject import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSite
 from repro.ildp_isa.opcodes import IFormat, IOp
 from repro.ildp_isa.sizes import instruction_size
 from repro.memory.image import PAGE_SHIFT
@@ -57,9 +57,10 @@ class TranslationCache:
         #: Bound on total fragment code bytes (dispatch excluded);
         #: ``None`` leaves the cache unbounded.
         self.capacity_bytes = capacity_bytes
-        #: Fault injector consulted at the ``tcache_full`` and
-        #: ``corrupt`` sites (the shared no-op twin by default).
-        self.injector = injector if injector is not None else _NULL_INJECTOR
+        #: Fault injector consulted at the ``tcache_full``, ``corrupt``
+        #: and ``smc`` sites (by default one over the empty plan).
+        self.injector = injector if injector is not None \
+            else FaultInjector(FaultPlan(()))
         #: Stamp body checksums at install so the executor can verify
         #: fragment integrity at entry.
         self.verify = verify

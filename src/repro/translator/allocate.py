@@ -46,9 +46,6 @@ class AccumulatorFile:
         self._active = {}  # acc -> Strand
         self.premature_terminations = 0
 
-    def active_strands(self):
-        return list(self._active.values())
-
     def acquire(self, node_index, values, on_release):
         """Return a free accumulator index for a strand starting at
         ``node_index``.

@@ -6,8 +6,8 @@ translation cache (applying chaining patches), and returns the intermediate
 analyses for statistics collection.
 """
 
-from repro.faults.inject import NULL_INJECTOR
-from repro.faults.plan import FaultSite
+from repro.faults.inject import FaultInjector
+from repro.faults.plan import FaultPlan, FaultSite
 from repro.ildp_isa.opcodes import IFormat
 from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER, MultiSpan
@@ -57,7 +57,8 @@ class Translator:
                  fuse_memory=False, cost_model=None, telemetry=None,
                  tracer=None, injector=None):
         self.tcache = tcache
-        self.injector = injector if injector is not None else NULL_INJECTOR
+        self.injector = injector if injector is not None \
+            else FaultInjector(FaultPlan(()))
         self.fmt = fmt
         self.policy = policy
         self.n_accumulators = n_accumulators

@@ -1,5 +1,6 @@
 """Configuration for the co-designed VM."""
 
+from repro.faults.plan import FaultPlan
 from repro.ildp_isa.opcodes import IFormat
 from repro.translator.chaining import ChainingPolicy
 
@@ -9,41 +10,47 @@ DEFAULT_THRESHOLD = 50
 
 
 class VMConfig:
-    """All the knobs of the DBT system and its functional machine.
+    """The settable knobs of the DBT system and its functional machine.
 
     Defaults follow the paper's baseline: modified I-ISA, software
     prediction with the dual-address RAS, four logical accumulators, hot
-    threshold 50, superblocks of up to 200 instructions.
+    threshold 50.  The rest of the paper's fixed parameters are
+    constants: superblocks of at most :data:`DEFAULT_MAX_SUPERBLOCK`
+    instructions, the executor's 16-entry dual-address RAS
+    (``repro.vm.executor.RAS_DEPTH``) and the translation retry limit
+    (``repro.vm.system.TRANSLATION_RETRY_LIMIT``).  Superblock capture
+    always stops at existing translated code, and the modified format
+    always checks that no operationally stale GPR is read.
     """
+
+    #: Every field, in constructor order; ``to_dict``, ``copy`` and
+    #: ``key_fields`` all read this one list.
+    FIELDS = ("fmt", "policy", "n_accumulators", "threshold", "fuse_memory",
+              "collect_trace", "exec_engine", "trace", "faults",
+              "fault_seed", "tcache_capacity_bytes", "max_host_steps",
+              "flush_storm_window")
+
+    #: Fields the result-cache key leaves out (see :meth:`key_fields`).
+    UNKEYED = ("collect_trace", "exec_engine", "trace", "faults",
+               "fault_seed")
 
     def __init__(self, fmt=IFormat.MODIFIED,
                  policy=ChainingPolicy.SW_PRED_RAS,
                  n_accumulators=4,
                  threshold=DEFAULT_THRESHOLD,
-                 max_superblock=DEFAULT_MAX_SUPERBLOCK,
                  fuse_memory=False,
-                 ras_depth=16,
-                 strict_modified=True,
                  collect_trace=False,
-                 stop_at_existing_fragment=True,
-                 flush_on_phase_change=False,
-                 flush_window=5_000,
-                 flush_rate_factor=4.0,
                  exec_engine="jit",
                  trace=False,
                  faults=None,
                  fault_seed=0,
                  tcache_capacity_bytes=None,
                  max_host_steps=None,
-                 translation_retry_limit=3,
-                 flush_storm_window=1_000,
-                 verify_fragments=None):
+                 flush_storm_window=1_000):
         if n_accumulators < 1:
             raise ValueError("need at least one accumulator")
         if threshold < 1:
             raise ValueError("hot threshold must be positive")
-        if max_superblock < 1:
-            raise ValueError("superblock size must be positive")
         if exec_engine not in ("jit", "naive"):
             raise ValueError(
                 f"unknown exec engine {exec_engine!r} "
@@ -52,8 +59,6 @@ class VMConfig:
             raise ValueError("tcache capacity must be positive")
         if max_host_steps is not None and max_host_steps < 1:
             raise ValueError("host step budget must be positive")
-        if translation_retry_limit < 1:
-            raise ValueError("translation retry limit must be positive")
         if flush_storm_window < 0:
             raise ValueError("flush storm window must be non-negative")
         if faults is not None and not isinstance(faults, str):
@@ -61,33 +66,17 @@ class VMConfig:
             # to the canonical ";"-joined form so configs stay JSON-able
             faults = ";".join(faults)
         if faults:
-            # fail at configuration time, not mid-run: parse eagerly and
-            # throw the plan away (the VM builds its own injector)
-            from repro.faults.plan import FaultPlan
-            FaultPlan.parse(faults, seed=fault_seed)
+            # fail at configuration time, not mid-run
+            plan = FaultPlan.parse(faults, seed=fault_seed)
         else:
             faults = None
+            plan = FaultPlan((), seed=fault_seed)
         self.fmt = fmt
         self.policy = policy
         self.n_accumulators = n_accumulators
         self.threshold = threshold
-        self.max_superblock = max_superblock
         self.fuse_memory = fuse_memory
-        self.ras_depth = ras_depth
-        #: Assert that the modified format never reads a register whose
-        #: operational copy is stale (validates the usage analysis).
-        self.strict_modified = strict_modified
         self.collect_trace = collect_trace
-        #: End superblock capture when the path reaches translated code.
-        self.stop_at_existing_fragment = stop_at_existing_fragment
-        #: Dynamo-style phase-change flushing (paper Section 4.1): when the
-        #: fragment-creation rate over the last ``flush_window`` V-ISA
-        #: instructions jumps by more than ``flush_rate_factor`` over the
-        #: previous window's rate, the translation cache is flushed so new
-        #: (better) fragments can form.
-        self.flush_on_phase_change = flush_on_phase_change
-        self.flush_window = flush_window
-        self.flush_rate_factor = flush_rate_factor
         #: How the interpreter and fragment executor run instructions:
         #: ``"jit"`` (the default) interprets through pre-bound step
         #: closures (:mod:`repro.interp.specialize`) and compiles each
@@ -104,12 +93,15 @@ class VMConfig:
         #: default: the disabled tracer is a shared no-op object.
         self.trace = trace
         #: Fault-injection plan (``site@key=value;...`` spec string, see
-        #: :mod:`repro.faults`).  ``None`` selects the shared
-        #: ``NULL_INJECTOR`` no-op twin, keeping the fault-free paths
-        #: bit-identical to a build without fault injection.
+        #: :mod:`repro.faults`); ``None`` for a fault-free run.
         self.faults = faults
         #: Seed for the plan's deterministic probabilistic selectors.
         self.fault_seed = fault_seed
+        #: ``faults`` parsed once: the :class:`~repro.faults.plan.FaultPlan`
+        #: the VM's injector fires, empty when the run is fault-free.
+        #: Fragment checksums are verified exactly when it names the
+        #: ``corrupt`` site.
+        self.fault_plan = plan
         #: Bound on the translation cache's estimated code size; ``add``
         #: raises ``TCacheFull`` past it, driving flush + retranslate.
         #: ``None`` leaves the cache unbounded (the paper's model).
@@ -118,89 +110,43 @@ class VMConfig:
         #: crossing it raises ``BudgetExceeded`` carrying partial stats
         #: instead of hanging.  ``None`` disables the watchdog.
         self.max_host_steps = max_host_steps
-        #: How many times a failing superblock entry PC is retried before
-        #: being blacklisted to interpretation for the rest of the run.
-        self.translation_retry_limit = translation_retry_limit
         #: Flush-storm guard: a capacity flush within this many committed
         #: V-ISA instructions of the previous one is suppressed and the
         #: translation treated as a plain failure (backoff) instead.
         self.flush_storm_window = flush_storm_window
-        #: Verify fragment body checksums at entry.  ``None`` means
-        #: "only when a corruption fault site is planned" — see
-        #: :meth:`resolve_verify_fragments`.
-        self.verify_fragments = verify_fragments
-
-    def resolve_verify_fragments(self):
-        """Whether the executor should checksum-verify fragments.
-
-        Explicit ``True``/``False`` wins; the ``None`` default enables
-        verification exactly when the fault plan can corrupt fragments,
-        so fault-free runs never pay for checksums.
-        """
-        if self.verify_fragments is not None:
-            return self.verify_fragments
-        if not self.faults:
-            return False
-        from repro.faults.plan import FaultPlan, FaultSite
-        plan = FaultPlan.parse(self.faults, seed=self.fault_seed)
-        return FaultSite.CORRUPT in plan.sites()
 
     def copy(self, **overrides):
         """A copy of this config with keyword overrides applied."""
-        fields = self.to_dict()
-        fields["fmt"] = self.fmt
-        fields["policy"] = self.policy
+        fields = {name: getattr(self, name) for name in self.FIELDS}
         fields.update(overrides)
         return VMConfig(**fields)
 
     def to_dict(self):
         """All fields as JSON-able primitives (enums become their values)."""
-        return dict(
-            fmt=self.fmt.value, policy=self.policy.value,
-            n_accumulators=self.n_accumulators, threshold=self.threshold,
-            max_superblock=self.max_superblock, fuse_memory=self.fuse_memory,
-            ras_depth=self.ras_depth, strict_modified=self.strict_modified,
-            collect_trace=self.collect_trace,
-            stop_at_existing_fragment=self.stop_at_existing_fragment,
-            flush_on_phase_change=self.flush_on_phase_change,
-            flush_window=self.flush_window,
-            flush_rate_factor=self.flush_rate_factor,
-            exec_engine=self.exec_engine,
-            trace=self.trace,
-            faults=self.faults,
-            fault_seed=self.fault_seed,
-            tcache_capacity_bytes=self.tcache_capacity_bytes,
-            max_host_steps=self.max_host_steps,
-            translation_retry_limit=self.translation_retry_limit,
-            flush_storm_window=self.flush_storm_window,
-            verify_fragments=self.verify_fragments)
+        fields = {name: getattr(self, name) for name in self.FIELDS}
+        fields["fmt"] = self.fmt.value
+        fields["policy"] = self.policy.value
+        return fields
 
     def key_fields(self):
         """The fields that identify a run for result caching.
 
-        ``collect_trace`` is excluded: trace collection is observational
-        and cannot change the architected run or any derived metric.
-        ``exec_engine`` is excluded for the same reason: both engines
-        produce bit-identical results, so cached summaries are shared.
-        ``trace`` (span tracing) is observational wall-clock data and
-        excluded for the same reason.
+        :data:`UNKEYED` lists the fields left out.  ``collect_trace``,
+        ``exec_engine`` and ``trace`` are observational: trace
+        collection, the engine (both produce bit-identical results) and
+        span tracing cannot change the architected run or any derived
+        metric, so cached summaries are shared across them.
 
-        ``faults``, ``fault_seed`` and ``verify_fragments`` are excluded
-        by design: fault-injected runs must never pollute (or be served
-        from) the result cache, so harness run points are always
-        reconstructed fault-free and the chaos suites drive the VM
-        directly.  The degradation *knobs* (``tcache_capacity_bytes``,
-        ``max_host_steps``, retry/storm limits) stay in the key — they
-        change flush counts and other cached metrics.
+        ``faults`` and ``fault_seed`` are excluded by design:
+        fault-injected runs must never pollute (or be served from) the
+        result cache, so harness run points are always reconstructed
+        fault-free and the chaos suites drive the VM directly.  The
+        degradation *knobs* (``tcache_capacity_bytes``,
+        ``max_host_steps``, ``flush_storm_window``) stay in the key —
+        they change flush counts and other cached metrics.
         """
-        fields = self.to_dict()
-        del fields["collect_trace"]
-        del fields["exec_engine"]
-        del fields["trace"]
-        del fields["faults"]
-        del fields["fault_seed"]
-        del fields["verify_fragments"]
-        return fields
+        return {name: value for name, value in self.to_dict().items()
+                if name not in self.UNKEYED}
 
     @classmethod
     def from_dict(cls, fields):

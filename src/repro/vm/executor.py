@@ -2,9 +2,9 @@
 
 The executor models the co-designed hardware's architectural behaviour:
 accumulators, the GPR file (with the modified format's operational/
-architected distinction checked in strict mode), the dual-address return
-address stack, fragment-to-fragment chaining, the shared dispatch code, and
-precise traps.
+architected distinction checked on every read), the dual-address return
+address stack (:data:`RAS_DEPTH` entries), fragment-to-fragment chaining,
+the shared dispatch code, and precise traps.
 
 Control only ever enters a fragment at its entry address — chaining
 branches, RAS predictions and dispatch all resolve to fragment entries —
@@ -52,6 +52,10 @@ _ALPHA_WEIGHTS = {
 }
 
 _MUL_OPS = frozenset({"mull", "mulq", "umulh"})
+
+#: Entries of the dual-address return address stack (push-dual-RAS
+#: drops the oldest entry past this depth).
+RAS_DEPTH = 16
 
 #: The register-state copies Table 2 counts (``IInstruction.is_copy``).
 _COPY_IOPS = frozenset({IOp.COPY_TO_GPR, IOp.COPY_FROM_GPR})
@@ -201,7 +205,7 @@ class FragmentExecutor:
         self.verify = verify
         self.accs = [0] * max(config.n_accumulators, 1)
         self.ras = []
-        #: modified-format staleness tracking (strict mode)
+        #: modified-format staleness tracking
         self._stale = set()
         #: identity under which fragments cache generated code for us
         self._compile_key = next(_EXECUTOR_SERIALS)
@@ -226,8 +230,7 @@ class FragmentExecutor:
     # -- register plumbing ---------------------------------------------------
 
     def _read_gpr(self, regs, index, fmt):
-        if (fmt is IFormat.MODIFIED and self.config.strict_modified
-                and index in self._stale):
+        if fmt is IFormat.MODIFIED and index in self._stale:
             raise StalenessError(
                 f"r{index} read while operationally stale (usage analysis "
                 "marked it non-operational)")
@@ -567,7 +570,7 @@ class FragmentExecutor:
         self.ras.append((instr.vtarget,
                          instr.target if instr.target is not None
                          else self.tcache.dispatch_address))
-        if len(self.ras) > self.config.ras_depth:
+        if len(self.ras) > RAS_DEPTH:
             self.ras.pop(0)
 
     def _do_ret_ras(self, instr, regs, fmt, template):

@@ -48,8 +48,8 @@ from repro.ildp_isa.semantics import IALU_OPS
 from repro.isa.semantics import CMOV_CONDITIONS, Trap, TrapKind
 from repro.memory.image import PAGE_MASK, PAGE_SHIFT
 from repro.utils.bitops import MASK64, sext
-from repro.vm.executor import _ALPHA_WEIGHTS, ExecResult, ExitReason, \
-    StalenessError
+from repro.vm.executor import _ALPHA_WEIGHTS, RAS_DEPTH, ExecResult, \
+    ExitReason, StalenessError
 
 _ZERO_REG = 31
 
@@ -128,8 +128,7 @@ class _Emitter:
         self.fragment = fragment
         self.fmt = fragment.fmt
         self.alpha = self.fmt is IFormat.ALPHA
-        self.track = (self.fmt is IFormat.MODIFIED
-                      and ex.config.strict_modified)
+        self.track = self.fmt is IFormat.MODIFIED
         self.fname = f"_jit_f{fragment.fid}"
         self.lines = []
         self.ns = {
@@ -307,7 +306,7 @@ class _Emitter:
             target = instr.target if instr.target is not None \
                 else self.ex.tcache.dispatch_address
             self.emit(f"_ras.append(({instr.vtarget!r}, {target!r}))")
-            self.emit(f"if len(_ras) > {self.ex.config.ras_depth}:")
+            self.emit(f"if len(_ras) > {RAS_DEPTH}:")
             self.emit("_ras.pop(0)", 2)
         elif iop is IOp.RET_RAS:
             # Inlined ``_do_ret_ras`` fast path: trace is always off in

@@ -13,7 +13,7 @@ simulation methodology describes (Section 4.1):
 
 from time import perf_counter
 
-from repro.faults.inject import make_injector
+from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultSite
 from repro.interp.interpreter import Halted, Interpreter
 from repro.interp.profiler import CandidateKind, HotnessProfiler
@@ -32,11 +32,15 @@ from repro.translator.superblock import (
     elided_by_translation,
 )
 from repro.utils.weak import weak_method
-from repro.vm.config import VMConfig
+from repro.vm.config import DEFAULT_MAX_SUPERBLOCK, VMConfig
 from repro.vm.events import Trace
 from repro.vm.executor import ExitReason, FragmentExecutor
 from repro.vm.stats import VMStats
 from repro.vm.traps import VMTrap, reconstruct_state
+
+#: Failed translations of one entry PC before it is blacklisted to
+#: interpretation for the rest of the run.
+TRANSLATION_RETRY_LIMIT = 3
 
 
 class BudgetExceeded(Exception):
@@ -62,9 +66,12 @@ class CoDesignedVM:
         self.config = config if config is not None else VMConfig()
         self.telemetry = Telemetry()
         self.tracer = make_tracer(self.config)
-        self.injector = make_injector(self.config, telemetry=self.telemetry,
+        plan = self.config.fault_plan
+        self.injector = FaultInjector(plan, telemetry=self.telemetry,
                                       tracer=self.tracer)
-        verify = self.config.resolve_verify_fragments()
+        # checksums cost time on every fragment entry, so only a plan
+        # that can corrupt fragments turns verification on
+        verify = FaultSite.CORRUPT in plan.sites()
         self.interpreter = Interpreter(
             program, exec_engine=self.config.exec_engine)
         self.state = self.interpreter.state
@@ -97,9 +104,6 @@ class CoDesignedVM:
         #: then must deopt the current stint (see ``_on_smc``)
         self._in_translated = False
         self.halted = False
-        self._flush_window_start = 0
-        self._flush_window_fragments = 0
-        self._previous_flush_rate = None
         #: V-PC -> consecutive translation failures (retry accounting)
         self._translation_failures = {}
         #: committed-instruction clock of the last capacity flush, for
@@ -357,8 +361,6 @@ class CoDesignedVM:
         visited = set()
         end_reason = None
         continuation = None
-        max_size = self.config.max_superblock
-
         memory = self.program.memory
 
         while True:
@@ -402,7 +404,7 @@ class CoDesignedVM:
                 end_reason = EndReason.BACKWARD_TAKEN_BRANCH
                 continuation = event.pc + 4
                 break
-            if len(entries) >= max_size:
+            if len(entries) >= DEFAULT_MAX_SUPERBLOCK:
                 end_reason = EndReason.MAX_SIZE
                 continuation = event.next_pc
                 break
@@ -410,8 +412,7 @@ class CoDesignedVM:
                 end_reason = EndReason.CYCLE
                 continuation = event.next_pc
                 break
-            if self.config.stop_at_existing_fragment and \
-                    self.tcache.lookup(event.next_pc) is not None:
+            if self.tcache.lookup(event.next_pc) is not None:
                 end_reason = EndReason.EXISTING_FRAGMENT
                 continuation = event.next_pc
                 break
@@ -462,8 +463,6 @@ class CoDesignedVM:
                 return
         self.stats.note_translation(result)
         self.profiler.reset(start_vpc)
-        if self.config.flush_on_phase_change:
-            self._maybe_flush()
 
     def _capture_is_stale(self, superblock):
         """Whether any recorded word was rewritten since it was captured."""
@@ -498,7 +497,7 @@ class CoDesignedVM:
     def _note_translation_failure(self, vpc, reason):
         """Retry accounting for a failed translation of ``vpc``.
 
-        Below ``translation_retry_limit`` failures the PC's hotness
+        Below :data:`TRANSLATION_RETRY_LIMIT` failures the PC's hotness
         counter is reset with a doubled threshold (visit-count backoff);
         at the limit the PC is blacklisted and interpreted for the rest
         of the run.  Either way the run continues correctly — the
@@ -509,29 +508,9 @@ class CoDesignedVM:
         self._translation_failures[vpc] = failures
         self.tracer.instant("vm.translation_failed", cat="vm", vpc=vpc,
                             failures=failures)
-        if failures >= self.config.translation_retry_limit:
+        if failures >= TRANSLATION_RETRY_LIMIT:
             self.profiler.blacklist(vpc)
             self.stats.translation_pcs_blacklisted += 1
             self.tracer.instant("vm.pc_blacklisted", cat="vm", vpc=vpc)
         else:
             self.profiler.backoff(vpc)
-
-    def _maybe_flush(self):
-        """Dynamo-style phase-change detection (paper Section 4.1): an
-        abrupt increase of the fragment generation rate flushes the cache,
-        evicting stale fragments and allowing new formation."""
-        config = self.config
-        self._flush_window_fragments += 1
-        now = self.stats.total_v_instructions()
-        elapsed = now - self._flush_window_start
-        if elapsed < config.flush_window:
-            return
-        rate = self._flush_window_fragments / max(elapsed, 1)
-        previous = self._previous_flush_rate
-        if previous is not None and previous > 0 and \
-                rate > config.flush_rate_factor * previous:
-            self.tcache.flush()
-            self.stats.tcache_flushes += 1
-        self._previous_flush_rate = rate
-        self._flush_window_start = now
-        self._flush_window_fragments = 0

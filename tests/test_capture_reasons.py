@@ -6,6 +6,7 @@ from repro.asm import assemble
 from repro.ildp_isa.opcodes import IFormat
 from repro.translator.superblock import EndReason
 from repro.vm import CoDesignedVM, VMConfig
+from repro.vm.config import DEFAULT_MAX_SUPERBLOCK
 
 
 def reasons_for(source, **config):
@@ -41,17 +42,20 @@ fp:     .quad f
         assert EndReason.INDIRECT_JUMP in reasons
 
     def test_max_size(self):
+        # a loop body longer than a superblock may be
         body = "\n".join(f"        addq r2, {i % 7}, r2"
-                         for i in range(30))
-        _vm, reasons = reasons_for(f"""
+                         for i in range(DEFAULT_MAX_SUPERBLOCK + 10))
+        vm, reasons = reasons_for(f"""
 _start: li r1, 120
 loop:
 {body}
         subq r1, 1, r1
         bne r1, loop
         call_pal halt
-""", max_superblock=10)
+""")
         assert EndReason.MAX_SIZE in reasons
+        assert max(len(f.superblock.entries)
+                   for f in vm.tcache.fragments) == DEFAULT_MAX_SUPERBLOCK
 
     def test_cycle_detection(self):
         # a loop whose back edge is an unconditional BR (straightened
@@ -101,18 +105,3 @@ loop:   subq r1, 1, r1
         # with a low threshold the fall-through path containing the halt
         # gets translated as a TRAP_INSTRUCTION-terminated block
         assert EndReason.BACKWARD_TAKEN_BRANCH in reasons
-
-    def test_stop_at_existing_disabled(self):
-        source = """
-_start: li r9, 120
-outer:  li r1, 80
-inner:  subq r1, 1, r1
-        addq r2, r1, r2
-        bne r1, inner
-        subq r9, 1, r9
-        bne r9, outer
-        call_pal halt
-"""
-        _vm, reasons = reasons_for(source,
-                                   stop_at_existing_fragment=False)
-        assert EndReason.EXISTING_FRAGMENT not in reasons

@@ -8,18 +8,17 @@ accounting.  Faults may change *how* the run gets there (more
 interpretation, flushes, retranslations), never *where* it ends up.
 
 The suite also pins the no-op parity contract: with ``faults=None`` the
-VM holds the shared ``NULL_INJECTOR`` and its stats are bit-identical to
-a run that never heard of fault injection.
+VM's injector holds the empty plan, never fires, and the run's stats
+are bit-identical to a run that never heard of fault injection.
 """
 
 import functools
 
 import pytest
 
-from repro.faults.inject import NULL_INJECTOR
 from repro.harness.runner import run_original, run_vm
 from repro.vm.config import VMConfig
-from repro.vm.system import BudgetExceeded
+from repro.vm.system import TRANSLATION_RETRY_LIMIT, BudgetExceeded
 from repro.workloads import WORKLOAD_NAMES
 
 #: Enough for every workload to halt naturally (see
@@ -112,10 +111,10 @@ def test_capacity_bound_converges(name):
 def test_translate_faults_backoff_then_blacklist():
     """An always-failing entry PC is retried with backoff, then
     blacklisted to interpretation — and the run still converges."""
-    config = VMConfig(faults="translate", translation_retry_limit=2)
+    config = VMConfig(faults="translate")
     result = _assert_converges("gzip", config)
     stats = result.stats
-    assert stats.translation_failures >= 2
+    assert stats.translation_failures >= TRANSLATION_RETRY_LIMIT
     assert stats.translation_pcs_blacklisted >= 1
     assert result.vm.profiler.blacklisted_count() >= 1
     assert stats.fragments_created == 0    # nothing ever translated
@@ -156,15 +155,23 @@ class TestNoOpParity:
     def test_faultless_vm_holds_null_injector(self):
         result = run_vm("gzip", VMConfig(), budget=HALT_BUDGET,
                         collect_trace=False)
-        assert result.vm.injector is NULL_INJECTOR
+        injector = result.vm.injector
+        assert injector.plan.specs == ()
+        assert injector.total_injected() == 0
+        assert sum(injector.occurrences.values()) > 0   # consulted
+        assert not result.vm.executor.verify
 
     def test_verification_alone_changes_no_stats(self):
         """Checksumming fragments on a fault-free run is pure overhead:
         every ``VMStats`` counter stays bit-identical to the baseline."""
         baseline = run_vm("gzip", VMConfig(), budget=HALT_BUDGET,
                           collect_trace=False)
-        verified = run_vm("gzip", VMConfig(verify_fragments=True),
+        # the plan names ``corrupt``, turning checksums on, but never
+        # fires: V-PCs are word-aligned
+        verified = run_vm("gzip", VMConfig(faults="corrupt@vpc=0x1"),
                           budget=HALT_BUDGET, collect_trace=False)
+        assert verified.vm.executor.verify
+        assert verified.vm.injector.total_injected() == 0
         assert vars(verified.stats) == vars(baseline.stats)
         assert verified.vm.state.regs == baseline.vm.state.regs
 

@@ -1,6 +1,7 @@
 """Documentation hygiene: every public module, class and function in the
 library carries a docstring (deliverable (e): doc comments on every public
-item), and the prose documents only name commands and files that exist."""
+item), and the prose documents only name commands, files and ``VMConfig``
+attributes that exist."""
 
 import argparse
 import importlib
@@ -13,6 +14,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser
+from repro.vm.config import VMConfig
 
 
 def _walk_modules():
@@ -68,6 +70,8 @@ DOCUMENT_IDS = [str(path.relative_to(ROOT)) for path in DOCUMENTS]
 #: ``python -m repro <cmd>`` or `` `repro <cmd>`` in prose or code blocks.
 _COMMAND = re.compile(r"python3? -m repro +([a-z][\w-]*)"
                       r"|`repro +([a-z][\w-]*)")
+#: ``VMConfig.<name>`` or ``VMConfig(<name>=`` in prose or code blocks.
+_CONFIG_NAME = re.compile(r"VMConfig\.(\w+)|VMConfig\((\w+)=")
 #: Repository paths (globs allowed) and benchmark records.
 _PATH = re.compile(r"\b(?:tests|scripts|benchmarks|examples|docs)/[\w./*-]*"
                    r"|\bBENCH_\w+\.json")
@@ -88,6 +92,16 @@ def test_documented_commands_exist(document):
     unknown = sorted(named - commands)
     assert not unknown, f"{document.name} names unknown subcommands " \
                         f"{unknown}"
+
+
+@pytest.mark.parametrize("document", DOCUMENTS, ids=DOCUMENT_IDS)
+def test_documented_config_names_exist(document):
+    config = VMConfig()
+    named = {first or second
+             for first, second in _CONFIG_NAME.findall(document.read_text())}
+    unknown = sorted(name for name in named if not hasattr(config, name))
+    assert not unknown, f"{document.name} names unknown VMConfig " \
+                        f"attributes {unknown}"
 
 
 @pytest.mark.parametrize("document", DOCUMENTS, ids=DOCUMENT_IDS)

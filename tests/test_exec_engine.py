@@ -32,8 +32,9 @@ class TestEngineSelection:
 
     def test_interpreter_rejects_unknown_engine(self):
         program = assemble(FIG2_KERNEL)
-        with pytest.raises(ValueError, match="exec engine"):
-            Interpreter(program, exec_engine="bytecode")
+        for engine in ("bytecode", "specialized"):
+            with pytest.raises(ValueError, match="exec engine"):
+                Interpreter(program, exec_engine=engine)
 
     def test_config_roundtrip_carries_engine(self):
         config = VMConfig(exec_engine="naive")
@@ -61,21 +62,21 @@ class TestInterpreterSpecialization:
         program_a = assemble(FIG2_KERNEL)
         program_b = assemble(FIG2_KERNEL)
         naive = Interpreter(program_a, exec_engine="naive")
-        specialized = Interpreter(program_b, exec_engine="specialized")
-        assert naive.run() == specialized.run()
-        assert naive.state.pc == specialized.state.pc
-        assert naive.state.regs == specialized.state.regs
-        assert naive.console == specialized.console
-        assert naive.instruction_count == specialized.instruction_count
+        jit = Interpreter(program_b, exec_engine="jit")
+        assert naive.run() == jit.run()
+        assert naive.state.pc == jit.state.pc
+        assert naive.state.regs == jit.state.regs
+        assert naive.console == jit.console
+        assert naive.instruction_count == jit.instruction_count
 
     def test_interpreter_events_agree(self):
         program_a = assemble(CALL_KERNEL)
         program_b = assemble(CALL_KERNEL)
         naive = Interpreter(program_a, exec_engine="naive")
-        specialized = Interpreter(program_b, exec_engine="specialized")
+        jit = Interpreter(program_b, exec_engine="jit")
         for _ in range(200):
             ev_n = naive.step()
-            ev_s = specialized.step()
+            ev_s = jit.step()
             assert (ev_n.pc, ev_n.next_pc, ev_n.taken, ev_n.mem_addr) == \
                 (ev_s.pc, ev_s.next_pc, ev_s.taken, ev_s.mem_addr)
             assert ev_n.instr is ev_s.instr     # shared decode cache

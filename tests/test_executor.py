@@ -101,9 +101,8 @@ class TestBudget:
 
 class TestStaleness:
     def test_strict_mode_passes_on_correct_translations(self):
-        assert_cosim_equivalent(
-            FIG2_KERNEL,
-            VMConfig(fmt=IFormat.MODIFIED, strict_modified=True))
+        assert_cosim_equivalent(FIG2_KERNEL,
+                                VMConfig(fmt=IFormat.MODIFIED))
 
     def test_stale_read_detected(self):
         """Manually corrupt an operational flag: strict mode must catch a
@@ -118,8 +117,7 @@ loop:   addq r1, 3, r2
         call_pal halt
 """
         vm = CoDesignedVM(assemble(source),
-                          VMConfig(fmt=IFormat.MODIFIED,
-                                   strict_modified=True))
+                          VMConfig(fmt=IFormat.MODIFIED))
         # translate first, then sabotage: clear every operational flag on
         # instructions whose value is read through a GPR later
         try:
@@ -135,8 +133,7 @@ loop:   addq r1, 3, r2
         if not sabotaged:
             pytest.skip("kernel did not produce an operational r2")
         vm2 = CoDesignedVM(assemble(source),
-                           VMConfig(fmt=IFormat.MODIFIED,
-                                    strict_modified=True))
+                           VMConfig(fmt=IFormat.MODIFIED))
         vm2.tcache = vm.tcache  # reuse the sabotaged cache
         vm2.executor.tcache = vm.tcache
         with pytest.raises(StalenessError):

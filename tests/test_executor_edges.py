@@ -6,6 +6,7 @@ from repro.asm import assemble
 from repro.ildp_isa.opcodes import IFormat
 from repro.translator.chaining import ChainingPolicy
 from repro.vm import CoDesignedVM, VMConfig
+from repro.vm.executor import RAS_DEPTH
 from tests.conftest import assert_cosim_equivalent
 
 DEEP_RECURSION = """
@@ -45,16 +46,21 @@ class TestRASDepth:
         assert vm.stats.ras_hits > 0     # shallow returns still hit
 
     def test_tiny_ras_depth(self):
-        assert_cosim_equivalent(
+        """The naive walk's push drops the oldest entry past RAS_DEPTH,
+        as the generated code does; the 25-deep recursion overflows
+        it."""
+        assert RAS_DEPTH < 25
+        vm = assert_cosim_equivalent(
             DEEP_RECURSION, VMConfig(fmt=IFormat.MODIFIED,
                                      policy=ChainingPolicy.SW_PRED_RAS,
-                                     ras_depth=2))
+                                     exec_engine="naive"))
+        assert vm.stats.ras_misses > 0
 
     def test_ras_depth_one(self):
-        assert_cosim_equivalent(
+        vm = assert_cosim_equivalent(
             DEEP_RECURSION, VMConfig(fmt=IFormat.BASIC,
-                                     policy=ChainingPolicy.SW_PRED_RAS,
-                                     ras_depth=1))
+                                     policy=ChainingPolicy.SW_PRED_RAS))
+        assert vm.stats.ras_misses > 0
 
 
 class TestPutcInTranslatedCode:

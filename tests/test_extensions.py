@@ -1,5 +1,5 @@
-"""Tests for the out-of-paper extensions: cache flushing, steering
-policies, memory fusion ablation plumbing."""
+"""Tests for the out-of-paper extensions: capacity-bounded cache
+flushing, steering policies, memory fusion ablation plumbing."""
 
 import pytest
 
@@ -11,9 +11,9 @@ from repro.vm import CoDesignedVM, VMConfig
 from repro.workloads import get_workload
 from tests.conftest import FIG2_KERNEL, assert_cosim_equivalent
 
-#: Two phases: a tight loop, then a second, different tight loop — the
-#: sudden burst of new fragments after the phase change can trigger a
-#: Dynamo-style flush.
+#: Two phases: a tight loop, then a second, different tight loop.  Their
+#: fragments take 32 and 40 bytes, so in a :data:`SMALL_TCACHE` cache the
+#: phase change forces a capacity flush.
 PHASED = """
 _start: li r9, 400
 p1:     addq r2, r9, r2
@@ -28,47 +28,43 @@ p2:     xor r3, r9, r3
         call_pal halt
 """
 
+#: Room for either phase's fragment but not both.
+SMALL_TCACHE = 64
+
+
+def _bounded(**overrides):
+    """A config whose small cache flushes on every capacity miss."""
+    return VMConfig(fmt=IFormat.MODIFIED, threshold=10,
+                    tcache_capacity_bytes=SMALL_TCACHE,
+                    flush_storm_window=0, **overrides)
+
 
 class TestFlushPolicy:
     def test_flush_preserves_correctness(self):
-        config = VMConfig(fmt=IFormat.MODIFIED, flush_on_phase_change=True,
-                          flush_window=200, flush_rate_factor=1.5,
-                          threshold=10)
-        assert_cosim_equivalent(PHASED, config)
+        vm = assert_cosim_equivalent(PHASED, _bounded())
+        assert vm.stats.tcache_capacity_flushes >= 1
 
     def test_flush_counter_in_stats(self):
-        config = VMConfig(fmt=IFormat.MODIFIED, flush_on_phase_change=True,
-                          flush_window=100, flush_rate_factor=1.01,
-                          threshold=10)
-        vm = CoDesignedVM(assemble(PHASED), config)
+        vm = CoDesignedVM(assemble(PHASED), _bounded())
         vm.run(max_v_instructions=500_000)
+        assert vm.stats.tcache_flushes >= 1
         assert vm.stats.tcache_flushes == vm.tcache.flush_count
 
-    def test_disabled_by_default(self):
-        vm = CoDesignedVM(assemble(PHASED), VMConfig(threshold=10))
-        vm.run(max_v_instructions=500_000)
-        assert vm.stats.tcache_flushes == 0
-
     def test_fids_unique_across_flushes(self):
-        config = VMConfig(fmt=IFormat.MODIFIED, flush_on_phase_change=True,
-                          flush_window=100, flush_rate_factor=1.01,
-                          threshold=10)
-        vm = CoDesignedVM(assemble(PHASED), config)
+        vm = CoDesignedVM(assemble(PHASED), _bounded())
         vm.run(max_v_instructions=500_000)
+        assert vm.stats.tcache_flushes >= 1
         fids = list(vm.stats.fragment_usage)
         assert len(fids) == len(set(fids))
         assert len(fids) == vm.stats.fragments_created
 
     def test_retranslation_after_flush(self):
         workload = get_workload("gzip")
-        config = VMConfig(fmt=IFormat.MODIFIED, flush_on_phase_change=True,
-                          flush_window=500, flush_rate_factor=1.01,
-                          threshold=10)
-        vm = CoDesignedVM(workload.program(), config)
+        vm = CoDesignedVM(workload.program(), _bounded())
         vm.run(max_v_instructions=100_000)
-        if vm.stats.tcache_flushes:
-            # after a flush, hot code must get retranslated and still run
-            assert vm.stats.fragments_created > vm.tcache.fragment_count()
+        assert vm.stats.tcache_flushes >= 1
+        # after a flush, hot code must get retranslated and still run
+        assert vm.stats.fragments_created > vm.tcache.fragment_count()
 
 
 class TestSteeringPolicies:

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.faults.inject import (
-    NULL_INJECTOR,
-    FaultInjector,
-    make_injector,
-)
+from repro.asm import assemble
+from repro.faults.inject import FaultInjector
 from repro.faults.plan import (
     KNOWN_SITES,
     FaultPlan,
@@ -14,7 +11,15 @@ from repro.faults.plan import (
     FaultSpec,
     parse_fault_spec,
 )
+from repro.ildp_isa.opcodes import IFormat
+from repro.translator.chaining import ChainingPolicy
 from repro.vm.config import VMConfig
+from repro.vm.system import CoDesignedVM
+
+
+def _vm(config):
+    """A VM (never run) over a one-instruction program."""
+    return CoDesignedVM(assemble("_start: call_pal halt"), config)
 
 
 class TestSpecGrammar:
@@ -203,21 +208,30 @@ class TestInjector:
 
 
 class TestNullInjector:
+    """The fault-free injector: one over the empty plan, which the VM
+    builds when ``faults`` is unset."""
+
     def test_never_fires(self):
-        assert not NULL_INJECTOR.fire("translate", vpc=0x2000)
-        assert NULL_INJECTOR.total_injected() == 0
-        assert not NULL_INJECTOR.enabled
+        injector = FaultInjector(VMConfig().fault_plan)
+        for site in sorted(KNOWN_SITES):
+            assert not injector.fire(site, vpc=0x2000)
+        assert injector.total_injected() == 0
+        assert sum(injector.occurrences.values()) == len(KNOWN_SITES)
 
     def test_empty_summary(self):
-        assert NULL_INJECTOR.summary()["plan"] is None
+        summary = FaultInjector(VMConfig().fault_plan).summary()
+        assert summary["plan"] == ""
+        assert summary["injected"] == {}
 
     def test_selected_when_faults_unset(self):
-        assert make_injector(VMConfig()) is NULL_INJECTOR
+        config = VMConfig()
+        assert config.fault_plan.specs == ()
+        assert _vm(config).injector.plan is config.fault_plan
 
     def test_real_injector_when_faults_set(self):
         config = VMConfig(faults="translate@count=1", fault_seed=5)
-        injector = make_injector(config)
-        assert injector.enabled
+        injector = _vm(config).injector
+        assert injector.plan is config.fault_plan
         assert injector.plan.seed == 5
         assert injector.plan.spec_text() == "translate@count=1"
 
@@ -240,26 +254,19 @@ class TestConfigPlumbing:
         with pytest.raises(ValueError):
             VMConfig(max_host_steps=0)
         with pytest.raises(ValueError):
-            VMConfig(translation_retry_limit=0)
-        with pytest.raises(ValueError):
             VMConfig(flush_storm_window=-1)
 
     def test_verify_defaults_follow_plan(self):
-        assert VMConfig().resolve_verify_fragments() is False
-        assert VMConfig(faults="corrupt@count=1") \
-            .resolve_verify_fragments() is True
-        assert VMConfig(faults="translate@count=1") \
-            .resolve_verify_fragments() is False
-
-    def test_verify_explicit_wins(self):
-        config = VMConfig(faults="corrupt@count=1", verify_fragments=False)
-        assert config.resolve_verify_fragments() is False
-        assert VMConfig(verify_fragments=True) \
-            .resolve_verify_fragments() is True
+        """Fragments are checksummed exactly when the plan can corrupt
+        them."""
+        for faults, verify in ((None, False), ("corrupt@count=1", True),
+                               ("translate@count=1", False)):
+            vm = _vm(VMConfig(faults=faults))
+            assert vm.executor.verify is verify, faults
+            assert vm.tcache.verify is verify, faults
 
     def test_fault_fields_excluded_from_cache_key(self):
-        chaotic = VMConfig(faults="corrupt@count=1", fault_seed=77,
-                           verify_fragments=True)
+        chaotic = VMConfig(faults="corrupt@count=1", fault_seed=77)
         assert chaotic.key_fields() == VMConfig().key_fields()
 
     def test_degradation_knobs_stay_in_cache_key(self):
@@ -271,12 +278,30 @@ class TestConfigPlumbing:
     def test_to_dict_round_trips_fault_fields(self):
         config = VMConfig(faults="translate@every=2", fault_seed=3,
                           tcache_capacity_bytes=2048, max_host_steps=500,
-                          translation_retry_limit=2, flush_storm_window=9,
-                          verify_fragments=True)
+                          flush_storm_window=9)
         rebuilt = VMConfig.from_dict(config.to_dict())
         assert rebuilt.to_dict() == config.to_dict()
+        assert rebuilt.fault_plan == config.fault_plan
 
     def test_copy_carries_fault_fields(self):
         config = VMConfig().copy(faults="corrupt@count=1", fault_seed=4)
         assert config.faults == "corrupt@count=1"
         assert config.fault_seed == 4
+        assert config.fault_plan == FaultPlan.parse("corrupt@count=1",
+                                                    seed=4)
+
+    def test_one_field_list(self):
+        """``to_dict``, ``copy`` and ``key_fields`` share one field
+        list, so ``copy`` cannot reset a field ``to_dict`` forgot."""
+        assert sorted(VMConfig().to_dict()) == sorted(VMConfig.FIELDS)
+        assert len(VMConfig.FIELDS) == 13
+        assert sorted(VMConfig().key_fields()) == sorted(
+            set(VMConfig.FIELDS) - set(VMConfig.UNKEYED))
+        changed = VMConfig(fmt=IFormat.BASIC,
+                           policy=ChainingPolicy.NO_PRED,
+                           n_accumulators=2, threshold=7, fuse_memory=True,
+                           collect_trace=True, exec_engine="naive",
+                           trace=True, faults="translate", fault_seed=3,
+                           tcache_capacity_bytes=512, max_host_steps=99,
+                           flush_storm_window=5)
+        assert changed.copy().to_dict() == changed.to_dict()

@@ -86,29 +86,46 @@ class TestCompareOutcomes:
         assert compare_outcomes(self._halted(), budget) is None
 
 
+def _broken_xor(a, b):
+    """The injected semantic bug: ``xor`` with one bit flipped."""
+    return (a ^ b) ^ 0x10000
+
+
 @pytest.fixture
 def mutated_xor(monkeypatch):
     """Corrupt the I-ISA ``xor`` semantic — the table only *translated*
     code executes, so the pure interpreter stays correct and cosim must
     notice.  The naive executor looks the table entry up on every
     execution, so no cache invalidation is needed."""
-    monkeypatch.setitem(ildp_semantics.IALU_OPS, "xor",
-                        lambda a, b: (a ^ b) ^ 0x10000)
+    monkeypatch.setitem(ildp_semantics.IALU_OPS, "xor", _broken_xor)
 
 
-class TestOracleSensitivity:
-    def test_mutation_detected_and_shrunk(self, mutated_xor):
-        finding = None
+@pytest.fixture(scope="module")
+def xor_finding():
+    """Detect and shrink the mutated ``xor`` once for the module.
+
+    Returns ``(index, finding)``: the first of seed 7's programs whose
+    cosim stage diverges under the mutation, and its shrunk reproducer
+    (``finding`` is None when no program within :data:`DETECTION_BOUND`
+    diverges).  The mutation is undone before any test body runs.
+    """
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setitem(ildp_semantics.IALU_OPS, "xor", _broken_xor)
         for index in range(DETECTION_BOUND):
             fprog = generate(7, index, max_insns=24)
             report = check_program(fprog, stages=("cosim",))
             if report["failures"]:
                 finding = Finding(fprog, report["failures"])
-                break
+                _shrink_finding(finding, ORACLE_BUDGET)
+                return index, finding
+    return None, None
+
+
+class TestOracleSensitivity:
+    def test_mutation_detected_and_shrunk(self, xor_finding):
+        _index, finding = xor_finding
         assert finding is not None, \
             f"mutated xor not detected in {DETECTION_BOUND} programs"
-
-        _shrink_finding(finding, ORACLE_BUDGET)
         assert len(finding.shrunk_words) < len(finding.program.words)
         # the minimal reproducer still diverges...
         assert finding.shrunk_failures
@@ -118,18 +135,14 @@ class TestOracleSensitivity:
                      for word in finding.shrunk_words}
         assert "xor" in mnemonics
 
-    def test_shrunk_reproducer_clean_without_mutation(self, monkeypatch):
+    def test_shrunk_reproducer_clean_without_mutation(self, xor_finding):
         """The divergence is the mutation's, not the reproducer's: the
         shrunk program replays clean once the semantics are healthy."""
-        fprog = generate(7, 0, max_insns=24)
-        with monkeypatch.context() as patched:
-            patched.setitem(ildp_semantics.IALU_OPS, "xor",
-                            lambda a, b: (a ^ b) ^ 0x10000)
-            report = check_program(fprog, stages=("cosim",))
-            assert report["failures"]
-            finding = Finding(fprog, report["failures"])
-            _shrink_finding(finding, ORACLE_BUDGET)
-        replay = check_program(fprog.with_words(finding.shrunk_words))
+        index, finding = xor_finding
+        # seed 7's first program already diverges under the mutation
+        assert index == 0
+        replay = check_program(
+            finding.program.with_words(finding.shrunk_words))
         assert replay["failures"] == []
 
     def test_healthy_semantics_pass_same_programs(self):

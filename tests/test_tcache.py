@@ -21,6 +21,11 @@ inner:  subq r1, 1, r1
 """
 
 
+#: A plan that names the ``corrupt`` site, which turns fragment
+#: verification on, but never fires: V-PCs are word-aligned.
+VERIFY_ONLY = "corrupt@vpc=0x1"
+
+
 def run_vm(source, fmt=IFormat.MODIFIED, **kwargs):
     vm = CoDesignedVM(assemble(source), VMConfig(fmt=fmt, **kwargs))
     vm.run(max_v_instructions=500_000)
@@ -222,7 +227,8 @@ class TestInvalidation:
 
 class TestChecksums:
     def test_stamped_only_when_verifying(self):
-        verified = run_vm(FIG2_KERNEL, verify_fragments=True)
+        verified = run_vm(FIG2_KERNEL, faults=VERIFY_ONLY)
+        assert verified.injector.total_injected() == 0
         for fragment in verified.tcache.fragments:
             assert fragment.checksum is not None
             assert fragment.compute_checksum() == fragment.checksum
@@ -230,14 +236,14 @@ class TestChecksums:
         assert all(f.checksum is None for f in plain.tcache.fragments)
 
     def test_corruption_changes_checksum(self):
-        vm = run_vm(FIG2_KERNEL, verify_fragments=True)
+        vm = run_vm(FIG2_KERNEL, faults=VERIFY_ONLY)
         fragment = vm.tcache.fragments[0]
         victim = fragment.body[0]
         victim.imm = (victim.imm if victim.imm is not None else 0) ^ 0x2A
         assert fragment.compute_checksum() != fragment.checksum
 
     def test_relocation_is_checksum_neutral(self):
-        vm = run_vm(FIG2_KERNEL, verify_fragments=True)
+        vm = run_vm(FIG2_KERNEL, faults=VERIFY_ONLY)
         fragment = vm.tcache.fragments[0]
         for instr in fragment.body:
             instr.address += 0x1000

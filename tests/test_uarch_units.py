@@ -76,33 +76,6 @@ class TestFrontEnd:
 
 
 class TestIInstructionMethods:
-    def test_reads_acc_matrix(self):
-        from repro.ildp_isa.instruction import IInstruction
-        from repro.ildp_isa.opcodes import IOp
-
-        alu = IInstruction(IOp.ALU, op="addq", acc=0, src_a="acc",
-                           src_b="imm", imm=1)
-        assert alu.reads_acc()
-        start = IInstruction(IOp.ALU, op="addq", acc=0, src_a="gpr",
-                             gpr=1, src_b="imm", imm=1)
-        assert not start.reads_acc()
-        load = IInstruction(IOp.LOAD, acc=0, addr_src="acc")
-        assert load.reads_acc()
-        copy_to = IInstruction(IOp.COPY_TO_GPR, acc=0, gpr=1)
-        assert copy_to.reads_acc()
-
-    def test_gpr_sources(self):
-        from repro.ildp_isa.instruction import IInstruction
-        from repro.ildp_isa.opcodes import IOp
-
-        store = IInstruction(IOp.STORE, acc=0, addr_src="acc",
-                             data_src="gpr", gpr=7)
-        assert store.gpr_sources() == (7,)
-        branch = IInstruction(IOp.BRANCH, op="bne", cond_src="gpr", gpr=9)
-        assert branch.gpr_sources() == (9,)
-        ret = IInstruction(IOp.RET_RAS, gpr=26)
-        assert ret.gpr_sources() == (26,)
-
     def test_gpr_dest_by_format(self):
         from repro.ildp_isa.instruction import IInstruction
         from repro.ildp_isa.opcodes import IFormat, IOp

@@ -10,6 +10,7 @@ from repro.ildp_isa.opcodes import IFormat
 from repro.interp import Interpreter
 from repro.translator.chaining import ChainingPolicy
 from repro.vm import CoDesignedVM, VMConfig
+from repro.vm.config import DEFAULT_MAX_SUPERBLOCK
 from repro.workloads import WORKLOAD_NAMES, get_workload
 
 BUDGET = 150_000
@@ -107,11 +108,12 @@ class TestProfilerIntegration:
 
     def test_max_superblock_bounds_fragments(self):
         vm = CoDesignedVM(get_workload("gzip").program(),
-                          VMConfig(fmt=IFormat.MODIFIED, max_superblock=8))
+                          VMConfig(fmt=IFormat.MODIFIED))
         vm.run(max_v_instructions=BUDGET)
         assert vm.halted is True or vm.stats.fragments_created > 0
         for fragment in vm.tcache.fragments:
-            assert len(fragment.superblock.entries) <= 8
+            assert len(fragment.superblock.entries) <= \
+                DEFAULT_MAX_SUPERBLOCK
 
 
 class TestTranslationCost:
