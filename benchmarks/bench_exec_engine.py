@@ -24,8 +24,9 @@ import os
 import pathlib
 import time
 
-from benchmarks.conftest import BENCH_BUDGET, machine_metadata
+from benchmarks.conftest import BENCH_BUDGET
 from repro.harness.runner import run_vm
+from repro.obs.regress import machine_metadata
 from repro.vm.config import VMConfig
 
 WORKLOADS = ("gzip", "mcf", "twolf", "vortex")

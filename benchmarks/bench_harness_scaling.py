@@ -13,11 +13,12 @@ import json
 import pathlib
 import time
 
-from benchmarks.conftest import BENCH_BUDGET, machine_metadata
+from benchmarks.conftest import BENCH_BUDGET
 from repro.harness.experiments import fig8
 from repro.harness.parallel import PointRunner
 from repro.harness.report import generate_report
 from repro.harness.resultcache import ResultCache
+from repro.obs.regress import machine_metadata
 
 WORKLOADS = ("gzip", "mcf", "twolf", "vortex")
 OUTPUT = pathlib.Path(__file__).resolve().parent.parent / \

@@ -15,10 +15,6 @@ import pytest
 
 from repro.harness.parallel import PointRunner
 from repro.harness.resultcache import ResultCache
-# machine_metadata moved to repro.obs.regress so the bench-compare
-# sentinel shares the exact same host-identity block the benchmarks
-# embed; re-exported here for the benchmark modules.
-from repro.obs.regress import machine_metadata  # noqa: F401
 
 #: V-ISA instruction budget per workload per configuration.  The paper ran
 #: benchmarks to completion (up to 4.3G instructions); our synthetic

@@ -8,8 +8,8 @@ expansion and misprediction rates.
     python examples/chaining_study.py
 """
 
-from repro.harness.experiments.fig4 import count_mispredictions
 from repro.harness.runner import run_original, run_vm
+from repro.harness.runpoints import count_mispredictions
 from repro.ildp_isa.opcodes import IFormat
 from repro.translator.chaining import ChainingPolicy
 from repro.vm.config import VMConfig

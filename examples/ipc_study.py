@@ -11,7 +11,7 @@ import sys
 
 from repro.harness.runner import run_original, run_vm
 from repro.ildp_isa.opcodes import IFormat
-from repro.uarch.config import MachineConfig, ildp_config
+from repro.uarch.config import SUPERSCALAR, ildp_config
 from repro.uarch.ildp import ILDPModel
 from repro.uarch.superscalar import SuperscalarModel
 from repro.vm.config import VMConfig
@@ -24,7 +24,7 @@ def main():
     print(f"workload: {workload}\n")
 
     trace, _interp = run_original(workload, budget=BUDGET)
-    original = SuperscalarModel(MachineConfig("superscalar-ooo")).run(trace)
+    original = SuperscalarModel(SUPERSCALAR).run(trace)
     print(f"original Alpha on 4-wide OoO superscalar : "
           f"IPC {original.ipc:.3f}")
 

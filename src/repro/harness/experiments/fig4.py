@@ -15,11 +15,7 @@ from repro.harness.reporting import (
     run_experiment,
 )
 from repro.harness.runner import DEFAULT_BUDGET
-from repro.harness.runpoints import (  # noqa: F401  (count_mispredictions
-    RunPoint,                          #  re-exported for existing callers)
-    count_mispredictions,
-    mispredictions,
-)
+from repro.harness.runpoints import RunPoint, mispredictions
 from repro.ildp_isa.opcodes import IFormat
 from repro.translator.chaining import ChainingPolicy
 from repro.vm.config import VMConfig

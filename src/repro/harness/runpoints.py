@@ -220,10 +220,10 @@ class RunPoint:
 
 def _eval_ildp_ipc(params, trace):
     machine = ildp_config(params["pes"], params["comm"],
-                          dcache_small=params["dcache_small"])
-    machine.steering = params["steering"]
-    machine.perfect_prediction = params["perfect_bp"]
-    machine.perfect_dcache = params["perfect_dcache"]
+                          dcache_small=params["dcache_small"],
+                          steering=params["steering"],
+                          perfect_prediction=params["perfect_bp"],
+                          perfect_dcache=params["perfect_dcache"])
     result = ILDPModel(machine).run(trace)
     return {"ipc": result.ipc, "native_ipc": result.native_ipc}
 
@@ -257,7 +257,7 @@ def _eval_instruction_mix(params, trace):
     return counts
 
 
-def count_mispredictions(trace, machine_config=None):
+def count_mispredictions(trace):
     """Feed a trace through the branch-prediction stack alone; returns
     mispredictions per 1,000 V-ISA instructions.
 
@@ -266,8 +266,7 @@ def count_mispredictions(trace, machine_config=None):
     20-instruction dispatch bodies would otherwise dilute its own
     misprediction rate.
     """
-    unit = BranchUnit(machine_config if machine_config is not None
-                      else MachineConfig("predictor-only"))
+    unit = BranchUnit()
     note_instruction = unit.note_instruction
     process = unit.process
     for template, taken, target, _mem_addr, ras_hit in trace:

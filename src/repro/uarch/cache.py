@@ -5,14 +5,23 @@ Caches are set-associative with LRU or (deterministic) random replacement.
 had to descend to, down to the 72-cycle memory.
 """
 
+from repro.uarch.config import (
+    DCACHE,
+    ICACHE,
+    INT_LATENCY,
+    L2,
+    MEMORY_LATENCY,
+    MUL_LATENCY,
+    SMALL_DCACHE,
+)
 from repro.utils.rng import Xorshift64
 
 
 class Cache:
     """One cache level."""
 
-    def __init__(self, config, next_level=None, memory_latency=72,
-                 seed=0xC0FFEE):
+    def __init__(self, config, next_level=None,
+                 memory_latency=MEMORY_LATENCY, seed=0xC0FFEE):
         self.name = config.name
         self.line = config.line
         self.latency = config.latency
@@ -65,10 +74,11 @@ class MemoryHierarchy:
     """I-cache + D-cache over a shared L2 over memory."""
 
     def __init__(self, machine_config):
-        self.l2 = Cache(machine_config.l2,
-                        memory_latency=machine_config.memory_latency)
-        self.icache = Cache(machine_config.icache, next_level=self.l2)
-        self.dcache = Cache(machine_config.dcache, next_level=self.l2)
+        self.l2 = Cache(L2)
+        self.icache = Cache(ICACHE, next_level=self.l2)
+        self.dcache = Cache(SMALL_DCACHE if machine_config.dcache_small
+                            else DCACHE, next_level=self.l2)
+        self.perfect_dcache = machine_config.perfect_dcache
 
     def ifetch(self, address):
         """Instruction fetch; returns extra cycles beyond a 1-cycle hit."""
@@ -77,3 +87,25 @@ class MemoryHierarchy:
     def daccess(self, address):
         """Data access; returns the full load-to-use latency."""
         return self.dcache.access(address)
+
+    def latency(self, op_class, mem_addr, address):
+        """Issue-to-result cycles of one instruction, the rule all four
+        timing models share.
+
+        A load pays its D-cache access (at ``mem_addr``, or its own
+        ``address`` when the trace row has none); a store accesses the
+        D-cache for its effect on the hierarchy but completes in
+        :data:`INT_LATENCY`; a multiply takes :data:`MUL_LATENCY`.  A
+        perfect L1-D answers every load in its hit latency and sends no
+        data traffic at all.
+        """
+        if op_class == "load":
+            if self.perfect_dcache:
+                return self.dcache.latency
+            return self.daccess(address if mem_addr is None else mem_addr)
+        if op_class == "mul":
+            return MUL_LATENCY
+        if op_class == "store" and mem_addr is not None and \
+                not self.perfect_dcache:
+            self.daccess(mem_addr)
+        return INT_LATENCY

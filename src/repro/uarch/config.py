@@ -1,4 +1,10 @@
-"""Machine configurations from Table 1 of the paper."""
+"""Machine configurations from Table 1 of the paper.
+
+Table 1 fixes both machines; the constants below are its values.  The
+experiments vary only the PE count, the communication latency, the L1-D
+size (Fig. 9), the return address stack (Fig. 6) and the steering and
+idealisation ablations, so :class:`MachineConfig` holds exactly those.
+"""
 
 
 class CacheConfig:
@@ -15,45 +21,60 @@ class CacheConfig:
         self.policy = policy
 
 
-class MachineConfig:
-    """Everything a timing model needs."""
+#: Fetch, decode, steer and retire width of both machines.
+WIDTH = 4
+#: Reorder buffer entries (the superscalar's issue window too).
+ROB_SIZE = 128
+#: The superscalar's fully symmetric, fully pipelined functional units.
+N_FUNCTIONAL_UNITS = 4
+#: Entries in each ILDP processing element's issue FIFO.
+FIFO_DEPTH = 8
+#: Cycles from fetch to dispatch.
+PIPELINE_DEPTH = 5
+#: Cycles from a mispredicted transfer's resolution to its first
+#: correct-path fetch.
+REDIRECT_LATENCY = 3
+#: Result latency of integer operations and of multiplies.
+INT_LATENCY = 1
+MUL_LATENCY = 7
+#: G-share direction predictor: entries and global history bits.
+GSHARE_ENTRIES = 16384
+GSHARE_HISTORY = 12
+#: Branch target buffer: entries and ways.
+BTB_ENTRIES = 512
+BTB_ASSOC = 4
+#: Entries in the conventional return address stack.
+RAS_DEPTH = 8
+#: Cycles to main memory below the L2.
+MEMORY_LATENCY = 72
+ICACHE = CacheConfig("icache", 32 * 1024, 128, 1, 1, "lru")
+DCACHE = CacheConfig("dcache", 32 * 1024, 64, 4, 2, "random")
+#: The ILDP alternative L1-D: 8 KB, 2-way, replicated across PEs.
+SMALL_DCACHE = CacheConfig("dcache", 8 * 1024, 64, 2, 2, "random")
+L2 = CacheConfig("l2", 1024 * 1024, 128, 4, 8, "random")
 
-    def __init__(self, name, width=4, rob_size=128, n_functional_units=4,
-                 pe_count=None, fifo_depth=8, comm_latency=0,
-                 icache=None, dcache=None, l2=None,
-                 memory_latency=72, redirect_latency=3,
-                 gshare_entries=16384, gshare_history=12,
-                 btb_entries=512, btb_assoc=4, ras_depth=8,
-                 use_conventional_ras=True,
-                 int_latency=1, mul_latency=7, pipeline_depth=5,
+
+class MachineConfig:
+    """The Table 1 values an experiment varies; every other parameter is
+    one of this module's constants."""
+
+    __slots__ = ("name", "pe_count", "comm_latency", "dcache_small",
+                 "use_conventional_ras", "steering", "perfect_prediction",
+                 "perfect_dcache")
+
+    def __init__(self, name, pe_count=None, comm_latency=0,
+                 dcache_small=False, use_conventional_ras=True,
                  steering="dependence", perfect_prediction=False,
                  perfect_dcache=False):
         self.name = name
-        self.width = width
-        self.rob_size = rob_size
-        self.n_functional_units = n_functional_units
         #: ILDP only: number of processing elements (None = superscalar)
         self.pe_count = pe_count
-        self.fifo_depth = fifo_depth
+        #: ILDP only: extra cycles for a GPR value produced in another PE
         self.comm_latency = comm_latency
-        self.icache = icache if icache is not None else CacheConfig(
-            "icache", 32 * 1024, 128, 1, 1, "lru")
-        self.dcache = dcache if dcache is not None else CacheConfig(
-            "dcache", 32 * 1024, 64, 4, 2, "random")
-        self.l2 = l2 if l2 is not None else CacheConfig(
-            "l2", 1024 * 1024, 128, 4, 8, "random")
-        self.memory_latency = memory_latency
-        self.redirect_latency = redirect_latency
-        self.gshare_entries = gshare_entries
-        self.gshare_history = gshare_history
-        self.btb_entries = btb_entries
-        self.btb_assoc = btb_assoc
-        self.ras_depth = ras_depth
+        #: Fig. 9: the 8 KB :data:`SMALL_DCACHE` instead of :data:`DCACHE`
+        self.dcache_small = dcache_small
         #: Fig. 6 compares machines with and without a return address stack.
         self.use_conventional_ras = use_conventional_ras
-        self.int_latency = int_latency
-        self.mul_latency = mul_latency
-        self.pipeline_depth = pipeline_depth
         #: Strand-start steering heuristic for the ILDP machine:
         #: "dependence" (producer PE first, the ISCA 2002 policy),
         #: "least_loaded" (shortest FIFO) or "modulo" (acc % PEs, no
@@ -62,14 +83,14 @@ class MachineConfig:
             raise ValueError(f"unknown steering policy {steering!r}")
         self.steering = steering
         #: Idealisation knobs for loss decomposition: oracle branch
-        #: prediction (no misprediction/misfetch penalties) and an
-        #: always-hitting L1 data cache.
+        #: prediction (no misprediction penalties) and an always-hitting
+        #: L1 data cache.
         self.perfect_prediction = perfect_prediction
         self.perfect_dcache = perfect_dcache
 
     def __repr__(self):
         if self.pe_count is None:
-            return f"MachineConfig({self.name}, {self.width}-wide OoO)"
+            return f"MachineConfig({self.name}, {WIDTH}-wide OoO)"
         return (f"MachineConfig({self.name}, {self.pe_count} PEs, "
                 f"comm={self.comm_latency})")
 
@@ -80,22 +101,11 @@ class MachineConfig:
 SUPERSCALAR = MachineConfig("superscalar-ooo")
 
 
-def small_dcache():
-    """Table 1's ILDP alternative D-cache: 8 KB, 2-way, 64-byte lines,
-    2-cycle latency, replicated across PEs."""
-    return CacheConfig("dcache", 8 * 1024, 64, 2, 2, "random")
-
-
-def ildp_config(pe_count=8, comm_latency=0, dcache_small=False):
-    """Table 1, right column: the ILDP machine with 4/6/8 PEs (FIFO heads),
-    0 or 2 cycle global communication latency, and optionally the quarter
-    size replicated L1 data cache."""
-    return MachineConfig(
-        f"ildp-{pe_count}pe-c{comm_latency}",
-        width=4,
-        rob_size=128,
-        n_functional_units=pe_count,
-        pe_count=pe_count,
-        comm_latency=comm_latency,
-        dcache=small_dcache() if dcache_small else None,
-    )
+def ildp_config(pe_count=8, comm_latency=0, **options):
+    """Table 1, right column: the ILDP machine with 4/6/8 PEs (FIFO heads)
+    and 0 or 2 cycle global communication latency.  ``options`` are the
+    remaining :class:`MachineConfig` keywords (``dcache_small`` for the
+    quarter-size replicated L1 data cache, the ablations' knobs)."""
+    return MachineConfig(f"ildp-{pe_count}pe-c{comm_latency}",
+                         pe_count=pe_count, comm_latency=comm_latency,
+                         **options)

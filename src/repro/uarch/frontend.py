@@ -1,9 +1,14 @@
-"""The shared fetch/decode front end of both timing models.
+"""The shared fetch/decode front end of both fast timing models.
 
 Models 4-wide fetch with I-cache line behaviour, fetch-group breaks on
-taken control transfers, and 3-cycle redirects for both misfetches (taken
-branch missing in the BTB) and mispredictions (Table 1).
+taken control transfers, and the 3-cycle redirect after a misprediction
+(Table 1).  Table 1 also charges that redirect for a misfetch, a taken
+branch missing in the BTB; this front end does not.  Misfetches are
+counted (``BranchStats.btb_misfetches``) but cost no cycles, in all four
+timing models.
 """
+
+from repro.uarch.config import ICACHE, REDIRECT_LATENCY, WIDTH
 
 
 class FrontEnd:
@@ -16,16 +21,14 @@ class FrontEnd:
         self.cycle = 0
         self._group_used = 0
         self._last_line = None
-        self.mispredictions = 0
-        self.misfetches = 0
 
     def fetch(self, address):
         """Advance the front end past the instruction at ``address``;
         returns its fetch cycle."""
-        if self._group_used >= self.config.width:
+        if self._group_used >= WIDTH:
             self.cycle += 1
             self._group_used = 0
-        line = address // self.config.icache.line
+        line = address // ICACHE.line
         if line != self._last_line:
             self._last_line = line
             extra = self.hierarchy.ifetch(address)
@@ -42,7 +45,7 @@ class FrontEnd:
         The transfer is a trace row's fetch address, branch type and
         dynamic fields (see :meth:`BranchUnit.process`).  Returns True
         when it mispredicted (the caller charges the execution-side
-        resolution; fetch resumes ``redirect_latency`` after
+        resolution; fetch resumes :data:`REDIRECT_LATENCY` cycles after
         ``complete_cycle``).
         """
         mispredicted = self.branch_unit.process(address, btype, taken,
@@ -55,9 +58,7 @@ class FrontEnd:
                 self._group_used = 0
             return False
         if mispredicted:
-            self.mispredictions += 1
-            self.cycle = max(self.cycle,
-                             complete_cycle + self.config.redirect_latency)
+            self.cycle = max(self.cycle, complete_cycle + REDIRECT_LATENCY)
             self._group_used = 0
             self._last_line = None
             return True
@@ -66,9 +67,3 @@ class FrontEnd:
             self.cycle += 1
             self._group_used = 0
         return False
-
-    def note_misfetch(self):
-        """A taken branch that hit the predictor but missed the BTB."""
-        self.misfetches += 1
-        self.cycle += self.config.redirect_latency
-        self._group_used = 0

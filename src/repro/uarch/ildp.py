@@ -19,6 +19,7 @@ A shared 128-entry reorder buffer retires 4 instructions per cycle.
 from collections import deque
 
 from repro.uarch.cache import MemoryHierarchy
+from repro.uarch.config import FIFO_DEPTH, PIPELINE_DEPTH, ROB_SIZE, WIDTH
 from repro.uarch.frontend import FrontEnd
 from repro.uarch.predictors import BranchUnit
 from repro.uarch.retire import RetireUnit
@@ -33,9 +34,9 @@ class ILDPModel:
             raise ValueError("ILDPModel needs a config with pe_count set")
         self.config = config
         self.hierarchy = MemoryHierarchy(config)
-        self.branch_unit = BranchUnit(config)
+        self.branch_unit = BranchUnit(config.use_conventional_ras)
         self.frontend = FrontEnd(config, self.hierarchy, self.branch_unit)
-        self.retire_unit = RetireUnit(config.rob_size, config.width)
+        self.retire_unit = RetireUnit(ROB_SIZE, WIDTH)
         pe_count = config.pe_count
         self._pe_last_issue = [0] * pe_count
         self._pe_fifo = [deque() for _ in range(pe_count)]
@@ -68,14 +69,14 @@ class ILDPModel:
         self.branch_unit.note_instruction(v_weight)
 
         fetch = self.frontend.fetch(address)
-        dispatch = fetch + config.pipeline_depth
+        dispatch = fetch + PIPELINE_DEPTH
         dispatch = self.retire_unit.admit(dispatch)
 
         pe = self._steer(acc, strand_start, srcs)
         fifo = self._pe_fifo[pe]
         while fifo and fifo[0] <= dispatch:
             fifo.popleft()
-        if len(fifo) >= config.fifo_depth:
+        if len(fifo) >= FIFO_DEPTH:
             # steering stalls until the FIFO head issues
             dispatch = fifo[0]
             while fifo and fifo[0] <= dispatch:
@@ -107,7 +108,8 @@ class ILDPModel:
         self._pe_last_issue[pe] = start
         fifo.append(start)
 
-        complete = start + self._latency(op_class, mem_addr, address)
+        complete = start + self.hierarchy.latency(op_class, mem_addr,
+                                                  address)
         if acc_write and acc is not None:
             self._acc_ready[acc] = complete
         if dst is not None:
@@ -156,7 +158,7 @@ class ILDPModel:
                     best_input = entry
             if best_input is not None:
                 pe = best_input[1]
-                if len(self._pe_fifo[pe]) < self.config.fifo_depth - 1:
+                if len(self._pe_fifo[pe]) < FIFO_DEPTH - 1:
                     return pe
         return self._least_loaded_pe()
 
@@ -169,20 +171,6 @@ class ILDPModel:
                 best = pe
                 best_load = load
         return best
-
-    def _latency(self, op_class, mem_addr, address):
-        if op_class == "load":
-            if self.config.perfect_dcache:
-                return self.config.dcache.latency
-            return self.hierarchy.daccess(mem_addr if mem_addr is not None
-                                          else address)
-        if op_class == "mul":
-            return self.config.mul_latency
-        if op_class == "store" and mem_addr is not None:
-            if not self.config.perfect_dcache:
-                self.hierarchy.daccess(mem_addr)
-            return self.config.int_latency
-        return self.config.int_latency
 
     def result(self):
         return TimingResult(self.retire_unit.last_retire,

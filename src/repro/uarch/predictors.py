@@ -14,11 +14,19 @@ and dynamic outcome — mispredicted, and is shared by the Fig. 4 counting
 experiment and all four timing models.
 """
 
+from repro.uarch.config import (
+    BTB_ASSOC,
+    BTB_ENTRIES,
+    GSHARE_ENTRIES,
+    GSHARE_HISTORY,
+    RAS_DEPTH,
+)
+
 
 class GShare:
     """G-share direction predictor with 2-bit saturating counters."""
 
-    def __init__(self, entries=16384, history_bits=12):
+    def __init__(self, entries=GSHARE_ENTRIES, history_bits=GSHARE_HISTORY):
         if entries & (entries - 1):
             raise ValueError("entries must be a power of two")
         self._mask = entries - 1
@@ -46,7 +54,7 @@ class GShare:
 class BranchTargetBuffer:
     """Set-associative BTB with LRU replacement."""
 
-    def __init__(self, entries=512, assoc=4):
+    def __init__(self, entries=BTB_ENTRIES, assoc=BTB_ASSOC):
         self._sets = entries // assoc
         self.assoc = assoc
         self._ways = [dict() for _ in range(self._sets)]
@@ -76,7 +84,7 @@ class BranchTargetBuffer:
 class ReturnAddressStack:
     """Conventional 8-entry hardware RAS."""
 
-    def __init__(self, depth=8):
+    def __init__(self, depth=RAS_DEPTH):
         self.depth = depth
         self._stack = []
 
@@ -115,11 +123,11 @@ class BranchStats:
 class BranchUnit:
     """The front-end prediction stack, driven by trace rows."""
 
-    def __init__(self, config):
-        self.gshare = GShare(config.gshare_entries, config.gshare_history)
-        self.btb = BranchTargetBuffer(config.btb_entries, config.btb_assoc)
-        self.ras = ReturnAddressStack(config.ras_depth)
-        self.use_ras = config.use_conventional_ras
+    def __init__(self, use_conventional_ras=True):
+        self.gshare = GShare(GSHARE_ENTRIES, GSHARE_HISTORY)
+        self.btb = BranchTargetBuffer(BTB_ENTRIES, BTB_ASSOC)
+        self.ras = ReturnAddressStack(RAS_DEPTH)
+        self.use_ras = use_conventional_ras
         self.stats = BranchStats()
 
     def note_instruction(self, count=1):
@@ -133,8 +141,9 @@ class BranchUnit:
         type (None for a non-control row, which never mispredicts);
         ``taken``, ``target`` and ``ras_hit`` are the trace row's
         dynamic fields.  BTB misses on taken direct branches are
-        misfetches (short redirect), not mispredictions; they are
-        counted separately.
+        misfetches, not mispredictions: they are only counted, in
+        ``stats.btb_misfetches``, so no timing model charges Table 1's
+        3-cycle misfetch redirect.
         """
         if btype is None:
             return False

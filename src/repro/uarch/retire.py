@@ -6,11 +6,13 @@ Shared by both timing models: a 128-entry reorder buffer committing up to
 
 from collections import deque
 
+from repro.uarch.config import ROB_SIZE, WIDTH
+
 
 class RetireUnit:
     """Models the ROB tail."""
 
-    def __init__(self, rob_size=128, bandwidth=4):
+    def __init__(self, rob_size=ROB_SIZE, bandwidth=WIDTH):
         self.rob_size = rob_size
         self.bandwidth = bandwidth
         self._rob = deque()          # retire cycles of in-flight entries

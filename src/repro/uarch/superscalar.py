@@ -10,6 +10,12 @@ exactly like the SimpleScalar configuration it stands in for.
 import heapq
 
 from repro.uarch.cache import MemoryHierarchy
+from repro.uarch.config import (
+    N_FUNCTIONAL_UNITS,
+    PIPELINE_DEPTH,
+    ROB_SIZE,
+    WIDTH,
+)
 from repro.uarch.frontend import FrontEnd
 from repro.uarch.predictors import BranchUnit
 from repro.uarch.retire import RetireUnit
@@ -47,11 +53,11 @@ class SuperscalarModel:
     def __init__(self, config):
         self.config = config
         self.hierarchy = MemoryHierarchy(config)
-        self.branch_unit = BranchUnit(config)
+        self.branch_unit = BranchUnit(config.use_conventional_ras)
         self.frontend = FrontEnd(config, self.hierarchy, self.branch_unit)
-        self.retire_unit = RetireUnit(config.rob_size, config.width)
+        self.retire_unit = RetireUnit(ROB_SIZE, WIDTH)
         self._reg_ready = {}
-        self._fu_free = [0] * config.n_functional_units
+        self._fu_free = [0] * N_FUNCTIONAL_UNITS
         heapq.heapify(self._fu_free)
         #: 8-byte block -> completion cycle of the last store to it
         #: (store-to-load dependences forward at the store's completion)
@@ -71,14 +77,13 @@ class SuperscalarModel:
         """Time one trace row: its template plus its dynamic fields."""
         (address, _size, op_class, srcs, dst, _acc, _acc_read, _acc_write,
          _strand_start, btype, v_weight, _dispatch) = template
-        config = self.config
         frontend = self.frontend
         self._instructions += 1
         self._v_instructions += v_weight
         self.branch_unit.note_instruction(v_weight)
 
         fetch = frontend.fetch(address)
-        dispatch = fetch + config.pipeline_depth
+        dispatch = fetch + PIPELINE_DEPTH
         dispatch = self.retire_unit.admit(dispatch)
 
         ready = dispatch
@@ -98,8 +103,8 @@ class SuperscalarModel:
         start = max(ready, fu_free)
         heapq.heappush(self._fu_free, start + 1)  # fully pipelined
 
-        latency = self._latency(op_class, mem_addr, address)
-        complete = start + latency
+        complete = start + self.hierarchy.latency(op_class, mem_addr,
+                                                  address)
         if dst is not None:
             self._reg_ready[dst] = complete
         if block is not None and op_class == "store":
@@ -109,20 +114,6 @@ class SuperscalarModel:
         if btype is not None:
             frontend.resolve_control(address, btype, taken, target, ras_hit,
                                      complete)
-
-    def _latency(self, op_class, mem_addr, address):
-        if op_class == "load":
-            if self.config.perfect_dcache:
-                return self.config.dcache.latency
-            return self.hierarchy.daccess(mem_addr if mem_addr is not None
-                                          else address)
-        if op_class == "mul":
-            return self.config.mul_latency
-        if op_class == "store" and mem_addr is not None:
-            if not self.config.perfect_dcache:
-                self.hierarchy.daccess(mem_addr)
-            return self.config.int_latency
-        return self.config.int_latency
 
     def result(self):
         return TimingResult(self.retire_unit.last_retire,

@@ -542,10 +542,19 @@ class FragmentExecutor:
         base = self._operand(instr, instr.addr_src, regs, fmt)
         address = (base + instr.imm) & MASK64
         data = self._operand(instr, instr.data_src, regs, fmt)
+        try:
+            self.memory.store(address, data & MASK64, instr.mem_size,
+                              vpc=instr.vpc)
+        except Trap as trap:
+            # a faulting store wrote nothing and gets no row, like a
+            # faulting load; the SMC hook's RETRANSLATE fires after the
+            # write, so that store committed and keeps its row
+            if template is not None and \
+                    trap.kind is TrapKind.RETRANSLATE:
+                self.trace.append(template, False, None, address)
+            raise
         if template is not None:
             self.trace.append(template, False, None, address)
-        self.memory.store(address, data & MASK64, instr.mem_size,
-                          vpc=instr.vpc)
 
     # -- control -------------------------------------------------------------------
 

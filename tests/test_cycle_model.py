@@ -174,8 +174,7 @@ class TestBehaviour:
     def test_steering_policies_run(self, workload_traces):
         trace = workload_traces["gzip"]
         for steering in ("dependence", "least_loaded", "modulo"):
-            machine = ildp_config(8, 0)
-            machine.steering = steering
+            machine = ildp_config(8, 0, steering=steering)
             result = CycleILDPModel(machine).run(trace)
             assert result.cycles > 0
 

@@ -1,7 +1,7 @@
 """Documentation hygiene: every public module, class and function in the
 library carries a docstring (deliverable (e): doc comments on every public
 item), and the prose documents only name commands, files and ``VMConfig``
-attributes that exist."""
+and ``MachineConfig`` attributes that exist."""
 
 import argparse
 import importlib
@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser
+from repro.uarch.config import MachineConfig
 from repro.vm.config import VMConfig
 
 
@@ -70,8 +71,9 @@ DOCUMENT_IDS = [str(path.relative_to(ROOT)) for path in DOCUMENTS]
 #: ``python -m repro <cmd>`` or `` `repro <cmd>`` in prose or code blocks.
 _COMMAND = re.compile(r"python3? -m repro +([a-z][\w-]*)"
                       r"|`repro +([a-z][\w-]*)")
-#: ``VMConfig.<name>`` or ``VMConfig(<name>=`` in prose or code blocks.
-_CONFIG_NAME = re.compile(r"VMConfig\.(\w+)|VMConfig\((\w+)=")
+#: ``VMConfig.<name>`` or ``VMConfig(<name>=`` in prose or code blocks,
+#: and the same for ``MachineConfig``.
+_CONFIG_NAME = re.compile(r"(VMConfig|MachineConfig)(?:\.(\w+)|\((\w+)=)")
 #: Repository paths (globs allowed) and benchmark records.
 _PATH = re.compile(r"\b(?:tests|scripts|benchmarks|examples|docs)/[\w./*-]*"
                    r"|\bBENCH_\w+\.json")
@@ -96,11 +98,12 @@ def test_documented_commands_exist(document):
 
 @pytest.mark.parametrize("document", DOCUMENTS, ids=DOCUMENT_IDS)
 def test_documented_config_names_exist(document):
-    config = VMConfig()
-    named = {first or second
-             for first, second in _CONFIG_NAME.findall(document.read_text())}
-    unknown = sorted(name for name in named if not hasattr(config, name))
-    assert not unknown, f"{document.name} names unknown VMConfig " \
+    configs = {"VMConfig": VMConfig(), "MachineConfig": MachineConfig("doc")}
+    named = {(cls, first or second) for cls, first, second
+             in _CONFIG_NAME.findall(document.read_text())}
+    unknown = sorted(f"{cls}.{name}" for cls, name in named
+                     if not hasattr(configs[cls], name))
+    assert not unknown, f"{document.name} names unknown configuration " \
                         f"attributes {unknown}"
 
 

@@ -79,15 +79,13 @@ class TestSteeringPolicies:
     @pytest.mark.parametrize("steering", ("dependence", "least_loaded",
                                           "modulo"))
     def test_each_policy_runs(self, trace, steering):
-        machine = ildp_config(8, 0)
-        machine.steering = steering
+        machine = ildp_config(8, 0, steering=steering)
         result = ILDPModel(machine).run(trace)
         assert result.cycles > 0
 
     def test_modulo_wastes_pes_with_four_accumulators(self, trace):
         renamed = ildp_config(8, 0)
-        modulo = ildp_config(8, 0)
-        modulo.steering = "modulo"
+        modulo = ildp_config(8, 0, steering="modulo")
         fast = ILDPModel(renamed).run(trace)
         slow = ILDPModel(modulo).run(trace)
         # 4 accumulators on 8 PEs: modulo steering can only ever use 4 PEs
@@ -135,8 +133,7 @@ class TestIdealisationKnobs:
         trace = run_vm("gcc", VMConfig(fmt=IFormat.MODIFIED),
                        budget=20_000).trace
         real = ILDPModel(ildp_config(8, 0)).run(trace)
-        oracle_config = ildp_config(8, 0)
-        oracle_config.perfect_prediction = True
+        oracle_config = ildp_config(8, 0, perfect_prediction=True)
         oracle = ILDPModel(oracle_config).run(trace)
         assert oracle.ipc >= real.ipc
 
@@ -148,7 +145,35 @@ class TestIdealisationKnobs:
         trace = run_vm("mcf", VMConfig(fmt=IFormat.MODIFIED),
                        budget=20_000).trace
         real = ILDPModel(ildp_config(8, 0)).run(trace)
-        ideal_config = ildp_config(8, 0)
-        ideal_config.perfect_dcache = True
+        ideal_config = ildp_config(8, 0, perfect_dcache=True)
         ideal = ILDPModel(ideal_config).run(trace)
         assert ideal.ipc >= real.ipc
+
+    def test_perfect_dcache_sends_no_data_traffic(self):
+        """A perfect L1-D answers every load itself: no model may send a
+        load or a store to the D-cache (whose misses would reach the L2
+        that instruction fetch shares)."""
+        from repro.uarch import (
+            CycleILDPModel,
+            CycleSuperscalarModel,
+            SuperscalarModel,
+        )
+        from repro.uarch.config import MachineConfig
+        from repro.vm.events import Template, Trace
+
+        trace = Trace()
+        for i in range(2000):
+            trace.append(Template(0x1000 + 4 * (i % 512), 4,
+                                  "store" if i % 2 else "load", v_weight=1),
+                         mem_addr=0x100000 + 64 * i)
+        ildp = MachineConfig("ildp", pe_count=8, perfect_dcache=True)
+        superscalar = MachineConfig("ooo", perfect_dcache=True)
+        busy = []
+        for model in (ILDPModel(ildp), CycleILDPModel(ildp),
+                      SuperscalarModel(superscalar),
+                      CycleSuperscalarModel(superscalar)):
+            model.run(trace)
+            dcache = model.hierarchy.dcache
+            if dcache.hits + dcache.misses:
+                busy.append(type(model).__name__)
+        assert not busy, f"D-cache accessed under perfect_dcache: {busy}"

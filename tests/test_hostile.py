@@ -391,6 +391,26 @@ class TestSMCPrecision:
             else:
                 assert vars(vm.stats) == baseline, engine
 
+    def test_deopting_store_keeps_its_row(self):
+        """The SMC hook fires after the write, so a store that deopts its
+        stint committed and keeps its trace row: every deopt leaves one
+        store row, and the trace weighs exactly the V-ISA instructions
+        translated code executed."""
+        for engine in ENGINES:
+            program = assemble(_SMC_HOTSTORE)
+            slot = program.symbols["slot"]
+            vm = CoDesignedVM(program, _config(engine, threshold=2,
+                                               collect_trace=True))
+            vm.run(max_v_instructions=100_000)
+            rows = list(vm.trace)
+            stores = sum(1 for template, _taken, _target, mem_addr, _ras
+                         in rows
+                         if template.op_class == "store" and mem_addr == slot)
+            assert vm.stats.retranslate_deopts >= 1, engine
+            assert stores == vm.stats.retranslate_deopts, engine
+            assert sum(row[0].v_weight for row in rows) == \
+                vm.stats.source_instructions_executed, engine
+
 
 # ---------------------------------------------------------------------------
 # PAL syscall layer

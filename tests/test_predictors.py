@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.uarch.config import MachineConfig
 from repro.uarch.predictors import (
     BranchTargetBuffer,
     BranchUnit,
@@ -96,7 +95,7 @@ class TestRAS:
 
 class TestBranchUnit:
     def _unit(self, **overrides):
-        return BranchUnit(MachineConfig("test", **overrides))
+        return BranchUnit(**overrides)
 
     def test_cond_misprediction_counted(self):
         unit = self._unit()

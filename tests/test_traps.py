@@ -33,6 +33,10 @@ loop:   addq r3, r1, r4
 buf:    .quad 17
 """
 
+#: FAULTING_LOAD with its poisoned load turned into a store: the last
+#: iteration's store faults at 0x700000.
+FAULTING_STORE = FAULTING_LOAD.replace("ldq  r6, 0(r2)", "stq  r4, 0(r2)")
+
 GENTRAP_KERNEL = """
 _start: li r1, 80
         clr r2
@@ -144,6 +148,23 @@ class TestPreciseTraps:
             if location[0] == "acc"
         ]
         assert acc_entries
+
+
+class TestTracedFaults:
+    @pytest.mark.parametrize("engine", ("naive", "jit"))
+    def test_faulting_store_leaves_no_row(self, engine):
+        """A store that faults wrote nothing, so (like a faulting load)
+        it leaves no trace row; the stores before it do."""
+        vm = CoDesignedVM(assemble(FAULTING_STORE),
+                          VMConfig(fmt=IFormat.MODIFIED, collect_trace=True,
+                                   exec_engine=engine))
+        with pytest.raises(VMTrap) as excinfo:
+            vm.run(max_v_instructions=1_000_000)
+        assert excinfo.value.trap.kind is TrapKind.ACCESS_VIOLATION
+        stored = [mem_addr for template, _taken, _target, mem_addr, _ras
+                  in vm.trace if template.op_class == "store"]
+        assert stored
+        assert 0x700000 not in stored
 
 
 class TestPEIRecoveryError:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.uarch.cache import MemoryHierarchy
-from repro.uarch.config import MachineConfig
+from repro.uarch.config import REDIRECT_LATENCY, MachineConfig
 from repro.uarch.frontend import FrontEnd
 from repro.uarch.predictors import BranchUnit
 from repro.uarch.retire import RetireUnit
@@ -58,13 +58,13 @@ class TestFrontEnd:
         assert next_cycle > cycle
 
     def test_mispredict_redirects_fetch(self):
-        frontend, config = make_frontend()
+        frontend, _config = make_frontend()
         # a never-taken branch first predicted taken mispredicts
         cycle = frontend.fetch(0x1000)
         assert frontend.resolve_control(0x1000, "cond", False, None, None,
                                         cycle + 10)
-        assert frontend.cycle >= cycle + 10 + config.redirect_latency
-        assert frontend.mispredictions == 1
+        assert frontend.cycle >= cycle + 10 + REDIRECT_LATENCY
+        assert frontend.branch_unit.stats.cond_mispredictions == 1
 
     def test_icache_miss_stalls(self):
         frontend, _config = make_frontend()
