@@ -27,7 +27,7 @@ fuzz:
 # syscalls, with the SMC/protect chaos sites layered on top.
 fuzz-hostile:
 	$(PYTHON) -m repro fuzz --count 100 --seed 1 --hostile --chaos \
-		--shrink --engines naive,jit
+		--shrink
 
 # The full differential chaos suite: every workload under every seeded
 # fault schedule must converge to the fault-free interpreter.

@@ -146,11 +146,6 @@ def build_parser():
                              help="generate hostile-guest programs: "
                                   "self-modifying stores, page-"
                                   "protection flips and syscalls")
-    fuzz_parser.add_argument("--engines", default=None, metavar="LIST",
-                             help="comma-separated engine axis for the "
-                                  "oracle engine stage (default: "
-                                  "naive,jit; each is compared against "
-                                  "the naive reference)")
     fuzz_parser.add_argument("--shrink", action="store_true",
                              help="shrink each finding to a minimal "
                                   "reproducer")
@@ -333,8 +328,7 @@ def _command_bench_compare(args, out):
 
 
 def _command_profile(args, out):
-    from repro.obs.profile import histogram_quantile_lines, \
-        hot_fragment_table, phase_breakdown_lines
+    from repro.obs.profile import hot_fragment_table, phase_breakdown_lines
     from repro.tcache.dump import cache_totals_line
 
     result = run_vm(args.workload, _config_from(args), budget=args.budget,
@@ -348,9 +342,6 @@ def _command_profile(args, out):
         print(line, file=out)
     print("", file=out)
     for line in phase_breakdown_lines(registry):
-        print(line, file=out)
-    print("", file=out)
-    for line in histogram_quantile_lines(registry):
         print(line, file=out)
     print("", file=out)
     for line in hot_fragment_table(result.tcache, top=args.top):
@@ -457,22 +448,13 @@ def _command_fuzz(args, out):
     from repro.harness.parallel import PointRunner
     from repro.obs.trace import Tracer
 
-    engines = None
-    if args.engines:
-        engines = tuple(name.strip() for name in args.engines.split(",")
-                        if name.strip())
-        for name in engines:
-            if name not in ("jit", "naive"):
-                print(f"unknown engine {name!r} in --engines", file=out)
-                return 2
     tracer = Tracer(thread_name="fuzz") if args.trace_out else None
     runner = PointRunner(workers=args.workers, cache=None, tracer=tracer)
     result = run_campaign(args.count, args.seed,
                           max_insns=args.max_insns, chaos=args.chaos,
                           shrink=args.shrink, workers=args.workers,
                           budget=args.budget, corpus_dir=args.corpus_dir,
-                          runner=runner, engines=engines,
-                          hostile=args.hostile)
+                          runner=runner, hostile=args.hostile)
     for line in result.render_lines():
         print(line, file=out)
     if args.corpus_dir:

@@ -18,10 +18,17 @@ from collections import Counter
 
 from repro.fuzz import corpus as corpus_mod
 from repro.fuzz.gen import generate
-from repro.fuzz.oracle import ORACLE_BUDGET, check_program
+from repro.fuzz.oracle import ORACLE_BUDGET, check_program, run_reference
 from repro.fuzz.shrink import shrink_words
 from repro.harness.parallel import PointRunner
 from repro.harness.runpoints import RunPoint
+
+
+#: Each shrink check runs at most this many times the finding's own
+#: reference run length (and never past the campaign budget): a
+#: candidate that deletes a loop's exit then stops early, as an
+#: inconclusive check, instead of running the whole budget.
+SHRINK_BUDGET_FACTOR = 20
 
 
 class CampaignError(RuntimeError):
@@ -91,9 +98,15 @@ class FuzzCampaignResult:
 
 
 def _shrink_finding(finding, budget):
-    """Shrink a finding's text while the same stages still diverge."""
+    """Shrink a finding's text while the same stages still diverge.
+
+    Every check runs within :data:`SHRINK_BUDGET_FACTOR` times the
+    unshrunk program's reference instruction count.
+    """
     program = finding.program
     stages = tuple(finding.stages)
+    length = run_reference(program, budget=budget).insns
+    budget = min(budget, SHRINK_BUDGET_FACTOR * max(length, 1))
 
     def still_diverges(words):
         report = check_program(program.with_words(words), budget=budget,
@@ -110,19 +123,16 @@ def _shrink_finding(finding, budget):
 
 def run_campaign(count, seed, max_insns=60, chaos=False, shrink=False,
                  workers=1, budget=ORACLE_BUDGET, corpus_dir=None,
-                 runner=None, engines=None, hostile=False):
+                 runner=None, hostile=False):
     """Run ``count`` seeded programs through the oracle stack.
 
-    ``engines`` selects the oracle engine stage's comparison axis
-    (``None`` uses the oracle default, currently naive + jit).
     ``hostile`` generates hostile-guest programs (self-modifying code,
     protection flips, syscalls) instead of tame ones.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     points = [RunPoint.fuzz(seed, index, max_insns=max_insns,
-                            chaos=chaos, budget=budget, engines=engines,
-                            hostile=hostile)
+                            chaos=chaos, budget=budget, hostile=hostile)
               for index in range(count)]
     if runner is None:
         runner = PointRunner(workers=workers, cache=None)

@@ -53,7 +53,6 @@ from repro.memory.image import (
     Program,
 )
 from repro.utils.rng import Xorshift64
-from repro.workloads.base import BinaryWorkload
 
 #: Bump on any change that alters emitted words for an existing seed.
 #: 2: hostile-guest chunks (SMC self-patching, protect flips, syscalls).
@@ -219,12 +218,6 @@ class FuzzProgram:
                                   data_base=self.data_base,
                                   entry=self.entry, name=self.name,
                                   input_script=self.input)
-
-    def to_workload(self):
-        """Wrap as a workload so harness plumbing can run it."""
-        return BinaryWorkload(
-            self.name, f"fuzz program (seed {self.seed}, #{self.index})",
-            self.to_program)
 
     def with_words(self, words):
         """A copy with replacement text words (used by the shrinker)."""

@@ -7,10 +7,9 @@ semantics, never by a hand-written expectation:
   pure interpreter bit for bit: final PC, all 32 registers, console
   output, the data buffer, the committed-instruction count, and — on a
   trap — the trap kind and precise V-PC;
-* **engine** — the VM run again under each other engine on the
-  ``engines`` axis (by default the jit) must match the naive run,
-  including every ``VMStats`` counter (``vars()`` equality); the jit
-  compiles every fragment on first entry, so its generated code
+* **engine** — the VM run again under the jit must match the naive
+  run, including every ``VMStats`` counter (``vars()`` equality); the
+  jit compiles every fragment on first entry, so its generated code
   executes even on short fuzz loops;
 * **chaos** (optional) — the VM under a seeded fault schedule must still
   converge to the fault-free reference.
@@ -55,10 +54,6 @@ STAGES = ("cosim", "engine", "chaos")
 
 #: The engine the oracle's VM runs use as the reference.
 REFERENCE_ENGINE = "naive"
-
-#: Engines the engine stage compares; each one other than
-#: :data:`REFERENCE_ENGINE` is run against the reference.
-ENGINE_AXIS = ("naive", "jit")
 
 
 class Outcome:
@@ -208,11 +203,10 @@ def compare_outcomes(expected, actual, check_committed=True):
 
 
 def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
-                  chaos_seed=None, engines=ENGINE_AXIS):
+                  chaos_seed=None):
     """Run the oracle stack over one program.
 
-    ``engines`` is the engine stage's comparison axis: each listed
-    engine is run against the naive reference with full
+    The engine stage runs the jit against the naive reference with full
     ``VMStats`` equality.  Returns a report dict: ``failures`` is a
     list of ``{stage, reason}`` records (empty means the program agrees
     everywhere), ``inconclusive`` lists stages skipped for budget
@@ -242,24 +236,19 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
         if naive is None:
             naive, naive_vm = run_vm_outcome(fprog, oracle_config(),
                                              budget=budget)
-        for engine in engines:
-            if engine == REFERENCE_ENGINE:
-                continue  # comparing the reference with itself
-            other, other_vm = run_vm_outcome(
-                fprog, oracle_config(exec_engine=engine), budget=budget)
-            reasons = compare_outcomes(naive, other)
-            if reasons is None:
-                if "engine" not in inconclusive:
-                    inconclusive.append("engine")
-                continue
-            failures.extend({"stage": "engine",
-                             "reason": f"[{engine}] {reason}"}
+        jit, jit_vm = run_vm_outcome(
+            fprog, oracle_config(exec_engine="jit"), budget=budget)
+        reasons = compare_outcomes(naive, jit)
+        if reasons is None:
+            inconclusive.append("engine")
+        else:
+            failures.extend({"stage": "engine", "reason": f"[jit] {reason}"}
                             for reason in reasons)
-            if vars(other_vm.stats) != vars(naive_vm.stats):
-                diffs = _stats_diff(naive_vm.stats, other_vm.stats)
+            if vars(jit_vm.stats) != vars(naive_vm.stats):
+                diffs = _stats_diff(naive_vm.stats, jit_vm.stats)
                 failures.extend({"stage": "engine",
                                  "reason": f"stats.{name}: naive "
-                                           f"{a}, {engine} {b}"}
+                                           f"{a}, jit {b}"}
                                 for name, a, b in diffs)
 
     if "chaos" in stages:
@@ -312,12 +301,11 @@ def execute_fuzz_point(point):
     from repro.fuzz.gen import generate
 
     fields = dict(point.config)
-    engines = fields.get("engines", ENGINE_AXIS)
     hostile = fields.get("hostile", False)
     fprog = generate(fields["seed"], index=fields["index"],
                      max_insns=fields["max_insns"], hostile=hostile)
     report = check_program(fprog, budget=point.budget,
-                           chaos=fields["chaos"], engines=engines)
+                           chaos=fields["chaos"])
     text = fprog.to_bytes()
     summary = {
         "kind": "fuzz",
@@ -328,7 +316,6 @@ def execute_fuzz_point(point):
         "max_insns": fields["max_insns"],
         "chaos": fields["chaos"],
         "hostile": hostile,
-        "engines": list(engines),
         "budget": point.budget,
         "insns": len(fprog.words),
         "text_sha256": hashlib.sha256(text).hexdigest(),

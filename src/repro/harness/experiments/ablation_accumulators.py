@@ -24,16 +24,16 @@ HEADERS = ("workload",) + tuple(
     for label in ("spills", "copy%"))
 
 
-def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
+def run(workloads=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    return run_experiment(points, table, workloads, scale, budget, runner)
+    return run_experiment(points, table, workloads, budget, runner)
 
 
-def points(workloads, scale, budget):
+def points(workloads, budget):
     """The run points :func:`table` reads, in its order."""
     return [RunPoint.vm(name, VMConfig(fmt=IFormat.BASIC,
                                        n_accumulators=count),
-                        scale=scale, budget=budget)
+                        budget=budget)
             for name in workloads
             for count in COUNTS]
 

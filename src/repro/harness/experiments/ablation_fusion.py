@@ -23,16 +23,16 @@ HEADERS = ("workload", "expansion split", "expansion fused", "ipc split",
 MACHINE = ildp_ipc(pes=8, comm=0)
 
 
-def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
+def run(workloads=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    return run_experiment(points, table, workloads, scale, budget, runner)
+    return run_experiment(points, table, workloads, budget, runner)
 
 
-def points(workloads, scale, budget):
+def points(workloads, budget):
     """The run points :func:`table` reads, in its order."""
     return [RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED,
                                        fuse_memory=fused),
-                        scale=scale, budget=budget, evals=(MACHINE,))
+                        budget=budget, evals=(MACHINE,))
             for name in workloads
             for fused in (False, True)]
 

@@ -26,15 +26,15 @@ SPECS = tuple(ildp_ipc(pes=8, comm=comm, steering=steering)
               for steering, comm in _POINTS)
 
 
-def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
+def run(workloads=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    return run_experiment(points, table, workloads, scale, budget, runner)
+    return run_experiment(points, table, workloads, budget, runner)
 
 
-def points(workloads, scale, budget):
+def points(workloads, budget):
     """The run points :func:`table` reads, in its order."""
     return [RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
-                        scale=scale, budget=budget, evals=SPECS)
+                        budget=budget, evals=SPECS)
             for name in workloads]
 
 

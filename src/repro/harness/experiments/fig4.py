@@ -27,22 +27,22 @@ HEADERS = ("workload", "original", "no_pred", "sw_pred.no_ras",
            "sw_pred.ras")
 
 
-def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
+def run(workloads=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    return run_experiment(points, table, workloads, scale, budget, runner)
+    return run_experiment(points, table, workloads, budget, runner)
 
 
-def points(workloads, scale, budget):
+def points(workloads, budget):
     """The run points :func:`table` reads, in its order."""
     measure = (mispredictions(),)
     planned = []
     for name in workloads:
-        planned.append(RunPoint.original(name, scale=scale, budget=budget,
+        planned.append(RunPoint.original(name, budget=budget,
                                          evals=measure))
         for policy in POLICIES:
             config = VMConfig(fmt=IFormat.ALPHA, policy=policy)
-            planned.append(RunPoint.vm(name, config, scale=scale,
-                                       budget=budget, evals=measure))
+            planned.append(RunPoint.vm(name, config, budget=budget,
+                                       evals=measure))
     return planned
 
 

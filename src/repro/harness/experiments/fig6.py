@@ -29,25 +29,25 @@ NO_RAS = superscalar_ipc(use_ras=False)
 RAS = superscalar_ipc(use_ras=True)
 
 
-def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
+def run(workloads=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    return run_experiment(points, table, workloads, scale, budget, runner)
+    return run_experiment(points, table, workloads, budget, runner)
 
 
-def points(workloads, scale, budget):
+def points(workloads, budget):
     """The run points :func:`table` reads, in its order."""
     planned = []
     for name in workloads:
-        planned.append(RunPoint.original(name, scale=scale, budget=budget,
+        planned.append(RunPoint.original(name, budget=budget,
                                          evals=(NO_RAS, RAS)))
         planned.append(RunPoint.vm(
             name, VMConfig(fmt=IFormat.ALPHA,
                            policy=ChainingPolicy.SW_PRED_NO_RAS),
-            scale=scale, budget=budget, evals=(NO_RAS,)))
+            budget=budget, evals=(NO_RAS,)))
         planned.append(RunPoint.vm(
             name, VMConfig(fmt=IFormat.ALPHA,
                            policy=ChainingPolicy.SW_PRED_RAS),
-            scale=scale, budget=budget, evals=(RAS,)))
+            budget=budget, evals=(RAS,)))
     return planned
 
 

@@ -40,15 +40,15 @@ _BASIC_GLOBAL = _MODIFIED_GLOBAL | {ValueClass.LOCAL_TO_GLOBAL,
                                     ValueClass.NOUSER_TO_GLOBAL}
 
 
-def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
+def run(workloads=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    return run_experiment(points, table, workloads, scale, budget, runner)
+    return run_experiment(points, table, workloads, budget, runner)
 
 
-def points(workloads, scale, budget):
+def points(workloads, budget):
     """The run points :func:`table` reads, in its order."""
     return [RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
-                        scale=scale, budget=budget)
+                        budget=budget)
             for name in workloads]
 
 

@@ -27,26 +27,24 @@ HEADERS = ("workload", "original", "straightened", "basic", "modified",
 MACHINE = ildp_ipc(pes=8, comm=0)
 
 
-def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
+def run(workloads=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    return run_experiment(points, table, workloads, scale, budget, runner)
+    return run_experiment(points, table, workloads, budget, runner)
 
 
-def points(workloads, scale, budget):
+def points(workloads, budget):
     """The run points :func:`table` reads, in its order."""
     planned = []
     for name in workloads:
-        planned.append(RunPoint.original(name, scale=scale, budget=budget,
+        planned.append(RunPoint.original(name, budget=budget,
                                          evals=(superscalar_ipc(),)))
         planned.append(RunPoint.vm(name, VMConfig(fmt=IFormat.ALPHA),
-                                   scale=scale, budget=budget,
+                                   budget=budget,
                                    evals=(superscalar_ipc(),)))
         planned.append(RunPoint.vm(name, VMConfig(fmt=IFormat.BASIC),
-                                   scale=scale, budget=budget,
-                                   evals=(MACHINE,)))
+                                   budget=budget, evals=(MACHINE,)))
         planned.append(RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
-                                   scale=scale, budget=budget,
-                                   evals=(MACHINE,)))
+                                   budget=budget, evals=(MACHINE,)))
     return planned
 
 

@@ -41,17 +41,17 @@ EVALS_BY_ACCS = {
     for n_accs in sorted({config[1] for config in CONFIGS})}
 
 
-def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
+def run(workloads=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    return run_experiment(points, table, workloads, scale, budget, runner)
+    return run_experiment(points, table, workloads, budget, runner)
 
 
-def points(workloads, scale, budget):
+def points(workloads, budget):
     """The run points :func:`table` reads, in its order."""
     return [RunPoint.vm(name,
                         VMConfig(fmt=IFormat.MODIFIED,
                                  n_accumulators=n_accs),
-                        scale=scale, budget=budget, evals=evals)
+                        budget=budget, evals=evals)
             for name in workloads
             for n_accs, evals in EVALS_BY_ACCS.items()]
 

@@ -22,19 +22,19 @@ HEADERS = ("workload", "dyn B", "dyn M", "copy% B", "copy% M",
            "bytes B", "bytes M", "insts/translated inst")
 
 
-def run(workloads=None, scale=None, budget=DEFAULT_BUDGET, runner=None):
+def run(workloads=None, budget=DEFAULT_BUDGET, runner=None):
     """Run the experiment; returns an ExperimentResult (see module doc)."""
-    return run_experiment(points, table, workloads, scale, budget, runner)
+    return run_experiment(points, table, workloads, budget, runner)
 
 
-def points(workloads, scale, budget):
+def points(workloads, budget):
     """The run points :func:`table` reads, in its order."""
     planned = []
     for name in workloads:
         planned.append(RunPoint.vm(name, VMConfig(fmt=IFormat.BASIC),
-                                   scale=scale, budget=budget))
+                                   budget=budget))
         planned.append(RunPoint.vm(name, VMConfig(fmt=IFormat.MODIFIED),
-                                   scale=scale, budget=budget))
+                                   budget=budget))
     return planned
 
 

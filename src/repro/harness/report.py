@@ -55,7 +55,7 @@ def generate_report(workloads=None, budget=60_000, sections=None,
     titles = dict(REPORT_SECTIONS)
     names = workloads if workloads is not None else WORKLOAD_NAMES
     modules = [getattr(experiments, name) for name in chosen]
-    plans = [module.points(names, None, budget) for module in modules]
+    plans = [module.points(names, budget) for module in modules]
     summaries = iter(runner.run(
         [point for planned in plans for point in planned]))
     parts = [

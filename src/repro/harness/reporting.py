@@ -6,14 +6,14 @@ from repro.harness.runner import DEFAULT_BUDGET
 from repro.workloads import WORKLOAD_NAMES
 
 
-def run_experiment(points, table, workloads=None, scale=None,
-                   budget=DEFAULT_BUDGET, runner=None):
-    """Run an experiment module's ``points(workloads, scale, budget)`` as
-    one batch; returns its ``table(workloads, summaries)``, an
+def run_experiment(points, table, workloads=None, budget=DEFAULT_BUDGET,
+                   runner=None):
+    """Run an experiment module's ``points(workloads, budget)`` as one
+    batch; returns its ``table(workloads, summaries)``, an
     :class:`ExperimentResult` carrying the batch's report."""
     workloads = workloads if workloads is not None else WORKLOAD_NAMES
     runner = runner if runner is not None else PointRunner()
-    result = table(workloads, runner.run(points(workloads, scale, budget)))
+    result = table(workloads, runner.run(points(workloads, budget)))
     result.run_report = runner.last_report
     return result
 

@@ -1,7 +1,7 @@
 """Persistent on-disk cache of completed run-point summaries.
 
 The whole simulator is deterministic, so a run point's summary is a pure
-function of its identity: workload name + scale + budget + the full
+function of its identity: workload name + budget + the full
 :class:`~repro.vm.config.VMConfig` key fields + the requested evaluations
 + the schema version.  The cache keys entries by the SHA-256 of that
 identity's canonical JSON; any change to any ingredient — a different

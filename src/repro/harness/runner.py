@@ -39,22 +39,21 @@ class RunResult:
         return f"RunResult({self.workload_name}, {self.config})"
 
 
-def run_vm(workload_name, config=None, scale=None, budget=DEFAULT_BUDGET,
+def run_vm(workload_name, config=None, budget=DEFAULT_BUDGET,
            collect_trace=True):
     """Run one workload under the co-designed VM."""
     workload = get_workload(workload_name)
     config = config if config is not None else VMConfig()
     config = config.copy(collect_trace=collect_trace)
-    vm = CoDesignedVM(workload.program(scale), config)
+    vm = CoDesignedVM(workload.program(), config)
     vm.run(max_v_instructions=budget)
     return RunResult(workload_name, config, vm)
 
 
-def run_original(workload_name, scale=None, budget=DEFAULT_BUDGET):
+def run_original(workload_name, budget=DEFAULT_BUDGET):
     """Run one workload under pure interpretation (the "original" binary).
 
     Returns ``(trace, interpreter)``.
     """
     workload = get_workload(workload_name)
-    return interpreter_trace(workload.program(scale),
-                             max_instructions=budget)
+    return interpreter_trace(workload.program(), max_instructions=budget)

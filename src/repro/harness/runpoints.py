@@ -51,7 +51,11 @@ from repro.vm.config import VMConfig
 #: 7: telemetry became always on with one level: the ``telemetry`` block
 #: lost ``events``, ``fragments_profiled``, ``hot_fragments`` and the
 #: ``exec.fragment_transitions`` counter.
-SCHEMA_VERSION = 7
+#: 8: each number is recorded once: the ``telemetry`` block lost its
+#: ``histograms`` and the gauges that repeated the ``stats``, ``tcache``
+#: and ``resilience`` blocks, and ``scale`` left the point key and every
+#: summary.
+SCHEMA_VERSION = 8
 
 
 class EvalSpec:
@@ -117,33 +121,30 @@ class RunPoint:
     and serialise to JSON without help.
     """
 
-    __slots__ = ("kind", "workload", "scale", "budget", "config", "evals")
+    __slots__ = ("kind", "workload", "budget", "config", "evals")
 
-    def __init__(self, kind, workload, scale, budget, config, evals):
+    def __init__(self, kind, workload, budget, config, evals):
         self.kind = kind
         self.workload = workload
-        self.scale = scale
         self.budget = budget
         self.config = config
         self.evals = tuple(evals)
 
     @classmethod
-    def vm(cls, workload, config=None, scale=None, budget=DEFAULT_BUDGET,
-           evals=()):
+    def vm(cls, workload, config=None, budget=DEFAULT_BUDGET, evals=()):
         """A co-designed-VM run point."""
         config = config if config is not None else VMConfig()
         fields = tuple(sorted(config.key_fields().items()))
-        return cls("vm", workload, scale, budget, fields, evals)
+        return cls("vm", workload, budget, fields, evals)
 
     @classmethod
-    def original(cls, workload, scale=None, budget=DEFAULT_BUDGET,
-                 evals=()):
+    def original(cls, workload, budget=DEFAULT_BUDGET, evals=()):
         """A pure-interpretation ("original binary") run point."""
-        return cls("original", workload, scale, budget, None, evals)
+        return cls("original", workload, budget, None, evals)
 
     @classmethod
     def fuzz(cls, seed, index, max_insns=60, chaos=False,
-             budget=200_000, engines=None, hostile=False):
+             budget=200_000, hostile=False):
         """One generated-program oracle run (see :mod:`repro.fuzz`).
 
         ``config`` reuses the sorted-pair convention but carries the
@@ -151,19 +152,14 @@ class RunPoint:
         generator version keys the cache so corpus-affecting generator
         changes can never replay stale summaries.  The kind's key space
         is disjoint from ``"vm"``/``"original"``, so no schema bump is
-        needed.  ``engines`` is the oracle engine stage's comparison
-        axis (``None`` selects the oracle's default).
+        needed.
         """
         from repro.fuzz.gen import GENERATOR_VERSION
-        from repro.fuzz.oracle import ENGINE_AXIS
 
-        engines = tuple(engines) if engines is not None else ENGINE_AXIS
-        fields = (("chaos", bool(chaos)), ("engines", engines),
-                  ("hostile", bool(hostile)), ("index", index),
-                  ("max_insns", max_insns), ("seed", seed),
-                  ("version", GENERATOR_VERSION))
-        return cls("fuzz", f"fuzz[{seed}/{index}]", None, budget, fields,
-                   ())
+        fields = (("chaos", bool(chaos)), ("hostile", bool(hostile)),
+                  ("index", index), ("max_insns", max_insns),
+                  ("seed", seed), ("version", GENERATOR_VERSION))
+        return cls("fuzz", f"fuzz[{seed}/{index}]", budget, fields, ())
 
     def key_dict(self):
         """Canonical JSON-able identity (the cache key's preimage)."""
@@ -171,7 +167,6 @@ class RunPoint:
             "schema": SCHEMA_VERSION,
             "kind": self.kind,
             "workload": self.workload,
-            "scale": self.scale,
             "budget": self.budget,
             "config": None if self.config is None else dict(self.config),
             "evals": [spec.key() for spec in self.evals],
@@ -179,8 +174,8 @@ class RunPoint:
 
     def identity(self):
         """Hashable identity tuple (for de-duplication within a batch)."""
-        return (self.kind, self.workload, self.scale, self.budget,
-                self.config, self.evals)
+        return (self.kind, self.workload, self.budget, self.config,
+                self.evals)
 
     def run_identity(self):
         """Hashable identity of the simulator run behind this point.
@@ -190,8 +185,8 @@ class RunPoint:
         stay apart: their summaries differ in ``trace_len`` and the
         ``jit.*`` counters.
         """
-        return (self.kind, self.workload, self.scale, self.budget,
-                self.config, bool(self.evals))
+        return (self.kind, self.workload, self.budget, self.config,
+                bool(self.evals))
 
     def label(self):
         """Short human-readable identity (trace span names, logs)."""
@@ -347,15 +342,13 @@ def _base_summary(point):
     return {
         "kind": point.kind,
         "workload": point.workload,
-        "scale": point.scale,
         "budget": point.budget,
         "evals": {},
     }
 
 
 def _execute_original(point):
-    trace, interpreter = run_original(point.workload, scale=point.scale,
-                                      budget=point.budget)
+    trace, interpreter = run_original(point.workload, budget=point.budget)
     summary = _base_summary(point)
     summary.update({
         "committed": interpreter.instruction_count,
@@ -372,8 +365,8 @@ def _execute_original(point):
 def _execute_vm(point):
     config = VMConfig.from_dict(dict(point.config))
     needs_trace = bool(point.evals)
-    result = run_vm(point.workload, config, scale=point.scale,
-                    budget=point.budget, collect_trace=needs_trace)
+    result = run_vm(point.workload, config, budget=point.budget,
+                    collect_trace=needs_trace)
     vm, stats, tcache = result.vm, result.stats, result.tcache
     cost = vm.cost_model
     fragments = tcache.fragments

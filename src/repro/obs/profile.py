@@ -2,8 +2,8 @@
 
 A top-N hottest-fragments table, read from the execution counts both
 engines keep on every fragment visit, with static sizes and disassembly
-anchors; histogram quantiles; and a phase-time breakdown read from the
-registry's ``phase.``-prefixed timers.
+anchors, and a phase-time breakdown read from the registry's
+``phase.``-prefixed timers.
 """
 
 from repro.ildp_isa.disasm import disassemble_iinstr
@@ -32,25 +32,6 @@ def hot_fragment_table(tcache, top=10):
             f"{fragment.execution_count:8d} "
             f"{fragment.source_instr_count:7d} {len(fragment.body):7d} "
             f"{fragment.byte_size:6d}  {anchor}")
-    return lines
-
-
-def histogram_quantile_lines(registry, qs=(0.5, 0.9, 0.99)):
-    """Render each registry histogram's quantiles as text lines.
-
-    The quantiles come from :meth:`~repro.obs.registry.Histogram.quantile`
-    (Prometheus-style linear interpolation within fixed buckets).
-    """
-    lines = ["histogram quantiles "
-             f"({'/'.join(f'p{int(q * 100)}' for q in qs)}):"]
-    if not registry.histograms:
-        lines.append("  (no histograms recorded)")
-        return lines
-    for name, histogram in sorted(registry.histograms.items()):
-        if not histogram.total:
-            continue
-        cells = "  ".join(f"{histogram.quantile(q):10.1f}" for q in qs)
-        lines.append(f"  {name:28s} {cells}  (n={histogram.total})")
     return lines
 
 

@@ -1,31 +1,25 @@
-"""Metrics registry: named counters, gauges, timers and histograms.
+"""Metrics registry: named counters, gauges and timers.
 
-The registry is what every VM's telemetry records into.  Four metric
-kinds cover everything the DBT wants to report:
+The registry is what every VM's telemetry records into.  Three metric
+kinds cover everything the DBT reports beyond ``VMStats`` and the
+translation-cache totals:
 
-* **counters** — monotonically increasing totals (fragments created,
-  dispatch runs);
-* **gauges** — last-written point-in-time values (live fragment count,
-  translation-cache bytes);
+* **counters** — monotonically increasing totals (fragment entries, jit
+  promotions);
+* **gauges** — last-written point-in-time values (in-place chaining
+  patches, generated-code invalidations);
 * **timers** — accumulated wall-clock seconds plus a span count (translator
-  phase times, interpret/execute split);
-* **histograms** — fixed-bucket distributions (superblock lengths,
-  fragment body sizes).
+  phase times, interpret/execute split).
 
 Every metric serialises to JSON-able primitives (:meth:`MetricsRegistry.
 to_dict`) and merges associatively (:meth:`MetricsRegistry.merge_dict`):
-counters, timers and histogram buckets add, gauges keep the maximum (the
-only order-independent choice without timestamps).  That makes registries
+counters and timers add, gauges keep the maximum (the only
+order-independent choice without timestamps).  That makes registries
 from parallel harness workers — which arrive as plain dicts inside run
 summaries — foldable into one aggregate view.
 """
 
 import time
-from bisect import bisect_left
-
-#: Default histogram bucket upper bounds (values above the last bound land
-#: in the overflow bucket).  Suits instruction-count-like quantities.
-DEFAULT_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
 
 class Counter:
@@ -103,79 +97,6 @@ class Timer:
         return f"Timer({self.name}={self.seconds:.6f}s/{self.count})"
 
 
-class Histogram:
-    """A fixed-bucket distribution.
-
-    ``bounds`` are ascending inclusive upper edges; one extra overflow
-    bucket catches everything above the last bound.  Fixed buckets keep
-    observation O(log n) and make merging across registries a plain
-    element-wise sum.
-    """
-
-    __slots__ = ("name", "bounds", "counts", "total")
-
-    def __init__(self, name, bounds=DEFAULT_BUCKETS):
-        if list(bounds) != sorted(bounds) or len(set(bounds)) != len(bounds):
-            raise ValueError("histogram bounds must be strictly ascending")
-        self.name = name
-        self.bounds = tuple(bounds)
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-
-    def observe(self, value, count=1):
-        """Record ``value`` falling into its bucket ``count`` times."""
-        self.counts[bisect_left(self.bounds, value)] += count
-        self.total += count
-
-    def quantile(self, q):
-        """Estimate the ``q``-quantile (see :func:`histogram_quantile`)."""
-        return histogram_quantile(self.bounds, self.counts, q)
-
-    def reset(self):
-        """Zero every bucket (used for rebuild-on-finalize histograms)."""
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.total = 0
-
-    def __repr__(self):
-        return f"Histogram({self.name}, n={self.total})"
-
-
-def histogram_quantile(bounds, counts, q):
-    """Estimate the ``q``-quantile of a fixed-bucket histogram.
-
-    The estimator is the Prometheus ``histogram_quantile`` rule: find
-    the bucket containing the target rank ``q * total`` and interpolate
-    linearly inside it, taking the first bucket's lower edge as 0 and
-    clamping the overflow bucket to the last finite bound (a fixed
-    bucket layout cannot know how far past it the tail reaches).  The
-    estimate is therefore **exact at bucket boundaries**: a rank landing
-    precisely on a bucket's cumulative count returns that bucket's upper
-    bound, which the unit tests pin down.
-
-    Returns ``None`` for an empty histogram — there is no distribution
-    to ask about, and 0.0 would be indistinguishable from a real
-    all-zero sample.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile must be in [0, 1], got {q}")
-    total = sum(counts)
-    if total == 0:
-        return None
-    bounds = tuple(bounds)
-    rank = q * total
-    cumulative = 0
-    for index, count in enumerate(counts):
-        below = cumulative
-        cumulative += count
-        if cumulative >= rank and count:
-            if index >= len(bounds):        # overflow bucket
-                return float(bounds[-1]) if bounds else 0.0
-            lower = 0.0 if index == 0 else float(bounds[index - 1])
-            upper = float(bounds[index])
-            return lower + (upper - lower) * ((rank - below) / count)
-    return float(bounds[-1]) if bounds else 0.0
-
-
 class MetricsRegistry:
     """A namespace of metrics, created on first use and mergeable."""
 
@@ -183,7 +104,6 @@ class MetricsRegistry:
         self.counters = {}
         self.gauges = {}
         self.timers = {}
-        self.histograms = {}
 
     # -- creation-on-use ------------------------------------------------------
 
@@ -208,21 +128,6 @@ class MetricsRegistry:
             metric = self.timers[name] = Timer(name)
         return metric
 
-    def histogram(self, name, bounds=DEFAULT_BUCKETS):
-        """The histogram called ``name`` (created on first use).
-
-        ``bounds`` only applies at creation; asking again with different
-        bounds is an error (silent re-bucketing would corrupt merges).
-        """
-        metric = self.histograms.get(name)
-        if metric is None:
-            metric = self.histograms[name] = Histogram(name, bounds)
-        elif tuple(bounds) != metric.bounds:
-            raise ValueError(
-                f"histogram {name!r} already exists with bounds "
-                f"{metric.bounds}")
-        return metric
-
     # -- serialisation and merging -------------------------------------------
 
     def to_dict(self):
@@ -232,17 +137,13 @@ class MetricsRegistry:
             "gauges": {n: g.value for n, g in sorted(self.gauges.items())},
             "timers": {n: {"seconds": t.seconds, "count": t.count}
                        for n, t in sorted(self.timers.items())},
-            "histograms": {n: {"bounds": list(h.bounds),
-                               "counts": list(h.counts),
-                               "total": h.total}
-                           for n, h in sorted(self.histograms.items())},
         }
 
     def merge_dict(self, data):
         """Fold a :meth:`to_dict` payload into this registry.
 
-        Counters, timers and histogram buckets add; gauges keep the
-        maximum of the two values.  Histograms must agree on bounds.
+        Counters and timers add; gauges keep the maximum of the two
+        values.
         """
         for name, value in data.get("counters", {}).items():
             self.counter(name).inc(value)
@@ -251,14 +152,6 @@ class MetricsRegistry:
             gauge.set(max(gauge.value, value))
         for name, fields in data.get("timers", {}).items():
             self.timer(name).add(fields["seconds"], fields["count"])
-        for name, fields in data.get("histograms", {}).items():
-            histogram = self.histogram(name, tuple(fields["bounds"]))
-            if list(histogram.bounds) != list(fields["bounds"]):
-                raise ValueError(
-                    f"histogram {name!r} bounds mismatch on merge")
-            for index, count in enumerate(fields["counts"]):
-                histogram.counts[index] += count
-            histogram.total += fields["total"]
         return self
 
     def merge(self, other):
@@ -267,5 +160,4 @@ class MetricsRegistry:
 
     def __repr__(self):
         return (f"MetricsRegistry({len(self.counters)} counters, "
-                f"{len(self.gauges)} gauges, {len(self.timers)} timers, "
-                f"{len(self.histograms)} histograms)")
+                f"{len(self.gauges)} gauges, {len(self.timers)} timers)")

@@ -39,7 +39,7 @@ TIME_SLACK_SECONDS = 0.005
 #: Top-level fields that describe *what was run*, not *how it went*.
 #: They guard comparability instead of being compared as metrics.
 CONTEXT_KEYS = ("benchmark", "experiment", "workloads", "budget", "reps",
-                "run_points", "scale")
+                "run_points")
 
 #: Top-level *blocks* (nested dicts) that likewise carry context, not
 #: metrics: the machine-identity block every record embeds.

@@ -17,7 +17,6 @@ from repro.faults.plan import FaultPlan, FaultSite
 from repro.ildp_isa.opcodes import IFormat, IOp
 from repro.ildp_isa.sizes import instruction_size
 from repro.memory.image import PAGE_SHIFT
-from repro.obs.telemetry import Telemetry
 from repro.obs.trace import NULL_TRACER
 from repro.tcache.dispatch import build_dispatch_code
 from repro.tcache.fragment import ExitKind
@@ -47,12 +46,9 @@ class TCacheFull(Exception):
 class TranslationCache:
     """Holds translated fragments plus the shared dispatch code."""
 
-    def __init__(self, base=DEFAULT_TCACHE_BASE, telemetry=None,
-                 tracer=None, capacity_bytes=None, injector=None,
-                 verify=False):
+    def __init__(self, base=DEFAULT_TCACHE_BASE, tracer=None,
+                 capacity_bytes=None, injector=None, verify=False):
         self.base = base
-        self.telemetry = telemetry if telemetry is not None \
-            else Telemetry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Bound on total fragment code bytes (dispatch excluded);
         #: ``None`` leaves the cache unbounded.
@@ -268,8 +264,6 @@ class TranslationCache:
         self._by_entry_vpc[fragment.entry_vpc] = fragment
         self._entry_addresses[fragment.base_address] = fragment
         self._watch_fragment(fragment)
-        self.telemetry.registry.histogram("tcache.fragment_sizes").observe(
-            len(fragment.body))
         self.tracer.instant("tcache.fragment", cat="tcache",
                             fid=fragment.fid, entry_vpc=fragment.entry_vpc,
                             bytes=fragment.byte_size)

@@ -112,7 +112,7 @@ class UsageResult:
         return self.values[resolution[1]]
 
     def class_counts(self):
-        """Histogram of value classes (drives the Fig. 7 benchmark)."""
+        """How many values fall in each class (drives the Fig. 7 benchmark)."""
         counts = {vclass: 0 for vclass in ValueClass}
         for value in self.values:
             vclass = ValueClass.SPILL_GLOBAL if value.spilled else \

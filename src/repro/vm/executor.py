@@ -68,9 +68,6 @@ _EXECUTOR_SERIALS = itertools.count()
 #: imports this one, so it cannot be imported at the top).
 _compile_fragment_jit = None
 
-#: jit code-size histogram buckets (generated source lines per fragment).
-_JIT_SIZE_BUCKETS = (8, 16, 32, 64, 128, 256, 512)
-
 
 def _body_template(instr, fmt):
     """The static trace fields of fragment body instruction ``instr``.
@@ -224,8 +221,6 @@ class FragmentExecutor:
         self._jit_deopts = registry.counter("jit.deopts")
         self._jit_compile_failures = registry.counter("jit.compile_failures")
         self._jit_compile_timer = registry.timer("jit.compile")
-        self._jit_size_hist = registry.histogram("jit.code_lines",
-                                                 _JIT_SIZE_BUCKETS)
 
     # -- register plumbing ---------------------------------------------------
 
@@ -406,7 +401,6 @@ class FragmentExecutor:
             return None
         frag._jit_code = fn
         self._jit_promotions.inc()
-        self._jit_size_hist.observe(fn._jit_lines)
         return fn
 
     def _integrity_ok(self, frag):

@@ -533,7 +533,7 @@ def compile_fragment_jit(ex, fragment):
     re-run — via ``Fragment.invalidate_compiled`` — whenever a chaining
     patch or corruption recovery rewrites the body.  The returned
     function carries its generated source on ``_jit_source`` (docs and
-    tests introspect it) and its line count on ``_jit_lines``.
+    tests introspect it).
     """
     emitter = _Emitter(ex, fragment)
     source = emitter.build()
@@ -547,5 +547,4 @@ def compile_fragment_jit(ex, fragment):
     exec(code, namespace)
     fn = namespace[emitter.fname]
     fn._jit_source = source
-    fn._jit_lines = len(emitter.lines)
     return fn

@@ -77,7 +77,7 @@ class CoDesignedVM:
         self.state = self.interpreter.state
         self.profiler = HotnessProfiler(self.config.threshold)
         self.tcache = TranslationCache(
-            telemetry=self.telemetry, tracer=self.tracer,
+            tracer=self.tracer,
             capacity_bytes=self.config.tcache_capacity_bytes,
             injector=self.injector, verify=verify)
         self.cost_model = TranslationCostModel()
@@ -206,7 +206,7 @@ class CoDesignedVM:
             # one residual measurement per run
             registry.timer("phase.vm.interpret").add(
                 ended - started - translated_s - capture_s)
-            self.telemetry.finalize(stats, tcache, self.interpreter)
+            self.telemetry.finalize(tcache, self.interpreter)
         return stats
 
     def _trace_interpret(self, start, end, mark):

@@ -4,55 +4,27 @@ from repro.asm import assemble
 
 
 class WorkloadError(ValueError):
-    """Unknown workload or bad scale parameter."""
+    """Unknown workload name."""
 
 
 class Workload:
     """A named synthetic benchmark.
 
-    ``source(scale)`` renders the assembly text; ``program(scale)``
-    assembles a fresh image (programs mutate their data segments, so every
-    run needs its own copy).
+    ``source()`` renders the assembly text; ``program()`` assembles a
+    fresh image (programs mutate their data segments, so every run needs
+    its own copy).
     """
 
-    def __init__(self, name, description, builder, default_scale=1):
+    def __init__(self, name, description, builder):
         self.name = name
         self.description = description
         self._builder = builder
-        self.default_scale = default_scale
 
-    def source(self, scale=None):
-        scale = self.default_scale if scale is None else scale
-        if scale < 1:
-            raise WorkloadError(f"scale must be >= 1, got {scale}")
-        return self._builder(scale)
+    def source(self):
+        return self._builder()
 
-    def program(self, scale=None):
-        return assemble(self.source(scale), source_name=self.name)
+    def program(self):
+        return assemble(self.source(), source_name=self.name)
 
     def __repr__(self):
         return f"Workload({self.name!r})"
-
-
-class BinaryWorkload(Workload):
-    """A workload backed by a pre-encoded binary image, not assembly.
-
-    Used by the fuzzer: generated programs exist as encoded words, so
-    ``build_program`` constructs the image directly and there is no
-    source text.  ``scale`` is accepted for interface compatibility but
-    ignored.
-    """
-
-    def __init__(self, name, description, build_program):
-        super().__init__(name, description, builder=None)
-        self._build_program = build_program
-
-    def source(self, scale=None):
-        raise WorkloadError(f"{self.name} is a binary workload; "
-                            "it has no assembly source")
-
-    def program(self, scale=None):
-        return self._build_program()
-
-    def __repr__(self):
-        return f"BinaryWorkload({self.name!r})"

@@ -7,8 +7,8 @@ _BUF = 384
 _SORTN = 48
 
 
-def build(scale):
-    passes = 4 * scale
+def build():
+    passes = 4
     return f"""
         .text
 _start: la   r9, buf

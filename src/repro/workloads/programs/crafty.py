@@ -6,8 +6,8 @@ DESCRIPTION = "bitboard popcount/scan/mix kernels"
 _BOARDS = 64
 
 
-def build(scale):
-    passes = 24 * scale
+def build():
+    passes = 24
     return f"""
         .text
 _start: la   r9, boards

@@ -4,8 +4,8 @@ four "methods" through a function-pointer table and calling it with JSR."""
 DESCRIPTION = "virtual calls through a function-pointer table"
 
 
-def build(scale):
-    calls = 1400 * scale
+def build():
+    calls = 1400
     return f"""
         .text
 _start: br   main

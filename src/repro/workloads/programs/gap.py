@@ -6,8 +6,8 @@ DESCRIPTION = "bytecode interpreter, jump-table dispatch"
 _PROGLEN = 96
 
 
-def build(scale):
-    iterations = 24 * scale
+def build():
+    iterations = 24
     return f"""
         .text
 _start: br   setup

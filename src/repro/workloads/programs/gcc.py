@@ -6,8 +6,8 @@ DESCRIPTION = "token classification cascades (many basic blocks)"
 _TOKENS = 320
 
 
-def build(scale):
-    passes = 10 * scale
+def build():
+    passes = 10
     return f"""
         .text
 _start: br   setup

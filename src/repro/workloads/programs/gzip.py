@@ -6,8 +6,8 @@ DESCRIPTION = "byte-stream CRC and run-length loops (Fig. 2 kernel)"
 _BUF = 512
 
 
-def build(scale):
-    passes = 6 * scale
+def build():
+    passes = 6
     return f"""
         ; --- init: fill the buffer with LCG bytes, build the CRC table ---
         .text

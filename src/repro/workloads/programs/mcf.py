@@ -7,8 +7,8 @@ _NODES = 256
 _NODE_BYTES = 16  # [next_ptr, cost]
 
 
-def build(scale):
-    hops = 2200 * scale
+def build():
+    hops = 2200
     return f"""
         .text
 _start: ; --- build a permuted singly-linked ring of {_NODES} nodes ---

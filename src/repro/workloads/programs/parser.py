@@ -6,8 +6,8 @@ DESCRIPTION = "recursive descent (deep call/return recursion)"
 _DEPTH = 7  # 2^7 = 128 leaf calls per tree walk
 
 
-def build(scale):
-    walks = 16 * scale
+def build():
+    walks = 16
     return f"""
         .text
 _start: br   main

@@ -7,8 +7,8 @@ DESCRIPTION = "threaded-code dispatch, many indirect jump sites"
 _PROGLEN = 80
 
 
-def build(scale):
-    iterations = 16 * scale
+def build():
+    iterations = 16
     return f"""
         .text
 _start: br   setup

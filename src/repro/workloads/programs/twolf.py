@@ -6,8 +6,8 @@ DESCRIPTION = "nested loops with conditional moves/swaps over a grid"
 _CELLS = 96
 
 
-def build(scale):
-    passes = 18 * scale
+def build():
+    passes = 18
     return f"""
         .text
 _start: la   r9, grid

@@ -7,8 +7,8 @@ _RECORDS = 64
 _REC_BYTES = 32
 
 
-def build(scale):
-    transactions = 700 * scale
+def build():
+    transactions = 700
     return f"""
         .text
 _start: br   main

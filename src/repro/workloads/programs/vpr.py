@@ -6,8 +6,8 @@ DESCRIPTION = "multiply/accumulate sweeps with conditional min tracking"
 _N = 128
 
 
-def build(scale):
-    sweeps = 16 * scale
+def build():
+    sweeps = 16
     return f"""
         .text
 _start: la   r9, xs

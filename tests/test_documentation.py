@@ -1,7 +1,8 @@
 """Documentation hygiene: every public module, class and function in the
 library carries a docstring (deliverable (e): doc comments on every public
-item), and the prose documents only name commands, files and ``VMConfig``
-and ``MachineConfig`` attributes that exist."""
+item), the prose documents only name commands, files and ``VMConfig``
+and ``MachineConfig`` attributes that exist, and the observability
+metric catalogue names exactly what a default run records."""
 
 import argparse
 import importlib
@@ -114,3 +115,44 @@ def test_documented_paths_exist(document):
     missing = sorted(path for path in mentioned
                      if not any(ROOT.glob(path.rstrip("/"))))
     assert not missing, f"{document.name} mentions missing paths {missing}"
+
+
+#: A row of a markdown table whose first cell is one code span.
+_METRIC_ROW = re.compile(r"^\| `([^`]+)` \| ([^|]+) \| (.*) \|$",
+                         re.MULTILINE)
+
+
+def _catalogued_metrics():
+    """``(type, name)`` of every metric the table under "Metric
+    catalogue" in ``docs/observability.md`` lists; the ``<stage>`` row
+    expands to the stages its meaning cell names."""
+    text = (ROOT / "docs" / "observability.md").read_text()
+    section = text.split("## Metric catalogue", 1)[1].split("\n## ", 1)[0]
+    rows = _METRIC_ROW.findall(section)
+    assert rows, "docs/observability.md has no metric table"
+    kinds = {kind for _name, kind, _meaning in rows}
+    assert kinds <= {"counter", "gauge", "timer"}, \
+        f"metric types the registry does not have: {sorted(kinds)}"
+    named = set()
+    for name, kind, meaning in rows:
+        if "<stage>" in name:
+            named.update((kind, name.replace("<stage>", stage))
+                         for stage in re.findall(r"`(\w+)`", meaning))
+        else:
+            named.add((kind, name))
+    return named
+
+
+def test_metric_catalogue_matches_a_default_run():
+    from repro.harness.runner import run_vm
+
+    result = run_vm("gzip", VMConfig(), budget=20_000, collect_trace=False)
+    registry = result.vm.telemetry.registry
+    recorded = {("counter", name) for name in registry.counters} | \
+        {("gauge", name) for name in registry.gauges} | \
+        {("timer", name) for name in registry.timers}
+    catalogued = _catalogued_metrics()
+    assert not catalogued - recorded, \
+        f"catalogued but not recorded: {sorted(catalogued - recorded)}"
+    assert not recorded - catalogued, \
+        f"recorded but not catalogued: {sorted(recorded - catalogued)}"

@@ -59,8 +59,7 @@ def test_corpus_entry_replays_clean(entry):
     both VM engines (the jit compiles every fragment on first entry, so
     generated code executes during replay)."""
     fprog = program_from_entry(entry, shrunk=True)
-    report = check_program(fprog, stages=("cosim", "engine"),
-                           engines=("naive", "jit"))
+    report = check_program(fprog, stages=("cosim", "engine"))
     assert report["failures"] == [], \
         f"corpus regression: {report['failures']}"
     assert report["inconclusive"] == []

@@ -101,14 +101,6 @@ class TestProgramImage:
         assert clone.data == fprog.data
         assert clone.seed == fprog.seed
 
-    def test_workload_wrapper_runs(self):
-        workload = generate(5, 0).to_workload()
-        program = workload.program()
-        assert program.entry == 0x1_0000
-        from repro.workloads.base import WorkloadError
-        with pytest.raises(WorkloadError):
-            workload.source()
-
 
 class TestProgramFromWords:
     def test_respects_layout_arguments(self):

@@ -78,14 +78,6 @@ class TestRunner:
         with pytest.raises(WorkloadError):
             run_vm("nothere")
 
-    def test_scale_passthrough(self):
-        small = run_vm("gzip", budget=1_000_000, scale=1,
-                       collect_trace=False)
-        large = run_vm("gzip", budget=1_000_000, scale=2,
-                       collect_trace=False)
-        assert large.stats.total_v_instructions() > \
-            small.stats.total_v_instructions()
-
 
 #: Runs ``slot`` a few times, then overwrites it with the word stored at
 #: ``donor`` and runs the new instruction at the same PC.

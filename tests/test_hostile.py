@@ -594,8 +594,7 @@ class TestHostileCorpusShape:
 @pytest.mark.parametrize("entry", ENTRIES, ids=ENTRY_IDS)
 def test_hostile_corpus_entry_replays_clean(entry):
     fprog = program_from_entry(entry, shrunk=True)
-    report = check_program(fprog, stages=("cosim", "engine"),
-                           engines=("naive", "jit"))
+    report = check_program(fprog, stages=("cosim", "engine"))
     assert not report["failures"], report["failures"]
     assert not report["inconclusive"], report["inconclusive"]
 

@@ -56,7 +56,7 @@ class TestPromotion:
         assert promoted, "no fragment was compiled"
         for fragment in promoted:
             assert fragment._jit_key is not None
-            assert fragment._jit_code._jit_lines > 0
+            assert len(fragment._jit_code._jit_source) > 0
 
     @pytest.mark.parametrize("engine", ("naive",))
     def test_other_engines_never_promote(self, engine):
@@ -271,7 +271,5 @@ class TestTelemetry:
         promotions = summary["counters"]["jit.promotions"]
         assert promotions >= 1
         assert summary["counters"]["jit.compile_failures"] == 0
-        histogram = summary["histograms"]["jit.code_lines"]
-        assert histogram["total"] == promotions
         host = vm.telemetry.host_summary()
         assert host["timers"]["jit.compile"]["count"] == promotions

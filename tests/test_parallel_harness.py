@@ -3,7 +3,7 @@
 The contract: serial execution, process-pool execution, and cache-answered
 execution are indistinguishable — the experiment tables they produce are
 byte-identical — and the cache key covers everything that can change a
-result (config, budget, scale, evals), so any such change is a miss.
+result (config, budget, evals), so any such change is a miss.
 """
 
 import json
