@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check test smoke chaos fuzz fuzz-hostile bench bench-quick \
-	bench-gate report clean-cache
+	bench-gate bench-e2e-gate report clean-cache
 
 check: test smoke
 
@@ -51,6 +51,14 @@ bench-gate:
 		benchmarks/bench_exec_engine.py -q -s
 	$(PYTHON) -m repro bench-compare BENCH_exec.json \
 		/tmp/BENCH_exec.fresh.json
+
+# Record the end-to-end benchmark afresh (about four minutes) to a
+# scratch file and gate it against the committed BENCH_e2e.json: each
+# end-to-end metric within its BENCHMARK.json bound, every count exact.
+bench-e2e-gate:
+	$(PYTHON) scripts/record_e2e.py --output /tmp/BENCH_e2e.fresh.json
+	$(PYTHON) -m repro bench-compare BENCH_e2e.json \
+		/tmp/BENCH_e2e.fresh.json
 
 report:
 	$(PYTHON) -m repro report -o results.md

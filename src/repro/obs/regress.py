@@ -12,11 +12,18 @@ The repo's benchmarks leave JSON records (``BENCH_exec.json``,
   fragment counts) are deterministic by the harness contract and must
   match *exactly*: a drifting count is a correctness bug, not noise.
 
+An end-to-end record (``BENCH_e2e.json``, from ``scripts/record_e2e.py``)
+holds e2ebench runs and carries BENCHMARK.json's rules: each end-to-end
+metric is gated by its ``better`` and ``bound``, counts stay exact and a
+run's ``failed`` may not rise.  Per-layer seconds and ratios, which come
+from one pass, and a run's ``attempted``, which grows with its speed, are
+reported but not gated.
+
 Wall-clock numbers only mean something relative to the machine that
 produced them, so the comparison honours the same machine-metadata guard
 the benchmarks themselves use: when the two records disagree on machine
-or run context (workloads, budget, reps), the gate is *skipped with a
-warning* rather than failed — cross-machine comparisons are flagged,
+or run context (workloads, budget, reps, seed), the gate is *skipped with
+a warning* rather than failed — cross-machine comparisons are flagged,
 never gated.
 
 ``compare_benchmarks`` is pure (two dicts in, a :class:`Comparison`
@@ -39,11 +46,14 @@ TIME_SLACK_SECONDS = 0.005
 #: Top-level fields that describe *what was run*, not *how it went*.
 #: They guard comparability instead of being compared as metrics.
 CONTEXT_KEYS = ("benchmark", "experiment", "workloads", "budget", "reps",
-                "run_points")
+                "run_points", "seed")
 
 #: Top-level *blocks* (nested dicts) that likewise carry context, not
 #: metrics: the machine-identity block every record embeds.
 CONTEXT_BLOCKS = ("machine",)
+
+#: The ``benchmark`` name of an end-to-end record.
+E2E_BENCHMARK = "e2ebench"
 
 
 def machine_metadata():
@@ -123,6 +133,28 @@ def _flatten_into(metrics, prefix, value):
                 _flatten_into(metrics, f"{prefix}.{index}", inner)
 
 
+def e2e_metrics(doc, rules):
+    """Flatten an end-to-end record into ``{<run>.<metric>: (value, kind,
+    tolerance)}``.  ``doc["runs"]`` maps a run's label to e2ebench's
+    result; ``rules`` maps an end-to-end metric to its ``better`` and
+    ``bound``.  Per-layer seconds and ratios are ``"reported"``, and so
+    is ``attempted``: a timed run repeats passes until its time is up."""
+    metrics = {}
+    for label, run in doc["runs"].items():
+        metrics[f"{label}.attempted"] = (run["attempted"], "reported", 0.0)
+        metrics[f"{label}.failed"] = (run["failed"], "lower", 0.0)
+        for name, metric in run["metrics"].items():
+            rule = rules.get(name)
+            if rule is not None:
+                kind, tolerance = rule["better"], rule["bound"]
+            elif metric["unit"] == "count":
+                kind, tolerance = "exact", 0.0
+            else:
+                kind, tolerance = "reported", 0.0
+            metrics[f"{label}.{name}"] = (metric["value"], kind, tolerance)
+    return metrics
+
+
 class MetricDelta:
     """One metric compared across the two records."""
 
@@ -133,7 +165,7 @@ class MetricDelta:
         self.kind = kind
         self.baseline = baseline
         self.current = current
-        #: "ok", "improved" or "regressed"
+        #: "ok", "improved" or "regressed" (a reported metric is "ok")
         self.verdict = verdict
 
     def render(self):
@@ -186,22 +218,23 @@ class Comparison:
         return lines
 
 
-def _compare_one(name, baseline, current, time_tolerance, slack):
-    kind = classify(name)
+def _compare_one(name, kind, tolerance, slack, baseline, current):
+    if kind == "reported":
+        return MetricDelta(name, kind, baseline, current, "ok")
     if kind == "exact":
         if current != baseline:
             return MetricDelta(name, kind, baseline, current, "regressed")
         return MetricDelta(name, kind, baseline, current, "ok")
     if kind == "higher":
-        floor = baseline * (1.0 - time_tolerance)
+        floor = baseline * (1.0 - tolerance)
         verdict = "regressed" if current < floor else (
-            "improved" if current > baseline * (1.0 + time_tolerance)
+            "improved" if current > baseline * (1.0 + tolerance)
             else "ok")
         return MetricDelta(name, kind, baseline, current, verdict)
     # "lower" and "time": lower is better
     extra = slack if kind == "time" else 0.0
-    ceiling = baseline * (1.0 + time_tolerance) + extra
-    floor = baseline * (1.0 - time_tolerance) - extra
+    ceiling = baseline * (1.0 + tolerance) + extra
+    floor = baseline * (1.0 - tolerance) - extra
     verdict = "regressed" if current > ceiling else (
         "improved" if current < floor else "ok")
     return MetricDelta(name, kind, baseline, current, verdict)
@@ -213,7 +246,9 @@ def compare_benchmarks(baseline, current, time_tolerance=TIME_TOLERANCE,
 
     ``baseline`` and ``current`` are parsed benchmark JSON documents.
     The gate is skipped (with a warning, never a failure) when the two
-    records describe different run contexts or machines.
+    records describe different run contexts or machines.  An end-to-end
+    record's metrics follow the baseline's ``end_to_end`` rules
+    (:func:`e2e_metrics`) instead of ``time_tolerance`` and ``slack``.
     """
     result = Comparison()
 
@@ -238,16 +273,23 @@ def compare_benchmarks(baseline, current, time_tolerance=TIME_TOLERANCE,
                           f"numbers are not comparable across hosts")
         return result
 
-    base_metrics = flatten_metrics(baseline)
-    cur_metrics = flatten_metrics(current)
+    if baseline.get("benchmark") == E2E_BENCHMARK:
+        rules = {rule["name"]: rule for rule in baseline["end_to_end"]}
+        base_metrics = e2e_metrics(baseline, rules)
+        cur_metrics = e2e_metrics(current, rules)
+    else:
+        base_metrics, cur_metrics = [
+            {name: (value, classify(name), time_tolerance)
+             for name, value in flatten_metrics(doc).items()}
+            for doc in (baseline, current)]
     for name in sorted(base_metrics):
         if name not in cur_metrics:
             result.warnings.append(f"metric {name} missing from current "
                                    f"record")
             continue
+        value, kind, tolerance = base_metrics[name]
         result.deltas.append(_compare_one(
-            name, base_metrics[name], cur_metrics[name],
-            time_tolerance, slack))
+            name, kind, tolerance, slack, value, cur_metrics[name][0]))
     for name in sorted(set(cur_metrics) - set(base_metrics)):
         result.warnings.append(f"metric {name} new in current record "
                                f"(not gated)")

@@ -8,8 +8,9 @@ Two machines are modelled:
   instructions by accumulator number into parallel in-order PE FIFOs, with
   explicit inter-PE communication latency and replicated L1 data caches.
 
-Both share the front-end models: gshare + BTB + (dual-address) RAS branch
-prediction and the cache hierarchy.
+Each has a fast model, one loop over the trace, and a cycle-stepped
+reference model that checks it.  All four share the branch predictors
+(gshare + BTB + dual-address RAS) and the cache hierarchy.
 """
 
 from repro.uarch.config import MachineConfig, SUPERSCALAR, ildp_config

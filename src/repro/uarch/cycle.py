@@ -6,10 +6,9 @@ fetch after a resolved misprediction, commit in order, issue (each
 model's own), dispatch in program order (each model places an
 instruction its own way) and fetch, in that order.
 
-Fetch and commit here are deliberately not the fast models'
-:class:`~repro.uarch.frontend.FrontEnd` and
-:class:`~repro.uarch.retire.RetireUnit`: the cycle models are the
-independent oracle the test suite checks the fast models against.
+Fetch and commit here are written apart from the fast models' one-pass
+loops on purpose: the cycle models are the independent oracle the test
+suite checks the fast models against.
 """
 
 from collections import deque

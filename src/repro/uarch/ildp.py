@@ -14,15 +14,23 @@ instruction per cycle from its FIFO head when operands are ready:
   paper does).
 
 A shared 128-entry reorder buffer retires 4 instructions per cycle.
+
+:meth:`ILDPModel.run` is one loop over the trace; its fetch, reorder
+buffer and calls out are those of :mod:`repro.uarch.superscalar`.
 """
 
 from collections import deque
 
 from repro.uarch.cache import MemoryHierarchy
-from repro.uarch.config import FIFO_DEPTH, PIPELINE_DEPTH, ROB_SIZE, WIDTH
-from repro.uarch.frontend import FrontEnd
+from repro.uarch.config import (
+    FIFO_DEPTH,
+    ICACHE,
+    PIPELINE_DEPTH,
+    REDIRECT_LATENCY,
+    ROB_SIZE,
+    WIDTH,
+)
 from repro.uarch.predictors import BranchUnit
-from repro.uarch.retire import RetireUnit
 from repro.uarch.superscalar import TimingResult
 
 
@@ -35,144 +43,167 @@ class ILDPModel:
         self.config = config
         self.hierarchy = MemoryHierarchy(config)
         self.branch_unit = BranchUnit(config.use_conventional_ras)
-        self.frontend = FrontEnd(config, self.hierarchy, self.branch_unit)
-        self.retire_unit = RetireUnit(ROB_SIZE, WIDTH)
-        pe_count = config.pe_count
-        self._pe_last_issue = [0] * pe_count
-        self._pe_fifo = [deque() for _ in range(pe_count)]
-        #: GPR index -> (ready cycle, producing PE)
-        self._reg_ready = {}
-        #: accumulator -> ready cycle (accumulators live inside one PE)
-        self._acc_ready = {}
-        #: accumulator renaming: strand id -> PE assigned at strand start
-        self._acc_pe = {}
-        #: 8-byte block -> completion cycle of the last store to it
-        self._mem_ready = {}
-        self._instructions = 0
-        self._v_instructions = 0
 
     def run(self, trace):
         """Consume a :class:`~repro.vm.events.Trace`; returns the
-        :class:`TimingResult`."""
-        step = self.step
-        for template, taken, target, mem_addr, ras_hit in trace:
-            step(template, taken, target, mem_addr, ras_hit)
-        return self.result()
+        :class:`TimingResult`.
 
-    def step(self, template, taken, target, mem_addr, ras_hit):
-        """Time one trace row: its template plus its dynamic fields."""
-        (address, _size, op_class, srcs, dst, acc, acc_read, acc_write,
-         strand_start, btype, v_weight, _dispatch) = template
-        config = self.config
-        self._instructions += 1
-        self._v_instructions += v_weight
-        self.branch_unit.note_instruction(v_weight)
-
-        fetch = self.frontend.fetch(address)
-        dispatch = fetch + PIPELINE_DEPTH
-        dispatch = self.retire_unit.admit(dispatch)
-
-        pe = self._steer(acc, strand_start, srcs)
-        fifo = self._pe_fifo[pe]
-        while fifo and fifo[0] <= dispatch:
-            fifo.popleft()
-        if len(fifo) >= FIFO_DEPTH:
-            # steering stalls until the FIFO head issues
-            dispatch = fifo[0]
-            while fifo and fifo[0] <= dispatch:
-                fifo.popleft()
-
-        ready = dispatch
-        if acc_read and acc is not None:
-            when = self._acc_ready.get(acc)
-            if when is not None and when > ready:
-                ready = when
-        for src in srcs:
-            entry = self._reg_ready.get(src)
-            if entry is not None:
-                when, producer_pe = entry
-                if producer_pe != pe:
-                    when += config.comm_latency
-                if when > ready:
-                    ready = when
-        block = None
-        if mem_addr is not None:
-            block = mem_addr >> 3
-            if op_class == "load":
-                when = self._mem_ready.get(block)
-                if when is not None and when > ready:
-                    ready = when  # store-to-load dependence
-
-        # in-order single issue per PE
-        start = max(ready, self._pe_last_issue[pe] + 1)
-        self._pe_last_issue[pe] = start
-        fifo.append(start)
-
-        complete = start + self.hierarchy.latency(op_class, mem_addr,
-                                                  address)
-        if acc_write and acc is not None:
-            self._acc_ready[acc] = complete
-        if dst is not None:
-            self._reg_ready[dst] = (complete, pe)
-        if block is not None and op_class == "store":
-            self._mem_ready[block] = complete
-        self.retire_unit.retire(complete)
-
-        if btype is not None:
-            self.frontend.resolve_control(address, btype, taken, target,
-                                          ras_hit, complete)
-
-    def _steer(self, acc, strand_start, srcs):
-        """Dependence-based steering with accumulator renaming.
-
-        Following the ISCA 2002 microarchitecture: a strand-*start*
-        instruction picks a PE — preferring the PE that produced its
-        critical GPR input (so the communication latency is not paid),
-        falling back to the least-loaded FIFO — and the accumulator is
-        renamed to that PE until the strand ends.  Later instructions of
-        the strand simply follow their accumulator.  GPR-only instructions
-        (stores, branches with global inputs) take the least-loaded PE.
+        Steering follows the ISCA 2002 microarchitecture: a strand start
+        picks a PE and renames its accumulator to it until the strand
+        ends, and the strand's later instructions follow the accumulator.
+        Under ``dependence`` steering a strand start prefers the PE that
+        produced its latest-arriving GPR input (no communication latency)
+        unless that FIFO is congested; otherwise, and for GPR-only
+        instructions, it takes the least-loaded PE.  ``modulo`` steering
+        places accumulator ``a`` in PE ``a % pe_count``, without renaming.
         """
-        if self.config.steering == "modulo":
-            if acc is not None:
-                return acc % self.config.pe_count
-            return self._least_loaded_pe()
-        if acc is not None and not strand_start:
-            pe = self._acc_pe.get(acc)
-            if pe is not None:
-                return pe
-        pe = self._choose_start_pe(srcs)
-        if acc is not None:
-            self._acc_pe[acc] = pe
-        return pe
+        config = self.config
+        ifetch = self.hierarchy.ifetch
+        latency = self.hierarchy.latency
+        process = self.branch_unit.process
+        perfect_prediction = config.perfect_prediction
+        comm_latency = config.comm_latency
+        pe_count = config.pe_count
+        modulo = config.steering == "modulo"
+        dependence = config.steering == "dependence"
+        line_bytes = ICACHE.line
 
-    def _choose_start_pe(self, srcs):
-        if self.config.steering == "dependence":
-            # prefer the producer PE of the latest-arriving GPR input,
-            # unless its FIFO is congested
-            best_input = None
-            for src in srcs:
-                entry = self._reg_ready.get(src)
-                if entry is not None and (best_input is None
-                                          or entry[0] > best_input[0]):
-                    best_input = entry
-            if best_input is not None:
-                pe = best_input[1]
-                if len(self._pe_fifo[pe]) < FIFO_DEPTH - 1:
-                    return pe
-        return self._least_loaded_pe()
+        fetch_cycle = 0          # when the next row leaves fetch
+        group_used = 0           # rows in the current fetch group
+        last_line = None         # I-cache line of the last fetch
+        rob = deque()            # retire cycles of in-flight rows
+        rob_popleft = rob.popleft
+        rob_append = rob.append
+        retire_cycle = 0         # the last row's retire cycle
+        retired = 0              # rows retiring in ``retire_cycle``
+        fifos = [deque() for _ in range(pe_count)]   # issue cycles
+        # Each PE's load, ``(len(fifo), last issue cycle, pe)``.  Only the
+        # PE a row issues in changes its FIFO or its last issue, so a row
+        # refreshes just that key, and ``min(loads)[2]`` is the
+        # least-loaded PE, the lowest index among equals.
+        loads = [(0, 0, pe) for pe in range(pe_count)]
+        reg_ready = {}           # GPR -> (ready cycle, producing PE)
+        acc_ready = {}           # accumulator -> ready cycle
+        acc_pe = {}              # accumulator -> PE of its strand
+        mem_ready = {}           # 8-byte block -> completion of last store
+        v_instructions = 0
 
-    def _least_loaded_pe(self):
-        best = 0
-        best_load = None
-        for pe, last in enumerate(self._pe_last_issue):
-            load = (len(self._pe_fifo[pe]), last)
-            if best_load is None or load < best_load:
-                best = pe
-                best_load = load
-        return best
+        for block in trace.blocks:
+            for template, taken, target, mem_addr, ras_hit in zip(*block):
+                (address, _size, op_class, srcs, dst, acc, acc_read,
+                 acc_write, strand_start, btype, v_weight,
+                 _dispatch) = template
+                v_instructions += v_weight
 
-    def result(self):
-        return TimingResult(self.retire_unit.last_retire,
-                            self._instructions, self._v_instructions,
-                            self.branch_unit.stats, self.config.name)
+                # fetch
+                if group_used >= WIDTH:
+                    fetch_cycle += 1
+                    group_used = 0
+                line = address // line_bytes
+                if line != last_line:
+                    last_line = line
+                    extra = ifetch(address)
+                    if extra:
+                        fetch_cycle += extra
+                        group_used = 0
+                group_used += 1
+
+                # dispatch once a ROB slot is free
+                dispatch = fetch_cycle + PIPELINE_DEPTH
+                while rob and rob[0] <= dispatch:
+                    rob_popleft()
+                if len(rob) >= ROB_SIZE:
+                    dispatch = rob[0]
+                    while rob and rob[0] <= dispatch:
+                        rob_popleft()
+
+                # steer
+                pe = None
+                if modulo:
+                    if acc is not None:
+                        pe = acc % pe_count
+                elif acc is not None and not strand_start:
+                    pe = acc_pe.get(acc)
+                if pe is None:
+                    # a strand start or a GPR-only instruction
+                    if dependence:
+                        best = None
+                        for src in srcs:
+                            entry = reg_ready.get(src)
+                            if entry is not None and (
+                                    best is None or entry[0] > best[0]):
+                                best = entry
+                        if best is not None and \
+                                len(fifos[best[1]]) < FIFO_DEPTH - 1:
+                            pe = best[1]
+                    if pe is None:
+                        pe = min(loads)[2]
+                    if acc is not None:
+                        acc_pe[acc] = pe
+                fifo = fifos[pe]
+                while fifo and fifo[0] <= dispatch:
+                    fifo.popleft()
+                if len(fifo) >= FIFO_DEPTH:
+                    # steering stalls until the FIFO head issues
+                    dispatch = fifo[0]
+                    while fifo and fifo[0] <= dispatch:
+                        fifo.popleft()
+
+                # issue in order, one per PE per cycle, once ready
+                ready = dispatch
+                if acc_read and acc is not None:
+                    when = acc_ready.get(acc)
+                    if when is not None and when > ready:
+                        ready = when
+                for src in srcs:
+                    entry = reg_ready.get(src)
+                    if entry is not None:
+                        when, producer = entry
+                        if producer != pe:
+                            when += comm_latency
+                        if when > ready:
+                            ready = when
+                if op_class == "load" and mem_addr is not None:
+                    when = mem_ready.get(mem_addr >> 3)
+                    if when is not None and when > ready:
+                        ready = when  # store-to-load dependence
+                start = loads[pe][1] + 1
+                if ready > start:
+                    start = ready
+                fifo.append(start)
+                loads[pe] = (len(fifo), start, pe)
+
+                complete = start + latency(op_class, mem_addr, address)
+                if acc_write and acc is not None:
+                    acc_ready[acc] = complete
+                if dst is not None:
+                    reg_ready[dst] = (complete, pe)
+                if op_class == "store" and mem_addr is not None:
+                    mem_ready[mem_addr >> 3] = complete
+
+                # retire in order, WIDTH per cycle
+                if complete + 1 > retire_cycle:
+                    retire_cycle = complete + 1
+                    retired = 0
+                elif retired >= WIDTH:
+                    retire_cycle += 1
+                    retired = 0
+                retired += 1
+                rob_append(retire_cycle)
+
+                if btype is not None:
+                    # the predictors train even under perfect_prediction
+                    if process(address, btype, taken, target, ras_hit) \
+                            and not perfect_prediction:
+                        fetch_cycle = max(fetch_cycle,
+                                          complete + REDIRECT_LATENCY)
+                        group_used = 0
+                        last_line = None
+                    elif taken:
+                        # a taken transfer ends the fetch group
+                        fetch_cycle += 1
+                        group_used = 0
+
+        self.branch_unit.note_instruction(v_instructions)
+        return TimingResult(retire_cycle, len(trace), v_instructions,
+                            self.branch_unit.stats, config.name)

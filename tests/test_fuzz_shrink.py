@@ -7,6 +7,7 @@ ranges, simplification rewrites operands, and the whole thing respects
 its check budget.
 """
 
+from repro.fuzz.campaign import SHRINK_BUDGET_FACTOR
 from repro.fuzz.gen import FuzzProgram, GENERATOR_VERSION
 from repro.fuzz.oracle import run_reference
 from repro.fuzz.shrink import NOP_WORD, shrink_words
@@ -85,8 +86,13 @@ class TestBranchRepair:
                 Instruction("call_pal", imm=0),
             )
 
+        # a candidate that deletes the loop exit spins until its budget
+        # runs out: bound each check by the loop's own run length, as a
+        # campaign's shrink does
+        budget = SHRINK_BUDGET_FACTOR * run_reference(_fprog(words)).insns
+
         def loops_five_times(candidate):
-            outcome = run_reference(_fprog(candidate))
+            outcome = run_reference(_fprog(candidate), budget=budget)
             return outcome.status == "halted" and outcome.regs[2] == 10
 
         assert loops_five_times(words)

@@ -3,6 +3,9 @@
 import copy
 import io
 import json
+import pathlib
+
+import pytest
 
 from repro.cli import main
 from repro.obs.regress import (
@@ -183,8 +186,6 @@ class TestBenchCompareCli:
         assert "regressed" in text
 
     def test_committed_baseline_self_compares_clean(self):
-        import pathlib
-
         record = str(pathlib.Path(__file__).resolve().parent.parent
                      / "BENCH_exec.json")
         code, text = self.run_cli("bench-compare", record, record)
@@ -214,3 +215,82 @@ class TestBenchCompareCli:
         code, _text = self.run_cli("bench-compare", base, slow,
                                    "--tolerance", "0.25")
         assert code == 0
+
+
+class TestEndToEndRecord:
+    """``BENCH_e2e.json`` (``scripts/record_e2e.py``) gated by its own
+    BENCHMARK.json rules."""
+
+    ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+    @pytest.fixture
+    def record(self):
+        return json.loads((self.ROOT / "BENCH_e2e.json").read_text())
+
+    @staticmethod
+    def scaled(record, run, metric, factor):
+        doc = copy.deepcopy(record)
+        doc["runs"][run]["metrics"][metric]["value"] *= factor
+        return doc
+
+    def regressed(self, record, current):
+        return [d.name for d in compare_benchmarks(record,
+                                                   current).regressions]
+
+    def test_self_compare_exits_zero(self):
+        record = str(self.ROOT / "BENCH_e2e.json")
+        out = io.StringIO()
+        assert main(["bench-compare", record, record], out=out) == 0
+        assert "result: OK" in out.getvalue()
+
+    def test_record_carries_benchmark_rules(self, record):
+        spec = json.loads((self.ROOT / "BENCHMARK.json").read_text())
+        assert record["end_to_end"] == spec["end_to_end"]
+        assert set(record["runs"]) == {"fig8", "fig9", "untraced",
+                                       "fig8-trace", "fig9-trace"}
+        assert all(run["failed"] == 0 for run in record["runs"].values())
+
+    def test_ref_cpu_s_gated_by_its_bound(self, record):
+        # BENCHMARK.json bounds ref_cpu_s at 12%
+        assert self.regressed(record, self.scaled(
+            record, "fig9", "ref_cpu_s", 1.15)) == ["fig9.ref_cpu_s"]
+        assert not self.regressed(record, self.scaled(
+            record, "fig9", "ref_cpu_s", 1.10))
+
+    def test_kips_drop_regresses(self, record):
+        assert self.regressed(record, self.scaled(
+            record, "fig9", "kips", 0.85)) == ["fig9.kips"]
+
+    def test_peak_rss_gated_by_its_bound(self, record):
+        assert self.regressed(record, self.scaled(
+            record, "fig8", "peak_rss_mb", 1.03)) == ["fig8.peak_rss_mb"]
+
+    def test_count_drift_regresses(self, record):
+        drifted = copy.deepcopy(record)
+        drifted["runs"]["fig9-trace"]["metrics"]["uarch.ildp_records"][
+            "value"] += 1
+        assert self.regressed(record, drifted) == \
+            ["fig9-trace.uarch.ildp_records"]
+
+    def test_failures_may_not_rise(self, record):
+        failing = copy.deepcopy(record)
+        failing["runs"]["untraced"]["failed"] += 1
+        assert self.regressed(record, failing) == ["untraced.failed"]
+
+    def test_attempted_follows_run_speed(self, record):
+        # a timed run repeats whole passes until its time is up, so a
+        # faster tree attempts more operations
+        faster = copy.deepcopy(record)
+        faster["runs"]["untraced"]["attempted"] += 120
+        assert compare_benchmarks(record, faster).ok
+
+    def test_layer_seconds_reported_not_gated(self, record):
+        slow = copy.deepcopy(record)
+        for run in ("fig8-trace", "fig9-trace"):
+            for metric in slow["runs"][run]["metrics"].values():
+                if metric["unit"] in ("s", "ratio"):
+                    metric["value"] *= 2
+        comparison = compare_benchmarks(record, slow)
+        assert comparison.ok
+        doubled = [d for d in comparison.deltas if d.current != d.baseline]
+        assert doubled and all(d.kind == "reported" for d in doubled)

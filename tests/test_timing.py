@@ -141,13 +141,23 @@ class TestILDP:
         assert narrow.cycles > 1.1 * wide.cycles
 
     def test_strand_start_renames_to_producer_pe(self):
-        model = ILDPModel(ildp_config(8, 2))
-        # producer in some PE writes r5; a strand start reading r5 must
-        # steer to the same PE (no communication penalty)
-        model.step(*alu(0x1000, acc=0, dst=5, strand_start=True))
-        producer_pe = model._reg_ready[5][1]
-        model.step(*alu(0x1004, srcs=(5,), acc=1, strand_start=True))
-        assert model._acc_pe[1] == producer_pe
+        # each strand start reads r5 from the previous strand: dependence
+        # steering renames it to the producer's PE, so a 2-cycle
+        # communication latency costs nothing; least-loaded steering
+        # sends it to another PE, which pays
+        rows = []
+        for i in range(200):
+            rows.append(alu(0x1000 + 8 * i, acc=0, dst=5,
+                            strand_start=True))
+            rows.append(alu(0x1004 + 8 * i, srcs=(5,), acc=1,
+                            strand_start=True))
+
+        def cycles(steering, comm):
+            machine = ildp_config(8, comm, steering=steering)
+            return ILDPModel(machine).run(Trace.from_rows(rows)).cycles
+
+        assert cycles("dependence", 2) == cycles("dependence", 0)
+        assert cycles("least_loaded", 2) > cycles("least_loaded", 0)
 
     def test_requires_pe_config(self):
         with pytest.raises(ValueError):
@@ -191,3 +201,66 @@ class TestMemoryDependence:
         conflicting = ILDPModel(ildp_config(8, 0)).run(build(True))
         disjoint = ILDPModel(ildp_config(8, 0)).run(build(False))
         assert conflicting.cycles >= disjoint.cycles
+
+
+class TestPinnedFastModels:
+    """Exact results of both fast models on a trace long enough for the
+    ROB and the PE FIFOs to fill: parser at 20k V-ISA instructions.  The
+    golden summaries pin every IPC at 5k only."""
+
+    BUDGET = 20_000
+
+    #: (steering, idealisation) -> (cycles, mispredictions) on the
+    #: modified-format trace, 4 PEs, comm 2, the 8 KB L1-D
+    ILDP = {
+        ("dependence", "plain"): (21125, 236),
+        ("dependence", "perfect_bp"): (15410, 236),
+        ("dependence", "perfect_dcache"): (21037, 236),
+        ("least_loaded", "plain"): (21051, 236),
+        ("least_loaded", "perfect_bp"): (15401, 236),
+        ("least_loaded", "perfect_dcache"): (20964, 236),
+        ("modulo", "plain"): (20022, 236),
+        ("modulo", "perfect_bp"): (17622, 236),
+        ("modulo", "perfect_dcache"): (19967, 236),
+    }
+    #: the same trace on Fig. 8's machine: 8 PEs, comm 0, 32 KB L1-D
+    ILDP_FIG8 = (16333, 236)
+    #: use_conventional_ras -> (cycles, mispredictions) on the
+    #: original-ISA trace
+    SUPERSCALAR_BY_RAS = {True: (12216, 199), False: (20108, 1319)}
+
+    IDEALISATIONS = {"plain": {}, "perfect_bp": {"perfect_prediction": True},
+                     "perfect_dcache": {"perfect_dcache": True}}
+
+    @pytest.fixture(scope="class")
+    def modified_trace(self):
+        from repro.harness.runner import run_vm
+        from repro.ildp_isa.opcodes import IFormat
+        from repro.vm.config import VMConfig
+
+        return run_vm("parser", VMConfig(fmt=IFormat.MODIFIED),
+                      budget=self.BUDGET).trace
+
+    @staticmethod
+    def pin(result):
+        return result.cycles, result.branch_stats.mispredictions
+
+    @pytest.mark.parametrize("steering, ideal", sorted(ILDP))
+    def test_ildp(self, modified_trace, steering, ideal):
+        machine = ildp_config(4, 2, dcache_small=True, steering=steering,
+                              **self.IDEALISATIONS[ideal])
+        result = ILDPModel(machine).run(modified_trace)
+        assert self.pin(result) == self.ILDP[steering, ideal]
+
+    def test_ildp_fig8_machine(self, modified_trace):
+        result = ILDPModel(ildp_config(8, 0)).run(modified_trace)
+        assert self.pin(result) == self.ILDP_FIG8
+
+    @pytest.mark.parametrize("use_ras", [True, False])
+    def test_superscalar(self, use_ras):
+        from repro.harness.runner import run_original
+
+        trace, _interpreter = run_original("parser", self.BUDGET)
+        machine = MachineConfig("ooo", use_conventional_ras=use_ras)
+        result = SuperscalarModel(machine).run(trace)
+        assert self.pin(result) == self.SUPERSCALAR_BY_RAS[use_ras]

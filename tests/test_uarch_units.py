@@ -1,78 +1,146 @@
-"""Unit tests for the smaller microarchitecture building blocks."""
-
-import pytest
+"""Tests of the fast timing models' front end and in-order retirement,
+each run on both models over a small hand-built trace, and of small I-ISA
+and superblock helpers."""
 
 from repro.uarch.cache import MemoryHierarchy
-from repro.uarch.config import REDIRECT_LATENCY, MachineConfig
-from repro.uarch.frontend import FrontEnd
-from repro.uarch.predictors import BranchUnit
-from repro.uarch.retire import RetireUnit
+from repro.uarch.config import (
+    INT_LATENCY,
+    PIPELINE_DEPTH,
+    REDIRECT_LATENCY,
+    ROB_SIZE,
+    SUPERSCALAR,
+    WIDTH,
+    MachineConfig,
+    ildp_config,
+)
+from repro.uarch.ildp import ILDPModel
+from repro.uarch.superscalar import SuperscalarModel
+from repro.vm.events import Template, Trace
+from tests.test_timing import alu, load
+
+#: both fast models on Table 1's machines, built fresh for every run
+FAST_MODELS = {
+    "superscalar": lambda **options: SuperscalarModel(
+        MachineConfig("ooo", **options)),
+    "ildp": lambda **options: ILDPModel(ildp_config(8, 0, **options)),
+}
 
 
-def make_frontend(**overrides):
-    config = MachineConfig("test", **overrides)
-    hierarchy = MemoryHierarchy(config)
-    return FrontEnd(config, hierarchy, BranchUnit(config)), config
+def results(rows, **options):
+    """``rows`` timed on a fresh copy of each fast model, by name."""
+    trace = Trace.from_rows(rows)
+    return {name: make(**options).run(trace)
+            for name, make in FAST_MODELS.items()}
+
+
+def cycles(rows, **options):
+    return {name: result.cycles
+            for name, result in results(rows, **options).items()}
+
+
+def plus(base, extra):
+    """Each model's cycles in ``base``, ``extra`` cycles later."""
+    return {name: value + extra for name, value in base.items()}
+
+
+def line_alu(i):
+    """The ``i``-th of a run of independent ALU rows in one I-cache line."""
+    return alu(0x1000 + 4 * (i % 32))
+
+
+def cold_fetch_extra(address):
+    """Extra cycles of a first fetch, which misses down to memory."""
+    return MemoryHierarchy(SUPERSCALAR).ifetch(address)
+
+
+def cold_load_latency(address):
+    """Load-to-use cycles of a first load, which misses down to memory."""
+    return MemoryHierarchy(SUPERSCALAR).daccess(address)
 
 
 class TestRetireUnit:
+    """The reorder buffer: in-order retirement, WIDTH per cycle, and
+    dispatch held while it is full."""
+
+    MISS = load(0x1000, 0x100000)    # misses down to memory
+
     def test_in_order(self):
-        unit = RetireUnit(rob_size=4, bandwidth=2)
-        first = unit.retire(10)
-        second = unit.retire(5)    # completed earlier but retires later
-        assert second >= first
+        # rows behind the miss complete long before it; had they retired
+        # then, the run would end when the miss retires
+        behind = cycles([self.MISS] + [line_alu(i)
+                                       for i in range(1, WIDTH + 1)])
+        alone = cycles([self.MISS])
+        assert all(behind[name] > alone[name] for name in alone)
 
     def test_bandwidth_limit(self):
-        unit = RetireUnit(rob_size=128, bandwidth=2)
-        cycles = [unit.retire(0) for _ in range(6)]
-        # at most two retirements share any cycle
-        for cycle in set(cycles):
-            assert cycles.count(cycle) <= 2
+        alone = cycles([self.MISS])
+        for tail in (3, 4, 8, 12):
+            behind = cycles([self.MISS] + [line_alu(i)
+                                           for i in range(1, tail + 1)])
+            assert behind == plus(alone, tail // WIDTH), tail
 
     def test_rob_occupancy_stalls_dispatch(self):
-        unit = RetireUnit(rob_size=2, bandwidth=1)
-        unit.retire(100)
-        unit.retire(100)
-        # ROB full of instructions retiring at ~100: dispatch at 5 waits
-        assert unit.admit(5) >= 100
+        # a second miss finds the ROB full of rows waiting behind the
+        # first, and dispatches only when the first retires
+        def with_gap(gap):
+            second = load(0x1000 + 4 * ((gap + 1) % 32), 0x200000)
+            return cycles([self.MISS] + [line_alu(i)
+                                         for i in range(1, gap + 1)]
+                          + [second])
+
+        after_first = plus(cycles([self.MISS]),
+                           cold_load_latency(0x200000))
+        fits = with_gap(ROB_SIZE - 2)    # the second miss is row ROB_SIZE
+        full = with_gap(ROB_SIZE - 1)    # ... and here row ROB_SIZE + 1
+        for name in FAST_MODELS:
+            assert fits[name] < after_first[name] <= full[name], name
 
     def test_admit_passes_when_space(self):
-        unit = RetireUnit(rob_size=8, bandwidth=4)
-        assert unit.admit(5) == 5
+        # dispatch PIPELINE_DEPTH after fetch, retire the cycle after
+        # completion
+        expected = cold_fetch_extra(0x1000) + PIPELINE_DEPTH + \
+            INT_LATENCY + 1
+        assert cycles([alu(0x1000)]) == {name: expected
+                                         for name in FAST_MODELS}
 
 
 class TestFrontEnd:
+    """Fetch: WIDTH-row groups, taken transfers, the misprediction
+    redirect and I-cache misses."""
+
     def test_width_limits_group(self):
-        frontend, _config = make_frontend()
-        cycles = [frontend.fetch(0x1000 + 4 * i) for i in range(8)]
-        # warm-up miss aside, instructions 0-3 share a cycle, 4-7 the next
-        assert cycles[3] == cycles[0]
-        assert cycles[4] == cycles[0] + 1
+        # a miss fetched behind ``ahead`` rows of one line leaves fetch,
+        # and so completes and retires, ahead // WIDTH cycles late
+        alone = cycles([load(0x1000, 0x100000)])
+        for ahead in (3, 4, 8):
+            behind = cycles([line_alu(i) for i in range(ahead)]
+                            + [load(0x1000 + 4 * ahead, 0x100000)])
+            assert behind == plus(alone, ahead // WIDTH), ahead
 
     def test_taken_branch_ends_group(self):
-        frontend, _config = make_frontend()
-        frontend.fetch(0x1000)
-        cycle = frontend.fetch(0x1004)
-        frontend.resolve_control(0x1004, "uncond", True, 0x2000, None, cycle)
-        next_cycle = frontend.fetch(0x2000)
-        assert next_cycle > cycle
+        jump = Template(0x1004, 4, "branch", btype="uncond", v_weight=1)
+        straight = cycles([alu(0x1000), alu(0x1004), alu(0x1008)])
+        jumped = cycles([alu(0x1000), (jump, True, 0x1008, None, None),
+                         alu(0x1008)])
+        assert jumped == plus(straight, 1)
 
     def test_mispredict_redirects_fetch(self):
-        frontend, _config = make_frontend()
-        # a never-taken branch first predicted taken mispredicts
-        cycle = frontend.fetch(0x1000)
-        assert frontend.resolve_control(0x1000, "cond", False, None, None,
-                                        cycle + 10)
-        assert frontend.cycle >= cycle + 10 + REDIRECT_LATENCY
-        assert frontend.branch_unit.stats.cond_mispredictions == 1
+        # g-share starts weakly taken: a not-taken branch mispredicts
+        branch = Template(0x1000, 4, "branch", btype="cond", v_weight=1)
+        rows = [(branch, False, None, None, None), alu(0x1004)]
+        wrong = results(rows)
+        assert all(result.branch_stats.cond_mispredictions == 1
+                   for result in wrong.values())
+        # the next row is fetched REDIRECT_LATENCY cycles after the
+        # branch completes, instead of beside it
+        oracle = cycles(rows, perfect_prediction=True)
+        assert {name: result.cycles for name, result in wrong.items()} == \
+            plus(oracle, PIPELINE_DEPTH + INT_LATENCY + REDIRECT_LATENCY)
 
     def test_icache_miss_stalls(self):
-        frontend, _config = make_frontend()
-        first = frontend.fetch(0x1000)   # cold miss charged
-        frontend_warm, _ = make_frontend()
-        frontend_warm.fetch(0x1000)
-        warm = frontend_warm.fetch(0x1004)  # same line: no miss
-        assert warm < first + 80
+        same_line = cycles([alu(0x1000), alu(0x1004)])
+        next_line = cycles([alu(0x1000), alu(0x1080)])
+        assert next_line == plus(same_line, cold_fetch_extra(0x1080))
 
 
 class TestIInstructionMethods:
