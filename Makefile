@@ -52,7 +52,7 @@ bench-gate:
 	$(PYTHON) -m repro bench-compare BENCH_exec.json \
 		/tmp/BENCH_exec.fresh.json
 
-# Record the end-to-end benchmark afresh (about four minutes) to a
+# Record the end-to-end benchmark afresh (about five minutes) to a
 # scratch file and gate it against the committed BENCH_e2e.json: each
 # end-to-end metric within its BENCHMARK.json bound, every count exact.
 bench-e2e-gate:

@@ -3,9 +3,12 @@
 Runs the fig8 workload set end to end (DBT + functional execution, trace
 collection off) under both ``VMConfig.exec_engine`` settings and writes
 per-workload and aggregate wall times to ``BENCH_exec.json`` in the repo
-root.  Each measurement is the best of ``REPS`` runs after a warm-up
-pass, so one-time costs (imports, decode-cache population, jit source
-compilation) don't pollute the engine comparison.
+root.  After a warm-up pass, so that one-time costs (imports,
+decode-cache population, jit source compilation) don't pollute the
+engine comparison, each measurement is the best of ``REPS`` reps, and
+each rep is the mean of ``RUNS_PER_REP`` back-to-back runs.  The two
+engines alternate rep by rep, so a drift in the host's speed lands on
+both of a row's timings instead of on one engine's.
 
 The same file carries the overhead gate on what every run pays: telemetry
 is always on, so the jit timings above include it, and if a prior
@@ -32,6 +35,9 @@ from repro.vm.config import VMConfig
 WORKLOADS = ("gzip", "mcf", "twolf", "vortex")
 ENGINES = ("naive", "jit")
 REPS = 5
+#: back-to-back runs averaged into one rep: a single run takes about
+#: 20 ms, too short to time steadily on its own
+RUNS_PER_REP = 4
 OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_exec.json"
 #: The jit engine's hard floor over naive.  The committed record runs
 #: well above this (>5x); the in-run assertion is looser so CI jitter
@@ -68,16 +74,29 @@ def _time_once(workload, engine, budget):
     return time.perf_counter() - started
 
 
-def _best_time(workload, engine, budget):
-    return min(_time_once(workload, engine, budget) for _ in range(REPS))
+def _rep_time(workload, engine, budget):
+    """The mean of :data:`RUNS_PER_REP` back-to-back runs."""
+    return sum(_time_once(workload, engine, budget)
+               for _ in range(RUNS_PER_REP)) / RUNS_PER_REP
+
+
+def _best_times(workload, budget):
+    """Each engine's best of :data:`REPS` reps, alternating engines."""
+    best = dict.fromkeys(ENGINES, float("inf"))
+    for _ in range(REPS):
+        for engine in ENGINES:
+            best[engine] = min(best[engine],
+                               _rep_time(workload, engine, budget))
+    return best
 
 
 def _prior_record(budget):
     """The previous BENCH_exec.json, if it can gate this run.
 
-    Comparable means: same workloads, budget, rep count and machine
-    (metadata block identical).  A record without machine metadata, or
-    from other hardware, yields None and the overhead gate is skipped.
+    Comparable means: same workloads, budget, rep count, runs per rep
+    and machine (metadata block identical).  A record without machine
+    metadata, from other hardware, or timed another way yields None and
+    the overhead gate is skipped.
     """
     try:
         prior = json.loads(OUTPUT.read_text())
@@ -86,6 +105,7 @@ def _prior_record(budget):
     if (prior.get("workloads") == list(WORKLOADS)
             and prior.get("budget") == budget
             and prior.get("reps") == REPS
+            and prior.get("runs_per_rep") == RUNS_PER_REP
             and prior.get("machine") == machine_metadata()):
         return prior
     return None
@@ -100,8 +120,7 @@ def test_exec_engine_speedup():
     rows = []
     totals = dict.fromkeys(ENGINES, 0.0)
     for workload in WORKLOADS:
-        times = {engine: _best_time(workload, engine, budget)
-                 for engine in ENGINES}
+        times = _best_times(workload, budget)
         for engine in ENGINES:
             totals[engine] += times[engine]
         rows.append({
@@ -118,6 +137,7 @@ def test_exec_engine_speedup():
         "workloads": list(WORKLOADS),
         "budget": budget,
         "reps": REPS,
+        "runs_per_rep": RUNS_PER_REP,
         "rows": rows,
         "naive_total_seconds": round(totals["naive"], 4),
         "jit_total_seconds": round(totals["jit"], 4),

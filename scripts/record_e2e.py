@@ -6,14 +6,14 @@ Run from anywhere; it runs in the checkout that holds it::
     python3 scripts/record_e2e.py --output /tmp/fresh.json
 
 It runs ``python3 e2ebench/run.py`` at seed 0 for fig8, fig9 and
-untraced with ``--trace 0`` (end-to-end metrics, each for
-BENCHMARK.json's ``run_seconds``) and for fig8 and fig9 with ``--trace 1``
-(per-layer metrics, one pass).  The record holds the seed, the host's
+untraced, once with ``--trace 0`` (end-to-end metrics, each for
+BENCHMARK.json's ``run_seconds``) and once with ``--trace 1`` (per-layer
+metrics, one pass).  The record holds the seed, the host's
 ``machine_metadata()``, each run's ``attempted``, ``failed`` and
 ``metrics`` as e2ebench reports them, and BENCHMARK.json's
 ``end_to_end`` rules.  ``repro bench-compare BENCH_e2e.json <fresh>``
 gates a fresh record by those rules (see :mod:`repro.obs.regress`).
-Takes about four minutes.
+Takes about five minutes.
 """
 
 import argparse
@@ -36,6 +36,7 @@ RUNS = (
     ("untraced", "untraced", 0),
     ("fig8-trace", "fig8", 1),
     ("fig9-trace", "fig9", 1),
+    ("untraced-trace", "untraced", 1),
 )
 
 

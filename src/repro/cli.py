@@ -241,8 +241,8 @@ def _add_vm_arguments(parser):
     parser.add_argument("--exec-engine", choices=("jit", "naive"),
                         default="jit",
                         help="compile fragments to generated Python on "
-                             "first entry (jit, the default) or run the "
-                             "reference dispatch (naive)")
+                             "first entry (jit, the default) or walk them "
+                             "through the reference dispatch (naive)")
 
 
 def _config_from(args):

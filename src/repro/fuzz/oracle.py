@@ -3,8 +3,8 @@
 Every generated program is judged by agreement between independent
 semantics, never by a hand-written expectation:
 
-* **cosim** — the co-designed VM (naive engine) must reproduce the naive
-  pure interpreter bit for bit: final PC, all 32 registers, console
+* **cosim** — the co-designed VM (naive engine) must reproduce the pure
+  interpreter bit for bit: final PC, all 32 registers, console
   output, the data buffer, the committed-instruction count, and — on a
   trap — the trap kind and precise V-PC;
 * **engine** — the VM run again under the jit must match the naive
@@ -90,7 +90,7 @@ def _mem_digest(program, fprog):
 
 
 def run_reference(fprog, budget=ORACLE_BUDGET):
-    """Pure naive interpretation: the ground-truth outcome.
+    """Pure interpretation: the ground-truth outcome.
 
     A hand-written step loop (``Interpreter.run`` folds halt and budget
     exhaustion together) that also counts committed instructions the way
@@ -98,16 +98,14 @@ def run_reference(fprog, budget=ORACLE_BUDGET):
     translation, so they carry no commit weight.
     """
     program = fprog.to_program()
-    interp = Interpreter(program, exec_engine="naive")
+    interp = Interpreter(program)
     committed = 0
     steps = 0
     status = "budget"
     trap_kind = trap_vpc = None
     while steps < budget:
-        pc = interp.state.pc
         try:
-            instr = interp.fetch(pc)
-            interp.step()
+            instr = interp.step()[1]
         except Halted:
             # the halting CALL_PAL is not committed (matches the VM,
             # which drops it from interpreted_instructions too)

@@ -2,13 +2,12 @@
 MRET (Most Recently Executed Tail) hot-path profiler."""
 
 from repro.interp.state import ArchState
-from repro.interp.interpreter import Interpreter, ExecEvent, Halted
+from repro.interp.interpreter import Interpreter, Halted
 from repro.interp.profiler import HotnessProfiler, CandidateKind
 
 __all__ = [
     "ArchState",
     "Interpreter",
-    "ExecEvent",
     "Halted",
     "HotnessProfiler",
     "CandidateKind",

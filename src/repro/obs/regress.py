@@ -22,9 +22,9 @@ reported but not gated.
 Wall-clock numbers only mean something relative to the machine that
 produced them, so the comparison honours the same machine-metadata guard
 the benchmarks themselves use: when the two records disagree on machine
-or run context (workloads, budget, reps, seed), the gate is *skipped with
-a warning* rather than failed — cross-machine comparisons are flagged,
-never gated.
+or run context (workloads, budget, reps, runs per rep, seed), the gate
+is *skipped with a warning* rather than failed — cross-machine
+comparisons are flagged, never gated.
 
 ``compare_benchmarks`` is pure (two dicts in, a :class:`Comparison`
 out); the CLI layer in :mod:`repro.cli` maps it to exit codes:
@@ -46,7 +46,7 @@ TIME_SLACK_SECONDS = 0.005
 #: Top-level fields that describe *what was run*, not *how it went*.
 #: They guard comparability instead of being compared as metrics.
 CONTEXT_KEYS = ("benchmark", "experiment", "workloads", "budget", "reps",
-                "run_points", "seed")
+                "runs_per_rep", "run_points", "seed")
 
 #: Top-level *blocks* (nested dicts) that likewise carry context, not
 #: metrics: the machine-identity block every record embeds.

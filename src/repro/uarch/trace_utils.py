@@ -67,18 +67,15 @@ def interpreter_trace(program, max_instructions=200_000):
             (add_template, add_taken, add_target, add_mem_addr,
              add_ras_hit) = (column.append for column in trace.new_block())
             for _ in range(min(BLOCK_ROWS, max_instructions - first)):
-                event = step()
-                pc = event.pc
-                instr = event.instr
+                pc, instr, next_pc, taken, mem_addr = step()
                 known = by_pc.get(pc)
                 if known is None or known[0] is not instr:
                     known = by_pc[pc] = (instr,
                                          instruction_template(pc, instr))
                 add_template(known[1])
-                taken = event.taken
                 add_taken(taken)
-                add_target(event.next_pc if taken else None)
-                add_mem_addr(event.mem_addr)
+                add_target(next_pc if taken else None)
+                add_mem_addr(mem_addr)
                 add_ras_hit(None)
     except Halted:
         pass

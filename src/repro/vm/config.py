@@ -77,15 +77,14 @@ class VMConfig:
         self.threshold = threshold
         self.fuse_memory = fuse_memory
         self.collect_trace = collect_trace
-        #: How the interpreter and fragment executor run instructions:
-        #: ``"jit"`` (the default) interprets through pre-bound step
-        #: closures (:mod:`repro.interp.specialize`) and compiles each
-        #: fragment to generated Python source on its first entry
-        #: (:mod:`repro.vm.jit`); ``"naive"`` re-dispatches each
-        #: instruction through the reference if/elif chains.  The two
-        #: are observationally identical (the differential suites
-        #: assert full ``VMStats`` equality); the naive engine is kept
-        #: as the readable reference.
+        #: How translated fragments run (the interpreter has one step
+        #: for both): ``"jit"`` (the default) compiles each fragment to
+        #: generated Python source on its first entry
+        #: (:mod:`repro.vm.jit`); ``"naive"`` walks each fragment body
+        #: through the executor's reference dispatch.  The two are
+        #: observationally identical (the differential suites assert
+        #: full ``VMStats`` equality); the naive engine is kept as the
+        #: readable reference.
         self.exec_engine = exec_engine
         #: Enable span tracing (:mod:`repro.obs.trace`): the VM run loop,
         #: translator phases and tcache lifecycle record a hierarchical

@@ -72,8 +72,7 @@ class CoDesignedVM:
         # checksums cost time on every fragment entry, so only a plan
         # that can corrupt fragments turns verification on
         verify = FaultSite.CORRUPT in plan.sites()
-        self.interpreter = Interpreter(
-            program, exec_engine=self.config.exec_engine)
+        self.interpreter = Interpreter(program)
         self.state = self.interpreter.state
         self.profiler = HotnessProfiler(self.config.threshold)
         self.tcache = TranslationCache(
@@ -332,7 +331,7 @@ class CoDesignedVM:
 
     def _interpret_one(self):
         try:
-            event = self.interpreter.step()
+            pc, instr, next_pc, taken, _ = self.interpreter.step()
         except Halted:
             self.halted = True
             return
@@ -340,19 +339,16 @@ class CoDesignedVM:
             self.stats.traps_delivered += 1
             raise VMTrap(trap, self.state.copy()) from trap
         self.stats.interpreted_instructions += 1
-        if elided_by_translation(event.instr):
+        if elided_by_translation(instr):
             self.stats.interpreted_elided += 1
-        self._profile(event)
-
-    def _profile(self, event):
-        instr = event.instr
-        if instr.kind is Kind.JUMP:
-            self.profiler.note_candidate(event.next_pc,
+        # MRET trace-start candidates (section 3.1)
+        kind = instr.kind
+        if kind is Kind.JUMP:
+            self.profiler.note_candidate(next_pc,
                                          CandidateKind.INDIRECT_TARGET)
-        elif instr.kind is Kind.COND_BRANCH and event.taken and \
-                event.next_pc <= event.pc:
+        elif kind is Kind.COND_BRANCH and taken and next_pc <= pc:
             self.profiler.note_candidate(
-                event.next_pc, CandidateKind.BACKWARD_BRANCH_TARGET)
+                next_pc, CandidateKind.BACKWARD_BRANCH_TARGET)
 
     # -- superblock capture -----------------------------------------------------------
 
@@ -371,7 +367,7 @@ class CoDesignedVM:
                 # must describe the word that actually executed (the
                 # pre-fetch raises exactly the trap the step would)
                 word = memory.fetch(vpc, vpc=vpc)
-                event = self.interpreter.step()
+                pc, instr, next_pc, taken, _ = self.interpreter.step()
             except Halted:
                 # include the halt instruction itself and end the block
                 instr = self.interpreter.fetch(vpc)
@@ -384,37 +380,35 @@ class CoDesignedVM:
                 self.stats.traps_delivered += 1
                 raise VMTrap(trap, self.state.copy()) from trap
             self.stats.interpreted_instructions += 1
-            if elided_by_translation(event.instr):
+            if elided_by_translation(instr):
                 self.stats.interpreted_elided += 1
-            entries.append(SuperblockEntry(event.pc, event.instr,
-                                           event.taken, event.next_pc,
+            entries.append(SuperblockEntry(pc, instr, taken, next_pc,
                                            word=word))
-            visited.add(event.pc)
-            kind = event.instr.kind
+            visited.add(pc)
+            kind = instr.kind
 
             if kind is Kind.JUMP:
                 end_reason = EndReason.INDIRECT_JUMP
                 break
             if kind is Kind.PAL:
                 end_reason = EndReason.TRAP_INSTRUCTION
-                continuation = event.next_pc
+                continuation = next_pc
                 break
-            if kind is Kind.COND_BRANCH and event.taken and \
-                    event.next_pc <= event.pc:
+            if kind is Kind.COND_BRANCH and taken and next_pc <= pc:
                 end_reason = EndReason.BACKWARD_TAKEN_BRANCH
-                continuation = event.pc + 4
+                continuation = pc + 4
                 break
             if len(entries) >= DEFAULT_MAX_SUPERBLOCK:
                 end_reason = EndReason.MAX_SIZE
-                continuation = event.next_pc
+                continuation = next_pc
                 break
-            if event.next_pc in visited:
+            if next_pc in visited:
                 end_reason = EndReason.CYCLE
-                continuation = event.next_pc
+                continuation = next_pc
                 break
-            if self.tcache.lookup(event.next_pc) is not None:
+            if self.tcache.lookup(next_pc) is not None:
                 end_reason = EndReason.EXISTING_FRAGMENT
-                continuation = event.next_pc
+                continuation = next_pc
                 break
 
         superblock = Superblock(start_vpc, entries, end_reason, continuation)

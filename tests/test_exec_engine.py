@@ -1,17 +1,17 @@
 """Execution engines: selection, equivalence, generated-code caching.
 
-The heavyweight differential guarantees live in
-``test_cosim_differential.py`` (full workloads, both engines); these are
-the fast unit-level checks: engine selection and validation, interpreter
-decode-cache specialization, jit-vs-naive trace equivalence, budget
-behaviour, and compilation of every fragment on its first entry.
+The engines differ only in how translated fragments run; the
+interpreter has one step for both.  The heavyweight differential
+guarantees live in ``test_cosim_differential.py`` (full workloads, both
+engines); these are the fast unit-level checks: engine selection and
+validation, jit-vs-naive trace equivalence, budget behaviour, and
+compilation of every fragment on its first entry.
 """
 
 import pytest
 
 from repro.asm import assemble
 from repro.ildp_isa.opcodes import IFormat
-from repro.interp.interpreter import DECODE_CACHE, Interpreter
 from repro.vm import CoDesignedVM, VMConfig
 from tests.conftest import CALL_KERNEL, FIG2_KERNEL, assert_traces_equal
 
@@ -30,12 +30,6 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="exec engine"):
             VMConfig(exec_engine="bytecode")
 
-    def test_interpreter_rejects_unknown_engine(self):
-        program = assemble(FIG2_KERNEL)
-        for engine in ("bytecode", "specialized"):
-            with pytest.raises(ValueError, match="exec engine"):
-                Interpreter(program, exec_engine=engine)
-
     def test_config_roundtrip_carries_engine(self):
         config = VMConfig(exec_engine="naive")
         assert config.to_dict()["exec_engine"] == "naive"
@@ -46,40 +40,6 @@ class TestEngineSelection:
         jit = VMConfig(exec_engine="jit")
         assert naive.key_fields() == jit.key_fields()
         assert "exec_engine" not in naive.key_fields()
-
-
-class TestInterpreterSpecialization:
-    def test_decode_cache_carries_step_closures(self):
-        program = assemble(FIG2_KERNEL)
-        interp = Interpreter(program)
-        instr = interp.fetch(program.entry)
-        word = program.memory.load(program.entry, 4)
-        instruction, step = DECODE_CACHE[word]
-        assert instruction is instr
-        assert callable(step)
-
-    def test_interpreter_engines_agree(self):
-        program_a = assemble(FIG2_KERNEL)
-        program_b = assemble(FIG2_KERNEL)
-        naive = Interpreter(program_a, exec_engine="naive")
-        jit = Interpreter(program_b, exec_engine="jit")
-        assert naive.run() == jit.run()
-        assert naive.state.pc == jit.state.pc
-        assert naive.state.regs == jit.state.regs
-        assert naive.console == jit.console
-        assert naive.instruction_count == jit.instruction_count
-
-    def test_interpreter_events_agree(self):
-        program_a = assemble(CALL_KERNEL)
-        program_b = assemble(CALL_KERNEL)
-        naive = Interpreter(program_a, exec_engine="naive")
-        jit = Interpreter(program_b, exec_engine="jit")
-        for _ in range(200):
-            ev_n = naive.step()
-            ev_s = jit.step()
-            assert (ev_n.pc, ev_n.next_pc, ev_n.taken, ev_n.mem_addr) == \
-                (ev_s.pc, ev_s.next_pc, ev_s.taken, ev_s.mem_addr)
-            assert ev_n.instr is ev_s.instr     # shared decode cache
 
 
 class TestExecutorSpecialization:

@@ -112,8 +112,7 @@ def _per_event_rows(program):
     rows = []
     try:
         while True:
-            event = interpreter.step()
-            instr = event.instr
+            pc, instr, next_pc, taken, mem_addr = interpreter.step()
             kind = instr.kind
             btype = None
             if kind is Kind.COND_BRANCH:
@@ -139,12 +138,11 @@ def _per_event_rows(program):
                 op_class = "int"
             nop = (instr.fmt is Format.OPERATE and instr.rc == 31) or \
                 (kind is Kind.LDA and instr.ra == 31)
-            template = Template(event.pc, 4, op_class, instr.sources(),
+            template = Template(pc, 4, op_class, instr.sources(),
                                 instr.dest(), btype=btype,
                                 v_weight=0 if nop else 1)
-            rows.append((template, event.taken,
-                         event.next_pc if event.taken else None,
-                         event.mem_addr, None))
+            rows.append((template, taken, next_pc if taken else None,
+                         mem_addr, None))
     except Halted:
         pass
     return rows

@@ -4,7 +4,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.interp import Halted, Interpreter
-from repro.isa.semantics import Trap, TrapKind
+from repro.isa.semantics import ALU_OPS, CMOV_CONDITIONS, Trap, TrapKind
 from repro.utils.bitops import MASK64
 
 
@@ -12,6 +12,66 @@ def run(source, max_instructions=100_000):
     interp = Interpreter(assemble(source))
     interp.run(max_instructions=max_instructions)
     return interp
+
+
+#: name -> (source, the registers after the halt, or the trap it raises)
+#: for every kind of instruction that names R31 as its destination.  A
+#: register value given as a string is that symbol's address.
+R31_CASES = {
+    "addq": ("""
+            li r1, 5
+            addq r1, r1, r31
+            mov r31, r2
+            call_pal halt
+        """, {2: 0}),
+    "cmov": ("""
+            clr r1
+            cmoveq r1, 5, r31
+            call_pal halt
+        """, {1: 0}),
+    "lda": ("""
+            lda r31, 5(r31)
+            call_pal halt
+        """, {}),
+    "ldah": ("""
+            ldah r31, 1(r31)
+            call_pal halt
+        """, {}),
+    "ldq-mapped": ("""
+            la r1, var
+            ldq r31, 0(r1)
+            call_pal halt
+            .data
+var:        .quad 7
+        """, {1: "var"}),
+    # the load still performs its access, so it still faults
+    "ldq-unmapped": ("""
+            li r1, 0x400000
+            ldq r31, 0(r1)
+            call_pal halt
+        """, TrapKind.ACCESS_VIOLATION),
+    "br": ("""
+            br r31, target
+            li r2, 1
+target:     li r3, 7
+            call_pal halt
+        """, {2: 0, 3: 7}),
+    "jmp": ("""
+            la r1, target
+            jmp r31, (r1)
+            li r2, 1
+target:     li r3, 7
+            call_pal halt
+        """, {1: "target", 2: 0, 3: 7}),
+    # the target is read before the link is written
+    "jsr-same-register": ("""
+            la r1, target
+            jsr r1, (r1)
+back:       call_pal halt
+target:     li r3, 7
+            call_pal halt
+        """, {1: "back", 3: 7}),
+}
 
 
 class TestArithmeticPrograms:
@@ -36,14 +96,25 @@ loop:       addq r2, r1, r2
         assert interp.state.regs[2] == 5050
 
     def test_r31_always_zero(self):
-        interp = run("""
-            li r1, 5
-            addq r1, r1, r31
-            mov r31, r2
-            call_pal halt
-        """)
-        assert interp.state.regs[2] == 0
-        assert interp.state.regs[31] == 0
+        for name, (source, expected) in R31_CASES.items():
+            interp = Interpreter(assemble(source))
+            if isinstance(expected, TrapKind):
+                with pytest.raises(Trap) as excinfo:
+                    interp.run()
+                # raised at the load's own V-PC, before the PC advances
+                assert excinfo.value.kind is expected, name
+                assert excinfo.value.vpc == interp.state.pc, name
+                assert interp.fetch(interp.state.pc).mnemonic == "ldq", name
+            else:
+                interp.run()
+                assert interp.fetch(interp.state.pc).mnemonic == \
+                    "call_pal", name
+                symbols = interp.program.symbols
+                for register, value in expected.items():
+                    if isinstance(value, str):
+                        value = symbols[value]
+                    assert interp.state.regs[register] == value, name
+            assert interp.state.regs[31] == 0, name
 
     def test_negative_wraps(self):
         interp = run("""
@@ -140,6 +211,8 @@ skip:       call_pal halt
         """)
         assert interp.state.regs[3] == 10   # condition true: moved
         assert interp.state.regs[2] == 10   # condition false: unchanged
+        # the step reads a mnemonic missing from ALU_OPS as a cmov
+        assert not ALU_OPS.keys() & CMOV_CONDITIONS.keys()
 
 
 class TestPalAndTraps:
@@ -185,9 +258,9 @@ class TestPalAndTraps:
 target:     call_pal halt
         """))
         interp.step()
-        event = interp.step()
-        assert event.taken
-        assert event.next_pc == event.pc + 8
+        pc, _, next_pc, taken, _ = interp.step()
+        assert taken
+        assert next_pc == pc + 8
 
     def test_decode_cache_keyed_by_word(self):
         # two textually identical instructions at different PCs share one

@@ -140,6 +140,13 @@ class TestCompare:
         assert comparison.ok
         assert "budget" in comparison.skipped
 
+    def test_runs_per_rep_mismatch_skips(self):
+        # a record timed with averaged reps never gates one without
+        current = doctored(runs_per_rep=4, jit_total_seconds=9.99)
+        comparison = compare_benchmarks(BASELINE, current)
+        assert comparison.ok
+        assert "runs_per_rep" in comparison.skipped
+
     def test_missing_metric_warns(self):
         current = doctored()
         del current["telemetry_on_ratio"]
@@ -247,7 +254,8 @@ class TestEndToEndRecord:
         spec = json.loads((self.ROOT / "BENCHMARK.json").read_text())
         assert record["end_to_end"] == spec["end_to_end"]
         assert set(record["runs"]) == {"fig8", "fig9", "untraced",
-                                       "fig8-trace", "fig9-trace"}
+                                       "fig8-trace", "fig9-trace",
+                                       "untraced-trace"}
         assert all(run["failed"] == 0 for run in record["runs"].values())
 
     def test_ref_cpu_s_gated_by_its_bound(self, record):

@@ -64,15 +64,15 @@ class TestSuiteCharacter:
 
         try:
             while counts["total"] < 300_000:
-                event = interp.step()
+                instr = interp.step()[1]
                 counts["total"] += 1
-                kind = event.instr.kind
+                kind = instr.kind
                 if kind is Kind.JUMP:
-                    if event.instr.mnemonic == "ret":
+                    if instr.mnemonic == "ret":
                         counts["ret"] += 1
                     else:
                         counts["jump"] += 1
-                elif kind is Kind.UNCOND_BRANCH and event.instr.ra != 31:
+                elif kind is Kind.UNCOND_BRANCH and instr.ra != 31:
                     counts["call"] += 1
                 elif kind is Kind.COND_BRANCH:
                     counts["cond"] += 1
@@ -101,9 +101,9 @@ class TestSuiteCharacter:
         loads = total = 0
         try:
             while total < 300_000:
-                event = interp.step()
+                instr = interp.step()[1]
                 total += 1
-                if event.instr.kind is Kind.LOAD:
+                if instr.kind is Kind.LOAD:
                     loads += 1
         except Halted:
             pass
