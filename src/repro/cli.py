@@ -13,6 +13,7 @@
 
 import argparse
 import sys
+import time
 
 from repro.harness import experiments as experiment_modules
 from repro.harness.runner import run_vm
@@ -372,9 +373,11 @@ def _command_translate(args, out):
 def _command_experiment(args, out):
     module = _EXPERIMENTS[args.name]
     runner = _runner_from(args)
-    with runner.tracer.span(f"experiment.{args.name}", cat="report"):
-        result = module.run(workloads=args.workloads, budget=args.budget,
-                            runner=runner)
+    started = time.perf_counter()
+    result = module.run(workloads=args.workloads, budget=args.budget,
+                        runner=runner)
+    runner.tracer.add_complete(f"experiment.{args.name}", started,
+                               time.perf_counter(), cat="report")
     print(result.render(), file=out)
     print(runner.report.render(), file=out)
     _finish_runner(args, runner, out)

@@ -137,12 +137,13 @@ def run_vm_outcome(fprog, config, budget=ORACLE_BUDGET):
     """Run under the co-designed VM; returns ``(Outcome, vm)``."""
     program = fprog.to_program()
     vm = CoDesignedVM(program, config)
-    status = "halted"
     trap_kind = trap_vpc = None
     pc = None
     regs = None
     try:
         vm.run(max_v_instructions=budget)
+        # run() also returns when the V-instruction budget is spent
+        status = "halted" if vm.halted else "budget"
     except VMTrap as exc:
         status = "trap"
         trap_kind = exc.trap.kind.value

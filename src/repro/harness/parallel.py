@@ -37,21 +37,28 @@ def _group_runs(points):
     return list(runs.values())
 
 
-def _execute_chunk(points):
-    """Run one worker's whole share of a batch as a single pool task.
+def _execute_chunk(points, observer=None):
+    """Run a share of a batch: a pool worker's whole share as one task,
+    or a serial batch in the parent.
 
     The parent chunks runs, not points, so every point of a run is in
     this chunk and the run executes once.  Each summary is paired with
     the ``perf_counter`` readings around its run and the run's evaluator
-    spans: on the platforms we run on that clock is system-wide
-    monotonic, so the parent process can place worker runs on the shared
-    span timeline (one trace track per worker).
+    spans, from which :meth:`PointRunner._note_spans` places the run on
+    the span timeline: on the platforms we run on that clock is
+    system-wide monotonic, so worker readings share the parent's
+    timeline.  ``observer.on_point_start`` is called for each point of a
+    run right before the run starts (the serial path).
     """
     results = [None] * len(points)
     for run in _group_runs(points):
+        members = [points[i] for i in run]
+        if observer is not None:
+            for point in members:
+                observer.on_point_start(point)
         spans = []
         started = time.perf_counter()
-        summaries = execute_run([points[i] for i in run], spans)
+        summaries = execute_run(members, spans)
         ended = time.perf_counter()
         for position, summary in zip(run, summaries):
             results[position] = (summary, started, ended, spans)
@@ -206,33 +213,20 @@ class PointRunner:
     def _execute_pending(self, order, summaries, pending):
         points = [order[i] for i in pending]
         runs = _group_runs(points)
-        executed = None
+        results = None
         if self.workers > 1 and len(runs) > 1:
-            executed = self._run_pool(points, runs)
-        if executed is None:
-            executed = [None] * len(points)
-            for run in runs:
-                members = [points[i] for i in run]
-                if self.observer is not None:
-                    for point in members:
-                        self.observer.on_point_start(point)
-                spans = [] if self.tracer.enabled else None
-                with self.tracer.span(members[0].label(), cat="harness",
-                                      kind=members[0].kind,
-                                      budget=members[0].budget):
-                    results = execute_run(members, spans)
-                    for name, started, ended in spans or ():
-                        self.tracer.add_complete(name, started, ended)
-                for position, summary in zip(run, results):
-                    executed[position] = summary
+            results = self._run_pool(points, runs)
+        if results is None:
+            results = _execute_chunk(points, self.observer)
+            self._note_spans(None, points, results)
         for run in runs:
             # members share the run's host block: count it once
-            host = executed[run[0]]
+            host = results[run[0]][0]
             self.report.runs += 1
             self.report.run_seconds += _host_seconds(host, "run.")
             self.report.eval_seconds += _host_seconds(host, "eval.")
             for position in run:
-                point, summary = points[position], executed[position]
+                point, summary = points[position], results[position][0]
                 summaries[pending[position]] = summary
                 if self.observer is not None:
                     self.observer.on_point_done(point, summary)
@@ -241,7 +235,8 @@ class PointRunner:
                     self.cache.put(point, summary)
 
     def _run_pool(self, points, runs):
-        """Fan the runs out over a process pool; returns None to run
+        """Fan the runs out over a process pool; returns
+        :func:`_execute_chunk` results for ``points``, or None to run
         serially.
 
         Runs are chunked round-robin so each worker receives *one* task
@@ -270,34 +265,33 @@ class PointRunner:
         except (OSError, ImportError, PermissionError, BrokenProcessPool):
             self.report.pool_failures += 1
             return None
-        summaries = [None] * len(points)
-        for chunk, results in zip(positions, chunk_results):
-            for position, result in zip(chunk, results):
-                summaries[position] = result[0]
-        self._note_pool_spans(chunks, chunk_results)
-        return summaries
+        results = [None] * len(points)
+        for worker, (chunk, chunk_result) in enumerate(zip(chunks,
+                                                           chunk_results)):
+            for position, result in zip(positions[worker], chunk_result):
+                results[position] = result
+            self._note_spans(worker + 1, chunk, chunk_result)
+        return results
 
-    def _note_pool_spans(self, chunks, chunk_results):
-        """Place each worker's runs, and their evaluator spans, on its
-        own trace track.
+    def _note_spans(self, tid, points, results):
+        """Place the runs of ``points``, and their evaluator spans, on
+        trace track ``tid``.
 
-        Workers report raw ``perf_counter`` readings (system-wide
-        monotonic), so their spans share the parent tracer's timeline;
-        track ``tid`` = worker index + 1 keeps them visually separate
-        from the runner's own (serial) track 0.
+        ``results`` are :func:`_execute_chunk`'s for ``points``.  A
+        serial batch passes ``tid`` None, the runner's own track; pool
+        worker ``i`` passes ``i + 1``, a track of its own named
+        ``worker-<i + 1>``.
         """
         if not self.tracer.enabled:
             return
-        for worker, (chunk, results) in enumerate(zip(chunks,
-                                                      chunk_results)):
-            tid = worker + 1
+        if tid is not None:
             self.tracer.set_thread_name(tid, f"worker-{tid}")
-            for run in _group_runs(chunk):
-                point = chunk[run[0]]
-                _summary, started, ended, spans = results[run[0]]
-                self.tracer.add_complete(
-                    point.label(), started, ended, tid=tid,
-                    args={"kind": point.kind, "budget": point.budget})
-                for name, span_start, span_end in spans:
-                    self.tracer.add_complete(name, span_start, span_end,
-                                             tid=tid)
+        for run in _group_runs(points):
+            point = points[run[0]]
+            _summary, started, ended, spans = results[run[0]]
+            self.tracer.add_complete(
+                point.label(), started, ended, tid=tid,
+                args={"kind": point.kind, "budget": point.budget})
+            for name, span_start, span_end in spans:
+                self.tracer.add_complete(name, span_start, span_end,
+                                         tid=tid)

@@ -351,7 +351,7 @@ def _execute_original(point):
     trace, interpreter = run_original(point.workload, budget=point.budget)
     summary = _base_summary(point)
     summary.update({
-        "committed": interpreter.instruction_count,
+        "committed": len(trace),
         "committed_nonnop": sum(template.v_weight for template
                                 in trace.column("templates")),
         "console": interpreter.console_text(),

@@ -81,7 +81,6 @@ class Interpreter:
         #: VM's fragment executor so translated SYSCALL ops and
         #: interpreted CALL_PALs see one cursor and one break
         self.pal = PalContext(program)
-        self.instruction_count = 0
         #: process-local telemetry: words decoded because they were absent
         #: from the (process-global) :data:`DECODE_CACHE`.  Nondeterministic
         #: across processes — a warm cache makes every fetch a hit — so the
@@ -172,7 +171,6 @@ class Interpreter:
             self._do_pal(instr, pc)
 
         state.pc = next_pc
-        self.instruction_count += 1
         return pc, instr, next_pc, taken, mem_addr
 
     def run(self, max_instructions=10_000_000):

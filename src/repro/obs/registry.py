@@ -9,7 +9,10 @@ translation-cache totals:
 * **gauges** — last-written point-in-time values (in-place chaining
   patches, generated-code invalidations);
 * **timers** — accumulated wall-clock seconds plus a span count (translator
-  phase times, interpret/execute split).
+  phase times, interpret/execute split).  A timer takes what its caller
+  measured (:meth:`Timer.add`): each timed region reads
+  ``perf_counter`` itself, so the same two readings can also place the
+  region on the span timeline (:mod:`repro.obs.trace`).
 
 Every metric serialises to JSON-able primitives (:meth:`MetricsRegistry.
 to_dict`) and merges associatively (:meth:`MetricsRegistry.merge_dict`):
@@ -18,8 +21,6 @@ order-independent choice without timestamps).  That makes registries
 from parallel harness workers — which arrive as plain dicts inside run
 summaries — foldable into one aggregate view.
 """
-
-import time
 
 
 class Counter:
@@ -56,24 +57,6 @@ class Gauge:
         return f"Gauge({self.name}={self.value})"
 
 
-class _TimerSpan:
-    """Context manager measuring one span for its owning :class:`Timer`."""
-
-    __slots__ = ("_timer", "_started")
-
-    def __init__(self, timer):
-        self._timer = timer
-        self._started = None
-
-    def __enter__(self):
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self._timer.add(time.perf_counter() - self._started)
-        return False
-
-
 class Timer:
     """Accumulated wall-clock seconds plus the number of measured spans."""
 
@@ -88,10 +71,6 @@ class Timer:
         """Credit ``seconds`` of measured time (``count`` spans)."""
         self.seconds += seconds
         self.count += count
-
-    def time(self):
-        """A context manager that measures one span into this timer."""
-        return _TimerSpan(self)
 
     def __repr__(self):
         return f"Timer({self.name}={self.seconds:.6f}s/{self.count})"

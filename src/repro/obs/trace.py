@@ -1,11 +1,11 @@
-"""Hierarchical span tracing with Chrome trace-event export.
+"""Span tracing with Chrome trace-event export.
 
 Where the metrics registry answers "how much", the :class:`Tracer`
 answers "*when*, nested inside what": the VM run loop, the translator
-pipeline phases and the harness wrap their stages in spans, and the
-result exports as Chrome trace-event JSON — loadable in Perfetto
-(https://ui.perfetto.dev) or ``chrome://tracing`` — plus a plain-text
-flame summary for terminals.
+pipeline stages and the harness record a span for each region they
+time, and the result exports as Chrome trace-event JSON — loadable in
+Perfetto (https://ui.perfetto.dev) or ``chrome://tracing`` — plus a
+plain-text flame summary for terminals.
 
 ``VMConfig.trace`` (default off) selects between a live :class:`Tracer`
 and the shared :data:`NULL_TRACER`, whose every operation is a dead
@@ -14,14 +14,16 @@ only ``repro trace`` and ``--trace-out`` want to pay for.  ``trace`` is
 excluded from the run-point cache key (the no-op parity tests assert
 behavioural identity).
 
-Span nesting is positional, exactly as the Chrome trace format defines
-it: a complete ("ph": "X") event is a child of any event on the same
-``pid``/``tid`` track whose time range contains it.  One tracer owns one
-track by default; the harness adds extra tracks (one per parallel
-worker) through :meth:`Tracer.add_complete`, which accepts raw
-``perf_counter`` timestamps measured in worker processes —
-``perf_counter`` reads the system-wide monotonic clock on every platform
-we run on, so worker timestamps land on the same timeline.
+A span is recorded once its region has finished, from the two
+``perf_counter`` readings the region's timer already takes
+(:meth:`Tracer.add_complete`), so no span is ever open and a trap cannot
+leave one behind.  Nesting is positional, exactly as the Chrome trace
+format defines it: a complete ("ph": "X") event is a child of any event
+on the same ``pid``/``tid`` track whose time range contains it.  One
+tracer owns one track by default; the harness adds one track per
+parallel worker.  ``perf_counter`` reads the system-wide monotonic clock
+on every platform we run on, so worker readings land on the same
+timeline.
 
 The buffer is bounded (:data:`DEFAULT_MAX_EVENTS` spans) so tracing a
 long run cannot grow memory without limit; overflow is counted in
@@ -36,55 +38,18 @@ import time
 #: counted (a 200k-instruction VM run stays well below this).
 DEFAULT_MAX_EVENTS = 200_000
 
-
-class _Span:
-    """Context manager recording one span on its owning :class:`Tracer`."""
-
-    __slots__ = ("_tracer", "_name", "_cat", "_args")
-
-    def __init__(self, tracer, name, cat, args):
-        self._tracer = tracer
-        self._name = name
-        self._cat = cat
-        self._args = args
-
-    def __enter__(self):
-        self._tracer.begin(self._name, cat=self._cat, **self._args)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self._tracer.end()
-        return False
-
-
-class MultiSpan:
-    """Enter several context managers as one (e.g. a registry timer span
-    plus a tracer span around the same region)."""
-
-    __slots__ = ("_cms",)
-
-    def __init__(self, *cms):
-        self._cms = cms
-
-    def __enter__(self):
-        for cm in self._cms:
-            cm.__enter__()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        for cm in reversed(self._cms):
-            cm.__exit__(exc_type, exc, tb)
-        return False
+#: Slack, in microseconds, when comparing span ends: ``ts + dur`` can
+#: round an ulp away from the reading it came from, and no two clock
+#: readings are this close.
+_SAME_READING_US = 1e-3
 
 
 class Tracer:
-    """A hierarchical span recorder exporting Chrome trace events.
+    """A span recorder exporting Chrome trace events.
 
-    Spans open with :meth:`begin` (or the :meth:`span` context manager)
-    and close with :meth:`end`; the open-span stack gives nesting for
-    free, and closing records one complete ("ph": "X") trace event.
-    Timestamps are microseconds since the tracer's ``epoch`` (a
-    ``perf_counter`` reading), as the trace-event format expects.
+    Every span arrives finished (:meth:`add_complete`); timestamps are
+    microseconds since the tracer's ``epoch`` (a ``perf_counter``
+    reading), as the trace-event format expects.
     """
 
     enabled = True
@@ -97,40 +62,16 @@ class Tracer:
         self.tid = tid
         self.max_events = max_events
         self.epoch = time.perf_counter() if epoch is None else epoch
-        #: finished Chrome trace-event dicts ("X" completes and "i"
-        #: instants), in completion order
+        #: Chrome trace-event dicts ("X" completes and "i" instants), in
+        #: recording order
         self.events = []
         #: spans/instants discarded after the buffer filled
         self.dropped = 0
-        self._stack = []        # open spans: [name, cat, start_us, args]
         self._meta = []         # "M" metadata events (track names)
-        self._paths = {}        # flame data: "a;b;c" -> [total_us, count]
         self.set_process_name(process_name)
         self.set_thread_name(tid, thread_name)
 
-    def _now_us(self):
-        return (time.perf_counter() - self.epoch) * 1e6
-
-    # -- span recording -------------------------------------------------------
-
-    def begin(self, name, cat="vm", **args):
-        """Open a span; it becomes the parent of spans opened before
-        :meth:`end`."""
-        self._stack.append([name, cat, self._now_us(), args])
-
-    def end(self, **args):
-        """Close the innermost open span, merging extra ``args`` in."""
-        if not self._stack:
-            raise RuntimeError("Tracer.end() without a matching begin()")
-        name, cat, start_us, span_args = self._stack.pop()
-        if args:
-            span_args.update(args)
-        self._record(name, cat, start_us, self._now_us(), self.tid,
-                     span_args)
-
-    def span(self, name, cat="vm", **args):
-        """A context manager measuring one span."""
-        return _Span(self, name, cat, args)
+    # -- recording ------------------------------------------------------------
 
     def instant(self, name, cat="vm", **args):
         """Record a zero-duration marker at the current time."""
@@ -138,44 +79,28 @@ class Tracer:
             self.dropped += 1
             return
         self.events.append({"name": name, "cat": cat, "ph": "i",
-                            "ts": self._now_us(), "s": "t",
-                            "pid": self.pid, "tid": self.tid, "args": args})
+                            "ts": (time.perf_counter() - self.epoch) * 1e6,
+                            "s": "t", "pid": self.pid, "tid": self.tid,
+                            "args": args})
 
     def add_complete(self, name, start, end, tid=None, cat="harness",
                      args=None):
-        """Record a finished span from raw ``perf_counter`` timestamps.
+        """Record one finished span from raw ``perf_counter`` readings.
 
-        This is how measurements taken elsewhere join the trace: the VM
-        run loop's interpreter stretches, evaluator calls, and parallel
-        harness workers, whose ``perf_counter`` readings ``tid`` places
-        on their own track.  On this tracer's own track (``tid`` None)
-        the span nests under the open spans in the flame summary, as if
-        it had been begun and ended there.
+        ``tid`` None puts the span on this tracer's own track, where it
+        nests under whichever span's time range contains it; the harness
+        passes a worker's track for runs measured in pool workers.
         """
-        self._record(name, cat, (start - self.epoch) * 1e6,
-                     (end - self.epoch) * 1e6,
-                     self.tid if tid is None else tid,
-                     dict(args) if args else {},
-                     path=None if tid is None else name)
-
-    def unwind(self):
-        """Close every open span (abnormal exits: traps, budget raises)."""
-        while self._stack:
-            self.end()
-
-    def _record(self, name, cat, start_us, end_us, tid, args, path=None):
-        duration = max(end_us - start_us, 0.0)
-        if path is None:
-            path = ";".join([frame[0] for frame in self._stack] + [name])
-        bucket = self._paths.setdefault(path, [0.0, 0])
-        bucket[0] += duration
-        bucket[1] += 1
         if len(self.events) >= self.max_events:
             self.dropped += 1
             return
+        start_us = (start - self.epoch) * 1e6
+        end_us = (end - self.epoch) * 1e6
         self.events.append({"name": name, "cat": cat, "ph": "X",
-                            "ts": start_us, "dur": duration,
-                            "pid": self.pid, "tid": tid, "args": args})
+                            "ts": start_us, "dur": max(end_us - start_us, 0.0),
+                            "pid": self.pid,
+                            "tid": self.tid if tid is None else tid,
+                            "args": dict(args) if args else {}})
 
     # -- track naming ---------------------------------------------------------
 
@@ -194,23 +119,9 @@ class Tracer:
     # -- export ---------------------------------------------------------------
 
     def to_chrome(self):
-        """The trace as a Chrome trace-event JSON object.
-
-        Spans still open at export time (a trap unwound past them) are
-        flushed as best-effort completes ending now, so the file always
-        loads.
-        """
-        events = list(self._meta) + list(self.events)
-        now = self._now_us()
-        prefix = []
-        for name, cat, start_us, args in self._stack:
-            prefix.append(name)
-            events.append({"name": name, "cat": cat, "ph": "X",
-                           "ts": start_us, "dur": max(now - start_us, 0.0),
-                           "pid": self.pid, "tid": self.tid,
-                           "args": dict(args, unfinished=True)})
+        """The trace as a Chrome trace-event JSON object."""
         return {
-            "traceEvents": events,
+            "traceEvents": self._meta + self.events,
             "displayTimeUnit": "ms",
             "otherData": {"dropped": self.dropped,
                           "spans": len(self.events)},
@@ -222,11 +133,37 @@ class Tracer:
             json.dump(self.to_chrome(), handle)
 
     def flame_lines(self, top=20):
-        """The flame summary: inclusive time per span path, hottest first."""
-        ranked = sorted(self._paths.items(),
+        """The flame summary: inclusive time per span path, hottest first.
+
+        A path names a span and the spans enclosing it, read from the
+        time ranges on this tracer's own track: sorted by start, longer
+        first, and later-recorded first on ties (a parent is recorded
+        after its children), each span sits inside the nearest earlier
+        span that ends no sooner.  Spans on other tracks (pool workers)
+        are roots.  Dropped spans are not counted.
+        """
+        completes = sorted((event["ts"], -event["dur"], -index, event)
+                           for index, event in enumerate(self.events)
+                           if event["ph"] == "X")
+        paths = {}              # "a;b;c" -> [total_us, count]
+        enclosing = []          # (end_us, path) of the spans around the next
+        for ts, neg_dur, _order, event in completes:
+            path = event["name"]
+            if event["tid"] == self.tid:
+                end = ts - neg_dur
+                while enclosing and \
+                        enclosing[-1][0] < end - _SAME_READING_US:
+                    enclosing.pop()
+                if enclosing:
+                    path = f"{enclosing[-1][1]};{path}"
+                enclosing.append((end, path))
+            bucket = paths.setdefault(path, [0.0, 0])
+            bucket[0] -= neg_dur
+            bucket[1] += 1
+        ranked = sorted(paths.items(),
                         key=lambda item: item[1][0], reverse=True)
         total_s = sum(bucket[0] for _path, bucket in
-                      self._paths.items() if ";" not in _path) / 1e6
+                      paths.items() if ";" not in _path) / 1e6
         lines = [f"flame summary (top {min(top, len(ranked))} of "
                  f"{len(ranked)} span paths, {total_s:.3f}s at the root):"]
         if not ranked:
@@ -240,23 +177,7 @@ class Tracer:
         return lines
 
     def __repr__(self):
-        return (f"Tracer({len(self.events)} events, "
-                f"{len(self._stack)} open, {self.dropped} dropped)")
-
-
-class _NullSpan:
-    """A context manager that records nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_SPAN = _NullSpan()
+        return f"Tracer({len(self.events)} events, {self.dropped} dropped)"
 
 
 class NullTracer:
@@ -269,24 +190,11 @@ class NullTracer:
     dropped = 0
     max_events = 0
 
-    def begin(self, name, cat="vm", **args):
-        """No-op."""
-
-    def end(self, **args):
-        """No-op."""
-
-    def span(self, name, cat="vm", **args):
-        """A no-op span."""
-        return _NULL_SPAN
-
     def instant(self, name, cat="vm", **args):
         """No-op."""
 
     def add_complete(self, name, start, end, tid=None, cat="harness",
                      args=None):
-        """No-op."""
-
-    def unwind(self):
         """No-op."""
 
     def set_process_name(self, name):

@@ -6,34 +6,21 @@ translation cache (applying chaining patches), and returns the intermediate
 analyses for statistics collection.
 """
 
+from contextlib import contextmanager
+from time import perf_counter
+
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan, FaultSite
 from repro.ildp_isa.opcodes import IFormat
 from repro.obs.telemetry import Telemetry
-from repro.obs.trace import NULL_TRACER, MultiSpan
+from repro.obs.trace import NULL_TRACER
 from repro.translator.chaining import ChainingPolicy
 from repro.translator.codegen import CodeGenerator
 from repro.translator.copyrules import build_copy_plan
 from repro.translator.cost import TranslationCostModel
 from repro.translator.decompose import decompose
-from repro.translator.strand import form_strands
+from repro.translator.strand import TranslationError, form_strands
 from repro.translator.usage import analyze_usage
-
-
-class TranslationError(Exception):
-    """The translator failed to produce a fragment for a superblock.
-
-    Raised before any translation-cache state is mutated.  The VM
-    degrades gracefully: the superblock's entry PC falls back to
-    interpretation, with retry/backoff and eventual blacklisting
-    (``docs/robustness.md``).
-    """
-
-    def __init__(self, entry_vpc, reason):
-        super().__init__(
-            f"translation failed for V:{entry_vpc:#x}: {reason}")
-        self.entry_vpc = entry_vpc
-        self.reason = reason
 
 
 class TranslationResult:
@@ -69,30 +56,45 @@ class Translator:
             else Telemetry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
 
+    @contextmanager
     def _phase(self, name):
-        """A wall-clock span for one pipeline stage (paid once per stage
-        per translated superblock, off the execution hot path).  With
-        tracing on, the stage also lands on the span timeline."""
-        timer = self.telemetry.registry.timer(
-            f"phase.translate.{name}").time()
-        if self.tracer.enabled:
-            return MultiSpan(timer, self.tracer.span(
-                f"translate.{name}", cat="translate"))
-        return timer
+        """Time one pipeline stage into ``phase.translate.<name>`` and
+        record it as a ``translate.<name>`` span, both from the same two
+        clock readings (paid once per stage per translated superblock,
+        off the execution hot path)."""
+        started = perf_counter()
+        try:
+            yield
+        finally:
+            ended = perf_counter()
+            self.telemetry.registry.timer(f"phase.translate.{name}").add(
+                ended - started)
+            self.tracer.add_complete(f"translate.{name}", started, ended,
+                                     cat="translate")
 
     def translate(self, superblock):
-        """Translate one superblock and install the fragment."""
-        with self.tracer.span("translate", cat="translate",
-                              entry_vpc=superblock.entry_vpc,
-                              entries=len(superblock.entries)):
+        """Translate one superblock and install the fragment.
+
+        Raises :class:`TranslationError` when a stage cannot translate
+        it (or the ``translate`` fault fires), before the translation
+        cache is touched.  The ``translate`` span is recorded either way.
+        """
+        started = perf_counter()
+        try:
             return self._translate(superblock)
+        finally:
+            self.tracer.add_complete(
+                "translate", started, perf_counter(), cat="translate",
+                args={"entry_vpc": superblock.entry_vpc,
+                      "entries": len(superblock.entries)})
 
     def _translate(self, superblock):
         if self.injector.fire(FaultSite.TRANSLATE,
                               vpc=superblock.entry_vpc):
             # before any cache mutation or cost charge: an injected
             # failure must leave the stack exactly as it found it
-            raise TranslationError(superblock.entry_vpc, "injected fault")
+            raise TranslationError(
+                f"injected fault at V:{superblock.entry_vpc:#x}")
         cost = self.cost
         charge = cost.charge
         charge("fetch_decode", len(superblock.entries))

@@ -32,7 +32,14 @@ from repro.translator.decompose import NodeKind
 
 
 class TranslationError(RuntimeError):
-    """An internal consistency violation inside the translator."""
+    """The translator cannot produce a fragment for a superblock.
+
+    Strand formation, the copy rules and code generation raise it, and so
+    does the injected ``translate`` fault, all before the translation
+    cache is touched.  The VM degrades gracefully: the superblock's entry
+    PC falls back to interpretation, with retry/backoff and eventual
+    blacklisting (``docs/robustness.md``).
+    """
 
 
 class StrandResult:

@@ -33,6 +33,7 @@ per executor.  Untraced runs build no template.
 
 import enum
 import itertools
+from time import perf_counter
 
 from repro.ildp_isa.opcodes import IFormat, IOp
 from repro.ildp_isa.semantics import IALU_OPS, icond_taken
@@ -391,14 +392,16 @@ class FragmentExecutor:
         if _compile_fragment_jit is None:
             from repro.vm.jit import compile_fragment_jit
             _compile_fragment_jit = compile_fragment_jit
+        started = perf_counter()
         try:
-            with self._jit_compile_timer.time():
-                fn = _compile_fragment_jit(self, frag)
+            fn = _compile_fragment_jit(self, frag)
         except Exception:
             # degrade, never die: the body walk is semantically complete
             frag._jit_failed = True
             self._jit_compile_failures.inc()
             return None
+        finally:
+            self._jit_compile_timer.add(perf_counter() - started)
         frag._jit_code = fn
         self._jit_promotions.inc()
         return fn

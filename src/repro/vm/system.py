@@ -127,13 +127,13 @@ class CoDesignedVM:
         registry once, in a ``finally`` that also finalises telemetry,
         so partial runs still report consistent numbers.
 
-        With tracing on, the loop also opens spans: one ``vm.run`` root,
-        a ``vm.translated`` span per translated stint, a ``vm.capture``
-        span per superblock capture+translation (the translator's phase
-        spans nest inside it), and each stretch of interpreter steps
-        between them as one ``vm.interpret`` span, recorded from the
-        same clock readings — a per-V-instruction span would swamp the
-        trace.
+        With tracing on, the loop records spans from the same readings,
+        each once it has finished: a ``vm.translated`` span per
+        translated stint, a ``vm.capture`` span per superblock
+        capture+translation (the translator's stage spans nest inside
+        it), each stretch of interpreter steps between them as one
+        ``vm.interpret`` span (a per-V-instruction span would swamp the
+        trace), and one ``vm.run`` root around them all.
         """
         stats = self.stats
         state = self.state
@@ -147,7 +147,6 @@ class CoDesignedVM:
         host_steps = 0
         # interpreted-instruction count where the open stretch began
         mark = stats.interpreted_instructions
-        tracer.begin("vm.run", budget=max_v_instructions)
         started = last = perf_counter()
         try:
             while not self.halted:
@@ -164,8 +163,6 @@ class CoDesignedVM:
                     before = perf_counter()
                     if traced:
                         self._trace_interpret(last, before, mark)
-                        tracer.begin("vm.translated", fid=fragment.fid,
-                                     entry_vpc=fragment.entry_vpc)
                     try:
                         self._execute_translated(fragment, remaining)
                     finally:
@@ -173,31 +170,36 @@ class CoDesignedVM:
                         translated_s += last - before
                         translated_n += 1
                         mark = stats.interpreted_instructions
-                    if traced:
-                        tracer.end()
+                        if traced:
+                            tracer.add_complete(
+                                "vm.translated", before, last, cat="vm",
+                                args={"fid": fragment.fid,
+                                      "entry_vpc": fragment.entry_vpc})
                     continue
                 if profiler.record_execution(state.pc):
+                    start_vpc = state.pc
                     before = perf_counter()
                     if traced:
                         self._trace_interpret(last, before, mark)
-                        tracer.begin("vm.capture", start_vpc=state.pc)
                     try:
-                        self._capture_and_translate(state.pc)
+                        self._capture_and_translate(start_vpc)
                     finally:
                         last = perf_counter()
                         capture_s += last - before
                         capture_n += 1
                         mark = stats.interpreted_instructions
-                    if traced:
-                        tracer.end()
+                        if traced:
+                            tracer.add_complete(
+                                "vm.capture", before, last, cat="vm",
+                                args={"start_vpc": start_vpc})
                     continue
                 self._interpret_one()
         finally:
             ended = perf_counter()
             if traced:
                 self._trace_interpret(last, ended, mark)
-                # a trap can leave a stint span open; close it and vm.run
-                tracer.unwind()
+                tracer.add_complete("vm.run", started, ended, cat="vm",
+                                    args={"budget": max_v_instructions})
             registry = self.telemetry.registry
             registry.timer("phase.vm.translated").add(translated_s,
                                                       translated_n)
@@ -436,24 +438,20 @@ class CoDesignedVM:
             return
         try:
             result = self.translator.translate(superblock)
-        except TranslationError as exc:
-            self._note_translation_failure(start_vpc, exc.reason)
+        except TranslationError:
+            self._note_translation_failure(start_vpc)
             return
         except TCacheFull:
             if not self._flush_for_capacity():
-                self._note_translation_failure(
-                    start_vpc, "tcache full, flush suppressed (storm)")
+                # the storm guard vetoed the flush
+                self._note_translation_failure(start_vpc)
                 return
             try:
                 result = self.translator.translate(superblock)
-            except TranslationError as exc:
-                self._note_translation_failure(start_vpc, exc.reason)
-                return
-            except TCacheFull:
-                # still full after flushing: the fragment alone exceeds
-                # capacity (or injection struck again) — interpret
-                self._note_translation_failure(
-                    start_vpc, "tcache full after flush")
+            except (TranslationError, TCacheFull):
+                # the retry failed too: the fragment alone exceeds the
+                # capacity, or a fault struck again — interpret
+                self._note_translation_failure(start_vpc)
                 return
         self.stats.note_translation(result)
         self.profiler.reset(start_vpc)
@@ -488,7 +486,7 @@ class CoDesignedVM:
         self._last_capacity_flush = now
         return True
 
-    def _note_translation_failure(self, vpc, reason):
+    def _note_translation_failure(self, vpc):
         """Retry accounting for a failed translation of ``vpc``.
 
         Below :data:`TRANSLATION_RETRY_LIMIT` failures the PC's hotness

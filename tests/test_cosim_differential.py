@@ -33,7 +33,7 @@ def _assert_equivalent(name, config):
 
     assert vm.halted, f"{name}: VM did not reach halt"
     # the interpreter stopped short of the budget only because it halted
-    assert interp.instruction_count < HALT_BUDGET, \
+    assert len(trace) < HALT_BUDGET, \
         f"{name}: interpreter did not reach halt"
     assert vm.state.pc == interp.state.pc
     assert vm.state.regs == interp.state.regs, \

@@ -48,6 +48,15 @@ class TestCleanPrograms:
         assert report["failures"] == []
         assert "cosim" in report["inconclusive"]
 
+    def test_vm_stopped_at_budget_is_not_halted(self):
+        # vm.run returns normally when the V-instruction budget runs out
+        fprog = generate(1, 0, max_insns=24)
+        outcome, vm = run_vm_outcome(fprog, oracle_config(), budget=50)
+        assert not vm.halted
+        assert outcome.status == "budget"
+        report = check_program(fprog, budget=50)
+        assert report["inconclusive"] == ["cosim", "engine"]
+
 
 class TestCompareOutcomes:
     def _halted(self, **overrides):

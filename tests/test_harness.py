@@ -68,9 +68,8 @@ class TestRunner:
         assert total < 10_000  # fragment-boundary overshoot only
 
     def test_run_original(self):
-        trace, interp = run_original("gzip", budget=10_000)
+        trace, _interp = run_original("gzip", budget=10_000)
         assert len(trace) == 10_000
-        assert interp.instruction_count == 10_000
         assert all(template.size == 4
                    for template in list(trace.column("templates"))[:100])
 

@@ -41,9 +41,6 @@ class TestRegistryMetrics:
         timer.add(0.25, count=3)
         assert timer.seconds == pytest.approx(0.75)
         assert timer.count == 4
-        with timer.time():
-            pass
-        assert timer.count == 5
 
 
 class TestRegistryMerge:

@@ -6,19 +6,23 @@ import json
 
 import pytest
 
+from repro.asm import assemble
 from repro.harness.parallel import PointRunner
 from repro.harness.runner import run_vm
 from repro.harness.runpoints import RunPoint, execute_point
+from repro.ildp_isa.opcodes import IFormat
+from repro.isa.semantics import TrapKind
 from repro.obs.trace import (
     NULL_TRACER,
-    MultiSpan,
     NullTracer,
     Tracer,
     make_tracer,
     span_contains,
     validate_chrome_trace,
 )
+from repro.vm import CoDesignedVM, VMTrap
 from repro.vm.config import VMConfig
+from tests.test_traps import FAULTING_LOAD
 
 
 def completes_named(doc, name):
@@ -26,46 +30,61 @@ def completes_named(doc, name):
             if event["name"] == name]
 
 
+def flame_depths(tracer):
+    """Span name -> nesting depth, read off the flame summary."""
+    depths = {}
+    for line in tracer.flame_lines()[1:]:
+        label = line.split(" x", 1)[1][8:]      # past the count column
+        name = label.lstrip()
+        depths[name] = (len(label) - len(name)) // 2
+    return depths
+
+
 class TestTracer:
-    def test_begin_end_records_complete_event(self):
+    def test_add_complete_records_finished_span(self):
         tracer = Tracer(epoch=0.0)
-        tracer.begin("work", cat="test", detail=1)
-        tracer.end(extra=2)
+        tracer.add_complete("work", 1.0, 1.25, cat="test",
+                            args={"detail": 1})
         (event,) = completes_named(tracer.to_chrome(), "work")
         assert event["ph"] == "X"
         assert event["cat"] == "test"
-        assert event["dur"] >= 0
-        assert event["args"] == {"detail": 1, "extra": 2}
+        assert event["tid"] == tracer.tid
+        assert event["ts"] == pytest.approx(1.0e6)
+        assert event["dur"] == pytest.approx(0.25e6)
+        assert event["args"] == {"detail": 1}
 
     def test_span_nesting_is_positional(self):
         tracer = Tracer(epoch=0.0)
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
+        # children are recorded before their parent, and the two
+        # siblings share a clock reading (one ends where the next starts)
+        tracer.add_complete("leaf", 1.25, 1.5)
+        tracer.add_complete("first", 1.0, 2.0)
+        tracer.add_complete("second", 2.0, 3.0)
+        tracer.add_complete("root", 1.0, 3.0)
+        # equal ranges: the later-recorded span is the parent
+        tracer.add_complete("inner", 4.0, 5.0)
+        tracer.add_complete("outer", 4.0, 5.0)
+        # a worker track's span is a root, whatever it overlaps
+        tracer.add_complete("remote", 1.5, 2.5, tid=1)
         doc = tracer.to_chrome()
-        (outer,) = completes_named(doc, "outer")
-        (inner,) = completes_named(doc, "inner")
-        assert span_contains(outer, inner)
-        assert not span_contains(inner, outer)
+        (root,) = completes_named(doc, "root")
+        (leaf,) = completes_named(doc, "leaf")
+        assert span_contains(root, leaf)
+        assert not span_contains(leaf, root)
+        assert flame_depths(tracer) == {
+            "root": 0, "first": 1, "leaf": 2, "second": 1,
+            "outer": 0, "inner": 1, "remote": 0}
+        assert "4.000s at the root" in tracer.flame_lines()[0]
 
-    def test_end_without_begin_raises(self):
-        with pytest.raises(RuntimeError):
-            Tracer().end()
-
-    def test_unwind_closes_all_open_spans(self):
-        tracer = Tracer()
-        tracer.begin("a")
-        tracer.begin("b")
-        tracer.unwind()
-        doc = tracer.to_chrome()
-        assert len(completes_named(doc, "a")) == 1
-        assert len(completes_named(doc, "b")) == 1
-
-    def test_open_spans_flushed_as_unfinished(self):
-        tracer = Tracer()
-        tracer.begin("open")
-        (event,) = completes_named(tracer.to_chrome(), "open")
-        assert event["args"]["unfinished"] is True
+    def test_shared_end_reading_survives_rounding(self):
+        # exported as ts + dur, the parent's end here rounds one ulp
+        # below its child's, though both spans end at the same reading
+        tracer = Tracer(epoch=1000.0)
+        tracer.add_complete("child", 1002.756605, 1006.725915)
+        tracer.add_complete("parent", 1001.296891, 1006.725915)
+        child, parent = tracer.events
+        assert parent["ts"] + parent["dur"] < child["ts"] + child["dur"]
+        assert flame_depths(tracer) == {"parent": 0, "child": 1}
 
     def test_metadata_events_name_tracks(self):
         tracer = Tracer(process_name="proc", thread_name="thread")
@@ -92,56 +111,34 @@ class TestTracer:
         assert event["dur"] == pytest.approx(1.5e6)
 
     def test_overflow_counts_dropped(self):
-        tracer = Tracer(max_events=2)
+        tracer = Tracer(max_events=2, epoch=0.0)
         for index in range(5):
-            with tracer.span(f"s{index}"):
-                pass
+            tracer.add_complete(f"s{index}", index, index + 0.5)
         assert len(tracer.events) == 2
         assert tracer.dropped == 3
         assert tracer.to_chrome()["otherData"]["dropped"] == 3
 
     def test_flame_lines_rank_by_total(self):
-        tracer = Tracer()
-        with tracer.span("root"):
-            with tracer.span("leaf"):
-                pass
+        tracer = Tracer(epoch=0.0)
+        tracer.add_complete("leaf", 1.0, 1.5)
+        tracer.add_complete("root", 0.5, 2.0)
         lines = tracer.flame_lines()
         assert "root" in lines[1]
         assert any("leaf" in line for line in lines[2:])
 
     def test_export_is_json_serialisable(self):
-        tracer = Tracer()
-        with tracer.span("x", arg="v"):
-            tracer.instant("i")
+        tracer = Tracer(epoch=0.0)
+        tracer.instant("i")
+        tracer.add_complete("x", 1.0, 2.0, args={"arg": "v"})
         json.dumps(tracer.to_chrome())
 
     def test_write_round_trips(self, tmp_path):
-        tracer = Tracer()
-        with tracer.span("x"):
-            pass
+        tracer = Tracer(epoch=0.0)
+        tracer.add_complete("x", 1.0, 2.0)
         path = tmp_path / "trace.json"
         tracer.write(path)
         doc = json.loads(path.read_text())
         assert len(completes_named(doc, "x")) == 1
-
-    def test_multispan_enters_all(self):
-        order = []
-
-        class CM:
-            def __init__(self, tag):
-                self.tag = tag
-
-            def __enter__(self):
-                order.append(("enter", self.tag))
-
-            def __exit__(self, *exc):
-                order.append(("exit", self.tag))
-                return False
-
-        with MultiSpan(CM("a"), CM("b")):
-            pass
-        assert order == [("enter", "a"), ("enter", "b"),
-                         ("exit", "b"), ("exit", "a")]
 
     def test_validate_rejects_malformed(self):
         with pytest.raises(ValueError):
@@ -157,12 +154,8 @@ class TestNullTracer:
     def test_all_operations_are_noops(self, tmp_path):
         tracer = NullTracer()
         assert not tracer.enabled
-        tracer.begin("a")
-        tracer.end()
-        with tracer.span("b"):
-            tracer.instant("c")
+        tracer.instant("c")
         tracer.add_complete("d", 0.0, 1.0)
-        tracer.unwind()
         tracer.write(tmp_path / "never.json")
         assert not (tmp_path / "never.json").exists()
         assert tracer.to_chrome()["traceEvents"] == []
@@ -230,13 +223,31 @@ class TestVMTracing:
         assert on.vm.console_text() == off.vm.console_text()
 
     def test_trap_unwinds_open_spans(self):
-        # syscall workloads deliver traps mid-stint; the export must
-        # still balance (validate raises on negative/missing durations)
+        # perlbmk has the suite's highest indirect-jump rate; its export
+        # must balance (validate raises on negative/missing durations).
+        # A run that ends in a guest trap: test_guest_trap_leaves_whole_spans
         result = run_vm("perlbmk", VMConfig(trace=True), budget=30_000,
                         collect_trace=False)
         doc = result.vm.tracer.to_chrome()
         validate_chrome_trace(doc)
         assert completes_named(doc, "vm.run")
+
+    @pytest.mark.parametrize("fmt", (IFormat.BASIC, IFormat.MODIFIED))
+    def test_guest_trap_leaves_whole_spans(self, fmt):
+        # the run ends in a precise trap raised from translated code:
+        # each span was recorded as its region ended, so none is open
+        vm = CoDesignedVM(assemble(FAULTING_LOAD),
+                          VMConfig(fmt=fmt, trace=True))
+        with pytest.raises(VMTrap) as excinfo:
+            vm.run(max_v_instructions=1_000_000)
+        assert excinfo.value.trap.kind is TrapKind.ACCESS_VIOLATION
+        doc = vm.tracer.to_chrome()
+        (run,) = completes_named(doc, "vm.run")
+        translated = completes_named(doc, "vm.translated")
+        assert translated
+        assert all(span_contains(run, span) for span in translated)
+        assert not any("unfinished" in event.get("args", {})
+                       for event in doc["traceEvents"])
 
 
 class TestHarnessTracing:
@@ -268,10 +279,9 @@ class TestHarnessTracing:
         tracer = Tracer(epoch=0.0)
         runner = PointRunner(workers=2, tracer=tracer)
         points = [RunPoint.vm("gzip", budget=1), RunPoint.vm("mcf", budget=1)]
-        chunks = [[points[0]], [points[1]]]
-        chunk_results = [[({}, 1.0, 2.0, [])],
-                         [({}, 1.5, 2.5, [("eval.ildp_ipc", 2.0, 2.4)])]]
-        runner._note_pool_spans(chunks, chunk_results)
+        runner._note_spans(1, [points[0]], [({}, 1.0, 2.0, [])])
+        runner._note_spans(2, [points[1]],
+                           [({}, 1.5, 2.5, [("eval.ildp_ipc", 2.0, 2.4)])])
         doc = tracer.to_chrome()
         by_tid = {}
         for event in validate_chrome_trace(doc):

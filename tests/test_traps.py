@@ -50,6 +50,17 @@ boom:   call_pal gentrap
         br   loop
 """
 
+#: A countdown loop that leaves through an indirect jump through R31,
+#: to V-PC 0.  Code generation cannot translate a jump through the zero
+#: register, so the superblock holding it fails to translate; the VM
+#: must interpret on and trap where the interpreter does.
+JUMP_THROUGH_R31 = """
+_start: li r1, 3
+loop:   subq r1, 1, r1
+        bne  r1, loop
+        jmp  r31, (r31)
+"""
+
 UNALIGNED_STORE = """
 _start: li r1, 70
         la r2, buf
@@ -148,6 +159,23 @@ class TestPreciseTraps:
             if location[0] == "acc"
         ]
         assert acc_entries
+
+
+class TestUntranslatableSuperblock:
+    @pytest.mark.parametrize("engine", ("naive", "jit"))
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_translation_failure_degrades(self, fmt, engine):
+        ref_trap, ref_state = reference_trap(JUMP_THROUGH_R31)
+        vm = CoDesignedVM(assemble(JUMP_THROUGH_R31),
+                          VMConfig(fmt=fmt, exec_engine=engine, threshold=1))
+        with pytest.raises(VMTrap) as excinfo:
+            vm.run(max_v_instructions=1_000_000)
+        trap = excinfo.value
+        assert trap.trap.kind is ref_trap.kind is TrapKind.ACCESS_VIOLATION
+        assert trap.trap.vpc == ref_trap.vpc == 0
+        assert trap.state.regs == ref_state.regs, \
+            trap.state.diff(ref_state)
+        assert vm.stats.translation_failures == 1
 
 
 class TestTracedFaults:
