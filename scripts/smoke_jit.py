@@ -5,7 +5,10 @@ Runs one workload to its natural halt under the jit engine and under
 the naive engine, and checks the acceptance properties: every fragment
 that ran was compiled to generated code, and the final register state,
 program counter, console output, committed-instruction count and every
-``VMStats`` counter are identical.  Exits non-zero on any divergence.
+``VMStats`` counter are identical.  Then runs both engines again
+collecting the committed-instruction trace: the jit must still run
+generated code, and its trace must equal the naive walk's row for row
+in all five columns.  Exits non-zero on any divergence.
 
 Usage: PYTHONPATH=src python scripts/smoke_jit.py [workload] [budget]
 """
@@ -14,6 +17,7 @@ import sys
 
 from repro.harness.runner import run_vm
 from repro.vm.config import VMConfig
+from repro.vm.events import first_difference
 
 
 def main(argv):
@@ -46,6 +50,22 @@ def main(argv):
     if stats_diff:
         failures.append(f"stats counters differ: {', '.join(stats_diff)}")
 
+    traced = run_vm(workload, VMConfig(exec_engine="jit"), budget=budget)
+    traced_reference = run_vm(workload, VMConfig(exec_engine="naive"),
+                              budget=budget)
+    traced_promotions = \
+        traced.vm.telemetry.summary()["counters"]["jit.promotions"]
+    if not traced_promotions:
+        failures.append("the traced jit run compiled no fragment")
+    where = first_difference(traced.trace, traced_reference.trace)
+    if where is not None:
+        row, column = where
+        failures.append(f"traced jit trace departs from naive at row {row}"
+                        + (f", column {column}" if column else
+                           " (length differs)"))
+    if vars(traced.stats) != vars(traced_reference.stats):
+        failures.append("traced stats counters differ")
+
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if failures:
@@ -55,7 +75,8 @@ def main(argv):
     print(f"ok: jit matches naive on {workload} "
           f"({committed} committed V-ISA instructions, "
           f"{len(promoted)} of {len(jit.vm.tcache.fragments)} fragments "
-          f"compiled)")
+          f"compiled; traced: {len(traced.trace)} equal rows, "
+          f"{traced_promotions} fragments compiled)")
     return 0
 
 

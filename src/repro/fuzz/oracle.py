@@ -10,7 +10,10 @@ semantics, never by a hand-written expectation:
 * **engine** — the VM run again under the jit must match the naive
   run, including every ``VMStats`` counter (``vars()`` equality); the
   jit compiles every fragment on first entry, so its generated code
-  executes even on short fuzz loops;
+  executes even on short fuzz loops.  A second jit run collects the
+  committed-instruction trace, whose five columns must equal the naive
+  run's row for row, so both forms of generated code (untraced and
+  trace-appending) stay under the oracle;
 * **chaos** (optional) — the VM under a seeded fault schedule must still
   converge to the fault-free reference.
 
@@ -28,6 +31,7 @@ from repro.interp.interpreter import Halted, Interpreter
 from repro.isa.semantics import Trap
 from repro.translator.superblock import elided_by_translation
 from repro.vm.config import VMConfig
+from repro.vm.events import first_difference
 from repro.vm.system import BudgetExceeded, CoDesignedVM
 from repro.vm.traps import VMTrap
 
@@ -126,9 +130,9 @@ def run_reference(fprog, budget=ORACLE_BUDGET):
 
 
 def oracle_config(exec_engine=REFERENCE_ENGINE, faults=None, fault_seed=0,
-                  trace=False):
+                  trace=False, collect_trace=False):
     """The VM configuration oracle stages run under."""
-    return VMConfig(threshold=ORACLE_THRESHOLD, collect_trace=False,
+    return VMConfig(threshold=ORACLE_THRESHOLD, collect_trace=collect_trace,
                     exec_engine=exec_engine, faults=faults,
                     fault_seed=fault_seed, trace=trace)
 
@@ -206,7 +210,8 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
     """Run the oracle stack over one program.
 
     The engine stage runs the jit against the naive reference with full
-    ``VMStats`` equality.  Returns a report dict: ``failures`` is a
+    ``VMStats`` equality, and a trace-collecting jit run against the
+    naive run's trace.  Returns a report dict: ``failures`` is a
     list of ``{stage, reason}`` records (empty means the program agrees
     everywhere), ``inconclusive`` lists stages skipped for budget
     exhaustion, and ``telemetry``/``telemetry_host`` are the naive VM
@@ -220,9 +225,11 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
     reference = run_reference(fprog, budget=budget)
     naive = None
     naive_vm = None
+    # the naive run is the engine stage's trace reference too
+    naive_config = oracle_config(collect_trace="engine" in stages)
 
     if "cosim" in stages:
-        naive, naive_vm = run_vm_outcome(fprog, oracle_config(),
+        naive, naive_vm = run_vm_outcome(fprog, naive_config,
                                          budget=budget)
         reasons = compare_outcomes(reference, naive)
         if reasons is None:
@@ -233,7 +240,7 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
 
     if "engine" in stages:
         if naive is None:
-            naive, naive_vm = run_vm_outcome(fprog, oracle_config(),
+            naive, naive_vm = run_vm_outcome(fprog, naive_config,
                                              budget=budget)
         jit, jit_vm = run_vm_outcome(
             fprog, oracle_config(exec_engine="jit"), budget=budget)
@@ -249,6 +256,13 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
                                  "reason": f"stats.{name}: naive "
                                            f"{a}, jit {b}"}
                                 for name, a, b in diffs)
+            _traced, traced_vm = run_vm_outcome(
+                fprog, oracle_config(exec_engine="jit", collect_trace=True),
+                budget=budget)
+            reason = _trace_reason(naive_vm.trace, traced_vm.trace)
+            if reason is not None:
+                failures.append({"stage": "engine",
+                                 "reason": f"[jit traced] {reason}"})
 
     if "chaos" in stages:
         seed = chaos_seed if chaos_seed is not None else \
@@ -279,6 +293,22 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
         report["telemetry"] = naive_vm.telemetry.summary()
         report["telemetry_host"] = naive_vm.telemetry.host_summary()
     return report
+
+
+def _trace_reason(reference, trace):
+    """Where a traced jit run's trace first departs from the naive
+    run's, as a reason; None when they agree."""
+    where = first_difference(trace, reference)
+    if where is None:
+        return None
+    row, column = where
+    if column is None:
+        return (f"trace length: naive {len(reference)} rows, "
+                f"jit {len(trace)}")
+    expected = list(reference.column(column))[row]
+    got = list(trace.column(column))[row]
+    return (f"trace row {row} column {column}: naive {expected!r}, "
+            f"jit {got!r}")
 
 
 def _stats_diff(a, b):

@@ -65,11 +65,20 @@ def _execute_chunk(points, observer=None):
     return results
 
 
-def _host_seconds(summary, prefix):
-    """Seconds of a summary's ``telemetry_host`` timers under ``prefix``."""
-    timers = summary.get("telemetry_host", {}).get("timers", {})
-    return sum(timer["seconds"] for name, timer in timers.items()
-               if name.startswith(prefix))
+def _run_category(point):
+    """The report's name for the kind of simulator run behind ``point``.
+
+    A VM run is traced when its points have evaluators, as
+    :meth:`~repro.harness.runpoints.RunPoint.run_identity` groups them.
+    """
+    if point.kind == "vm":
+        return "traced vm" if point.evals else "untraced vm"
+    return point.kind
+
+
+#: The order :meth:`RunReport.render` lists run categories in; any other
+#: category (fuzz runs) follows.
+_RUN_CATEGORIES = ("traced vm", "untraced vm", "original")
 
 
 class RunObserver:
@@ -110,23 +119,60 @@ class RunReport:
         self.runs = 0
         #: simulator seconds (``run.*`` timers), once per run
         self.run_seconds = 0.0
+        #: ``run_seconds`` by run category (:func:`_run_category`)
+        self.run_split = {}
         #: evaluator seconds (``eval.*`` timers), once per call
         self.eval_seconds = 0.0
+        #: ``eval_seconds`` by evaluator name
+        self.eval_split = {}
         self.wall_seconds = 0.0
         self.pool_failures = 0
 
+    def add_run(self, point, summary):
+        """Count one executed simulator run: ``point`` is one of its
+        points and ``summary`` carries the run's host timers."""
+        self.runs += 1
+        category = _run_category(point)
+        timers = summary.get("telemetry_host", {}).get("timers", {})
+        for name, timer in timers.items():
+            seconds = timer["seconds"]
+            if name.startswith("run."):
+                self.run_seconds += seconds
+                self.run_split[category] = \
+                    self.run_split.get(category, 0.0) + seconds
+            elif name.startswith("eval."):
+                self.eval_seconds += seconds
+                evaluator = name[len("eval."):]
+                self.eval_split[evaluator] = \
+                    self.eval_split.get(evaluator, 0.0) + seconds
+
     def snapshot(self):
         """A plain-dict copy (for per-experiment deltas)."""
-        return dict(vars(self))
+        return {key: dict(value) if isinstance(value, dict) else value
+                for key, value in vars(self).items()}
 
     def render(self):
-        """One human-readable line for CLI output."""
+        """One human-readable line for CLI output.
+
+        ``run`` seconds are split into traced VM, untraced VM and
+        original-ISA runs, and ``eval`` names its two largest
+        evaluators.
+        """
+        order = _RUN_CATEGORIES + tuple(sorted(
+            set(self.run_split) - set(_RUN_CATEGORIES)))
+        runs = [(category, self.run_split[category]) for category in order
+                if self.run_split.get(category)]
+        evals = sorted(((seconds, name) for name, seconds
+                        in self.eval_split.items() if seconds),
+                       reverse=True)[:2]
         line = (f"run points: {self.requested} requested, "
                 f"{self.unique} unique, {self.cache_hits} cache hits, "
                 f"{self.executed} executed in {self.runs} runs; "
-                f"run {self.run_seconds:.1f}s, "
-                f"eval {self.eval_seconds:.1f}s, "
-                f"wall {self.wall_seconds:.1f}s")
+                f"run {self.run_seconds:.1f}s"
+                + _parts(runs)
+                + f", eval {self.eval_seconds:.1f}s"
+                + _parts((name, seconds) for seconds, name in evals)
+                + f", wall {self.wall_seconds:.1f}s")
         if self.cache_corrupt:
             line += f"; {self.cache_corrupt} corrupt cache entries"
         if self.pool_failures:
@@ -137,8 +183,19 @@ class RunReport:
         return f"RunReport({self.render()})"
 
 
+def _parts(named_seconds):
+    """`` (a 1.0s, b 0.5s)`` for ``[("a", 1.0), ("b", 0.5)]``; empty
+    for none."""
+    parts = ", ".join(f"{name} {seconds:.1f}s"
+                      for name, seconds in named_seconds)
+    return f" ({parts})" if parts else ""
+
+
 def _delta(before, after):
-    return {key: after[key] - before[key] for key in after}
+    """``after - before`` key by key, also inside the split dicts."""
+    return {key: _delta(before[key], value) if isinstance(value, dict)
+            else value - before.get(key, 0)
+            for key, value in after.items()}
 
 
 class PointRunner:
@@ -221,10 +278,7 @@ class PointRunner:
             self._note_spans(None, points, results)
         for run in runs:
             # members share the run's host block: count it once
-            host = results[run[0]][0]
-            self.report.runs += 1
-            self.report.run_seconds += _host_seconds(host, "run.")
-            self.report.eval_seconds += _host_seconds(host, "eval.")
+            self.report.add_run(points[run[0]], results[run[0]][0])
             for position in run:
                 point, summary = points[position], results[position][0]
                 summaries[pending[position]] = summary

@@ -55,7 +55,9 @@ from repro.vm.config import VMConfig
 #: ``histograms`` and the gauges that repeated the ``stats``, ``tcache``
 #: and ``resilience`` blocks, and ``scale`` left the point key and every
 #: summary.
-SCHEMA_VERSION = 8
+#: 9: traced runs execute generated code, so traced VM summaries now
+#: report ``jit.promotions`` (it was 0 on every traced run).
+SCHEMA_VERSION = 9
 
 
 class EvalSpec:
@@ -182,8 +184,8 @@ class RunPoint:
 
         Points that differ only in their evaluators share one run (see
         :func:`execute_run`).  A traced and an untraced run of one config
-        stay apart: their summaries differ in ``trace_len`` and the
-        ``jit.*`` counters.
+        stay apart: only the traced one collects the trace its
+        evaluators read, and their summaries differ in ``trace_len``.
         """
         return (self.kind, self.workload, self.budget, self.config,
                 bool(self.evals))

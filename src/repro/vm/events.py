@@ -126,3 +126,21 @@ class Trace:
 
     def __iter__(self):
         return chain.from_iterable(starmap(zip, self.blocks))
+
+
+def first_difference(trace, reference):
+    """Where ``trace`` first departs from ``reference``.
+
+    Returns ``(row, column)``: the first row whose fields differ and the
+    name of its first differing column (one of :attr:`Trace.COLUMNS`),
+    or ``(row, None)`` when the shorter trace ends at ``row`` and the
+    other goes on.  Returns None when both hold the same rows.
+    """
+    for row, (ours, theirs) in enumerate(zip(trace, reference)):
+        if ours != theirs:
+            return row, next(name for name, mine, other
+                             in zip(Trace.COLUMNS, ours, theirs)
+                             if mine != other)
+    if len(trace) != len(reference):
+        return min(len(trace), len(reference)), None
+    return None

@@ -17,22 +17,25 @@ There are two execution engines (``VMConfig.exec_engine``).  ``naive``
 is the reference: every fragment visit walks the body instruction by
 instruction through the readable ``_execute`` dispatch.  ``jit``, the
 default, runs each fragment as one generated Python function
-(:mod:`repro.vm.jit`), compiled on the fragment's first entry; visits
-the generated code cannot serve — trace collection on, or a compile
-failure — take the same reference walk.  Both produce identical
-architected state, traces and ``VMStats``.
+(:mod:`repro.vm.jit`), compiled on the fragment's first entry, with or
+without trace collection; only a fragment whose compile failed takes
+the reference walk.  Both produce identical architected state, traces
+and ``VMStats``.
 
 With trace collection on, each committed instruction appends one row to
 the :class:`~repro.vm.events.Trace`: a reference to the instruction's
-:class:`~repro.vm.events.Template`, built on its first traced visit and
-kept with the fragment (``Fragment._trace_templates``, dropped with the
-generated code by ``Fragment.invalidate_compiled``), plus the four
-dynamic fields.  The shared dispatch body's templates are built once
-per executor.  Untraced runs build no template.
+:class:`~repro.vm.events.Template` plus the four dynamic fields.  The
+template is built once per body instruction — by the walk on its first
+traced visit, or by the jit when it compiles the fragment, which bakes
+it into the generated code as a constant — and kept with the fragment
+(``Fragment._trace_templates``, dropped with the generated code by
+``Fragment.invalidate_compiled``).  The shared dispatch body's templates
+are built once per executor.  Untraced runs build no template.
 """
 
 import enum
 import itertools
+import weakref
 from time import perf_counter
 
 from repro.ildp_isa.opcodes import IFormat, IOp
@@ -152,6 +155,22 @@ def _dispatch_templates(body):
     return templates
 
 
+def _release_generated_code(fragments, key):
+    """Drop the generated code executor ``key`` compiled for
+    ``fragments``, once that executor is gone.
+
+    Generated code holds the fragments it branches to as constants, and
+    each fragment holds its code, so a loop of fragments is a reference
+    cycle, and with it everything the code binds: guest memory and, in a
+    traced run, the whole trace.  Dropping the code when its executor
+    dies lets reference counting free a finished run at once, instead
+    of at the next full collection.
+    """
+    for fragment in fragments:
+        if fragment._jit_key == key:
+            fragment._jit_code = None
+
+
 class ExitReason(enum.Enum):
     HALT = "halt"
     UNTRANSLATED = "untranslated"   # call-translator or dispatch miss
@@ -207,6 +226,10 @@ class FragmentExecutor:
         self._stale = set()
         #: identity under which fragments cache generated code for us
         self._compile_key = next(_EXECUTOR_SERIALS)
+        #: every fragment we compiled code for, released when we die
+        self._compiled = []
+        weakref.finalize(self, _release_generated_code, self._compiled,
+                         self._compile_key)
         #: body index of the instruction whose generated guard last
         #: raised a trap (set by generated code, read by ``run`` to build
         #: the precise ``ExecResult``)
@@ -262,14 +285,16 @@ class FragmentExecutor:
         with staleness assertions for the modified format).
 
         Each fragment visit runs one of two ways.  Under the default
-        ``jit`` engine an untraced visit calls the fragment's generated
-        function (:mod:`repro.vm.jit`), compiling it on first entry.
-        Every other visit — trace collection on, a fragment whose
-        compile failed, or ``exec_engine="naive"`` — walks the body
+        ``jit`` engine a visit calls the fragment's generated function
+        (:mod:`repro.vm.jit`), compiling it on first entry; when this
+        executor collects a trace, that function also appends the
+        fragment's trace rows.  A fragment whose compile failed, and
+        every visit under ``exec_engine="naive"``, walks the body
         through the reference ``_execute`` dispatch.  The two are
         observationally identical: generated code batches exactly the
         statistics the walk counts per instruction, flushed before
-        every point where they can be observed.
+        every point where they can be observed, and appends each row
+        where and when the walk appends it.
         """
         verify = self.verify
         if verify and not self._integrity_ok(fragment):
@@ -280,7 +305,7 @@ class FragmentExecutor:
         iop_counts = stats.iop_counts
         execute = self._execute
         traced = self.trace is not None
-        jit = not traced and self.config.exec_engine == "jit"
+        jit = self.config.exec_engine == "jit"
         key = self._compile_key
         self._stale.clear()
         frag = fragment
@@ -403,6 +428,7 @@ class FragmentExecutor:
         finally:
             self._jit_compile_timer.add(perf_counter() - started)
         frag._jit_code = fn
+        self._compiled.append(frag)
         self._jit_promotions.inc()
         return fn
 

@@ -58,6 +58,28 @@ class TestCleanPrograms:
         assert report["inconclusive"] == ["cosim", "engine"]
 
 
+class TestTracedEngine:
+    def test_dropped_row_named_by_row_and_column(self, monkeypatch):
+        """Traced generated code that drops a row is a finding, named at
+        the first row and column where its trace departs from the naive
+        run's; untraced generated code is unaffected."""
+        from repro.vm.jit import _Emitter
+
+        row = _Emitter.row
+
+        def drop_first(emitter, index, dynamic="", depth=1):
+            if index:
+                row(emitter, index, dynamic, depth)
+
+        monkeypatch.setattr(_Emitter, "row", drop_first)
+        report = check_program(generate(21, 0), stages=("engine",))
+        reasons = [failure["reason"] for failure in report["failures"]]
+        assert reasons
+        assert all(reason.startswith("[jit traced] trace row ")
+                   for reason in reasons), reasons
+        assert " column templates: " in reasons[0]
+
+
 class TestCompareOutcomes:
     def _halted(self, **overrides):
         fields = dict(status="halted", pc=0x10040, regs=[0] * 32,

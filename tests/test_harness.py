@@ -9,7 +9,7 @@ from repro.harness.reporting import ExperimentResult, format_table
 from repro.harness.runner import run_original, run_vm
 from repro.ildp_isa.opcodes import IFormat
 from repro.vm.config import VMConfig
-from repro.vm.events import BLOCK_ROWS, Template, Trace
+from repro.vm.events import BLOCK_ROWS, Template, Trace, first_difference
 from repro.workloads import WorkloadError
 
 
@@ -197,6 +197,18 @@ class TestTraceBlocks:
         assert not trace
         assert list(trace) == []
         assert list(trace.column("templates")) == []
+
+    def test_first_difference_names_row_and_column(self):
+        rows = self._rows(BLOCK_ROWS + 3)
+        trace = Trace.from_rows(rows)
+        assert first_difference(Trace.from_rows(rows), trace) is None
+        changed = list(rows)
+        template, taken, target, _mem_addr, ras_hit = rows[BLOCK_ROWS + 1]
+        changed[BLOCK_ROWS + 1] = (template, taken, target, 0x9999, ras_hit)
+        assert first_difference(Trace.from_rows(changed), trace) == \
+            (BLOCK_ROWS + 1, "mem_addr")
+        assert first_difference(Trace.from_rows(rows[:-1]), trace) == \
+            (BLOCK_ROWS + 2, None)
 
     @pytest.mark.parametrize("producer", ("interpreter", "vm"))
     def test_producers_fill_full_small_blocks(self, producer):

@@ -22,7 +22,8 @@ from tests.conftest import (
     FIG2_KERNEL,
     assert_traces_equal,
 )
-from tests.test_traps import FAULTING_LOAD, GENTRAP_KERNEL
+from tests.test_hostile import _SMC_HOTSTORE
+from tests.test_traps import FAULTING_LOAD, FAULTING_STORE, GENTRAP_KERNEL
 
 
 def _config(engine="jit", fmt=IFormat.MODIFIED, **overrides):
@@ -114,17 +115,56 @@ class TestParity:
         assert jit.state.regs == naive.state.regs
         assert vars(jit.stats) == vars(naive.stats)
 
-    def test_traced_visits_bypass_tier2(self):
-        """Trace-collecting runs must walk the body through the reference
-        dispatch: the committed trace stays byte-identical to the naive
-        engine and no generated code is ever compiled."""
-        jit = _run(CALL_KERNEL, _config(collect_trace=True))
-        naive = _run(CALL_KERNEL, _config(engine="naive",
-                                          collect_trace=True))
-        assert not _promoted(jit)
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    @pytest.mark.parametrize("source", (FIG2_KERNEL, CALL_KERNEL),
+                             ids=("fig2", "call"))
+    def test_traced_visits_run_generated_code(self, source, fmt):
+        """Trace-collecting runs execute generated code, which appends
+        the rows the naive walk appends: every column and every
+        ``VMStats`` counter agree."""
+        jit = _run(source, _config(fmt=fmt, collect_trace=True))
+        naive = _run(source, _config(engine="naive", fmt=fmt,
+                                     collect_trace=True))
+        assert _promoted(jit), "generated code never ran"
+        assert "_row(" in _promoted(jit)[0]._jit_code._jit_source
         assert len(jit.trace) == len(naive.trace) > 0
         assert_traces_equal(jit.trace, naive.trace)
         assert vars(jit.stats) == vars(naive.stats)
+
+
+#: A loop that calls ``protect`` on its own text page every iteration,
+#: keeping execute permission until the iteration at r2 == 3, whose
+#: call revokes it: that call invalidates the running fragment, so the
+#: stint deopts through RETRANSLATE, and the next fetch faults.
+PROTECT_KERNEL = """
+_start: li   r2, 20
+        li   r9, 3
+        clr  r3
+loop:   addq r3, 1, r3
+        subq r2, 1, r2
+        li   r18, 7
+        cmpeq r2, 3, r4
+        cmovne r4, r9, r18
+        la   r16, _start
+        li   r17, 8
+        call_pal protect
+        bne  r2, loop
+        call_pal halt
+"""
+
+#: case -> (source, VMConfig overrides, trap kind the run ends with or
+#: None when it halts, whether a stint leaves generated code through a
+#: trap).  GENTRAP_KERNEL's trap fires in its cold block, which is
+#: interpreted, after its loop has run generated code.
+_TRACED_DEOPTS = {
+    "faulting-load": (FAULTING_LOAD, {}, TrapKind.ACCESS_VIOLATION, True),
+    "faulting-store": (FAULTING_STORE, {}, TrapKind.ACCESS_VIOLATION,
+                       True),
+    "gentrap": (GENTRAP_KERNEL, {}, TrapKind.GENTRAP, False),
+    "smc-store": (_SMC_HOTSTORE, {"threshold": 2}, None, True),
+    "protect": (PROTECT_KERNEL, {"threshold": 4},
+                TrapKind.PROTECTION_VIOLATION, True),
+}
 
 
 class TestTrapDeopt:
@@ -151,6 +191,37 @@ class TestTrapDeopt:
         assert jit_trap.trap.vpc == ref_trap.trap.vpc
         assert jit_trap.state.pc == ref_trap.state.pc
         assert jit_trap.state.regs == ref_trap.state.regs
+        assert vars(jit_vm.stats) == vars(ref_vm.stats)
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    @pytest.mark.parametrize("case", sorted(_TRACED_DEOPTS))
+    def test_traced_deopt_matches_naive(self, case, fmt):
+        """A traced stint that leaves generated code through a trap
+        keeps exactly the naive walk's rows: a faulting load or store
+        gets none, a store or protect call that forces RETRANSLATE keeps
+        its row."""
+        source, overrides, kind, deopts = _TRACED_DEOPTS[case]
+        runs = {}
+        for engine in ("jit", "naive"):
+            vm = CoDesignedVM(assemble(source), _config(
+                engine=engine, fmt=fmt, collect_trace=True, **overrides))
+            try:
+                vm.run(max_v_instructions=1_000_000)
+                trap = None
+            except VMTrap as exc:
+                trap = exc.trap
+            runs[engine] = (vm, trap)
+        (jit_vm, jit_trap), (ref_vm, ref_trap) = runs["jit"], runs["naive"]
+        counters = jit_vm.telemetry.summary()["counters"]
+        assert counters["jit.promotions"] >= 1, "generated code never ran"
+        assert (counters["jit.deopts"] >= 1) is deopts
+        if kind is None:
+            assert jit_trap is None and ref_trap is None
+            assert jit_vm.stats.retranslate_deopts >= 1
+        else:
+            assert jit_trap.kind is ref_trap.kind is kind
+            assert jit_trap.vpc == ref_trap.vpc
+        assert_traces_equal(jit_vm.trace, ref_vm.trace)
         assert vars(jit_vm.stats) == vars(ref_vm.stats)
 
     def test_deopts_are_counted(self):

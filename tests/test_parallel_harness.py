@@ -14,7 +14,13 @@ import pytest
 from repro.harness.experiments import fig5, fig8
 from repro.harness.parallel import PointRunner, RunObserver
 from repro.harness.resultcache import ResultCache, point_key
-from repro.harness.runpoints import RunPoint, execute_point, ildp_ipc
+from repro.harness.runpoints import (
+    RunPoint,
+    execute_point,
+    ildp_ipc,
+    instruction_mix,
+    superscalar_ipc,
+)
 from repro.ildp_isa.opcodes import IFormat
 from repro.vm.config import VMConfig
 
@@ -241,6 +247,37 @@ class TestRunReport:
         assert "2 requested" in line
         assert "1 unique" in line
         assert "1 executed" in line
+
+    def test_render_splits_run_and_eval_seconds(self):
+        """``run`` seconds split into traced VM, untraced VM and
+        original-ISA runs (a VM run is traced when its points have
+        evaluators), and ``eval`` names its two largest evaluators."""
+        runner = PointRunner()
+        runner.run([
+            _point(budget=5000),
+            RunPoint.vm("gzip", VMConfig(), budget=5000,
+                        evals=(ildp_ipc(), instruction_mix())),
+            RunPoint.original("gzip", budget=5000,
+                              evals=(superscalar_ipc(),)),
+        ])
+        report = runner.report
+        assert set(report.run_split) == \
+            {"traced vm", "untraced vm", "original"}
+        assert sum(report.run_split.values()) == \
+            pytest.approx(report.run_seconds)
+        assert set(report.eval_split) == \
+            {"ildp_ipc", "instruction_mix", "superscalar_ipc"}
+        assert sum(report.eval_split.values()) == \
+            pytest.approx(report.eval_seconds)
+        assert runner.last_report["run_split"] == report.run_split
+        line = report.render()
+        assert f"run {report.run_seconds:.1f}s (traced vm " in line
+        assert ", untraced vm " in line and ", original " in line
+        largest, second, smallest = sorted(
+            report.eval_split, key=report.eval_split.get, reverse=True)
+        assert (f"eval {report.eval_seconds:.1f}s ({largest} "
+                f"{report.eval_split[largest]:.1f}s, {second} ") in line
+        assert smallest not in line
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):
