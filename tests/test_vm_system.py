@@ -155,6 +155,28 @@ class TestRunLifetime:
         finally:
             gc.enable()
 
+    def test_finished_untraced_jit_run_is_freed_without_collector(self):
+        """With the collector off, an untraced jit run's guest memory and
+        compiled fragments die with its result: generated code holds the
+        fragments it branches to, so the executor drops the code it
+        compiled when it dies."""
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_vm("twolf", VMConfig(exec_engine="jit"),
+                            budget=20_000, collect_trace=False)
+            compiled = [weakref.ref(fragment)
+                        for fragment in result.tcache.fragments
+                        if fragment._jit_code is not None]
+            assert compiled
+            memory_alive = weakref.ref(result.vm.program.memory)
+            del result
+            assert memory_alive() is None, "guest memory outlived its run"
+            assert all(fragment() is None for fragment in compiled), \
+                "a compiled fragment outlived its run"
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("engine", ("jit", "naive"))
     def test_finished_run_frees_interpreter_and_guest_memory(self, engine):
         """With the cyclic collector off, a traced run's interpreter and
