@@ -11,9 +11,10 @@ semantics, never by a hand-written expectation:
   run, including every ``VMStats`` counter (``vars()`` equality); the
   jit compiles every fragment on first entry, so its generated code
   executes even on short fuzz loops.  A second jit run collects the
-  committed-instruction trace, whose five columns must equal the naive
-  run's row for row, so both forms of generated code (untraced and
-  trace-appending) stay under the oracle;
+  committed-instruction trace: its outcome, its ``VMStats`` and its
+  trace's five columns, row for row, must equal the naive run's, so
+  both ways the jit engine runs a fragment (generated code untraced,
+  prebuilt steps traced) stay under the oracle;
 * **chaos** (optional) — the VM under a seeded fault schedule must still
   converge to the fault-free reference.
 
@@ -210,10 +211,11 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
     """Run the oracle stack over one program.
 
     The engine stage runs the jit against the naive reference with full
-    ``VMStats`` equality, and a trace-collecting jit run against the
-    naive run's trace.  Returns a report dict: ``failures`` is a
-    list of ``{stage, reason}`` records (empty means the program agrees
-    everywhere), ``inconclusive`` lists stages skipped for budget
+    ``VMStats`` equality, untraced and then trace-collecting (whose
+    trace must also equal the naive run's).  Returns a report dict:
+    ``failures`` is a list of ``{stage, reason}`` records (empty means
+    the program agrees everywhere), ``inconclusive`` lists stages
+    skipped for budget
     exhaustion, and ``telemetry``/``telemetry_host`` are the naive VM
     run's summaries when a cosim or engine stage made that run.
     """
@@ -256,13 +258,19 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
                                  "reason": f"stats.{name}: naive "
                                            f"{a}, jit {b}"}
                                 for name, a, b in diffs)
-            _traced, traced_vm = run_vm_outcome(
+            traced, traced_vm = run_vm_outcome(
                 fprog, oracle_config(exec_engine="jit", collect_trace=True),
                 budget=budget)
-            reason = _trace_reason(naive_vm.trace, traced_vm.trace)
-            if reason is not None:
-                failures.append({"stage": "engine",
-                                 "reason": f"[jit traced] {reason}"})
+            reasons = compare_outcomes(naive, traced) or []
+            reasons += [f"stats.{name}: naive {a}, jit {b}"
+                        for name, a, b in _stats_diff(naive_vm.stats,
+                                                      traced_vm.stats)]
+            difference = first_difference(traced_vm.trace, naive_vm.trace)
+            if difference is not None:
+                reasons.append(f"trace {difference}")
+            failures.extend({"stage": "engine",
+                             "reason": f"[jit traced] {reason}"}
+                            for reason in reasons)
 
     if "chaos" in stages:
         seed = chaos_seed if chaos_seed is not None else \
@@ -293,22 +301,6 @@ def check_program(fprog, budget=ORACLE_BUDGET, chaos=False, stages=None,
         report["telemetry"] = naive_vm.telemetry.summary()
         report["telemetry_host"] = naive_vm.telemetry.host_summary()
     return report
-
-
-def _trace_reason(reference, trace):
-    """Where a traced jit run's trace first departs from the naive
-    run's, as a reason; None when they agree."""
-    where = first_difference(trace, reference)
-    if where is None:
-        return None
-    row, column = where
-    if column is None:
-        return (f"trace length: naive {len(reference)} rows, "
-                f"jit {len(trace)}")
-    expected = list(reference.column(column))[row]
-    got = list(trace.column(column))[row]
-    return (f"trace row {row} column {column}: naive {expected!r}, "
-            f"jit {got!r}")
 
 
 def _stats_diff(a, b):

@@ -55,7 +55,7 @@ from repro.vm.config import VMConfig
 #: ``histograms`` and the gauges that repeated the ``stats``, ``tcache``
 #: and ``resilience`` blocks, and ``scale`` left the point key and every
 #: summary.
-#: 9: traced runs execute generated code, so traced VM summaries now
+#: 9: traced runs execute jit-built steps, so traced VM summaries now
 #: report ``jit.promotions`` (it was 0 on every traced run).
 SCHEMA_VERSION = 9
 

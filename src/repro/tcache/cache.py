@@ -377,6 +377,9 @@ class TranslationCache:
         never patch into freed space.
         """
         self.fragments.remove(fragment)
+        # its code holds the fragments it branches to (a loop is a
+        # cycle): dropping it frees the fragment by reference counting
+        fragment._jit_code = None
         del self._by_entry_vpc[fragment.entry_vpc]
         del self._entry_addresses[fragment.base_address]
         self._unwatch_fragment(fragment)

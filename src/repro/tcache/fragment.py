@@ -83,10 +83,11 @@ class Fragment:
         #: Entry verification is amortised: checked once, then trusted
         #: until an in-place patch resets this flag.
         self.verified = False
-        #: generated code compiled by :mod:`repro.vm.jit`, managed by
+        #: jit code — generated by :mod:`repro.vm.jit`, or a traced
+        #: run's steps (:mod:`repro.vm.steps`) — managed by
         #: ``FragmentExecutor._jit_for``: the key identifies the executor
-        #: the code was compiled for; ``_jit_failed`` pins fragments whose
-        #: compile raised so a hot loop doesn't retry every visit.
+        #: the code was built for; ``_jit_failed`` pins fragments whose
+        #: build raised so a hot loop doesn't retry every visit.
         self._jit_key = None
         self._jit_code = None
         self._jit_failed = False
@@ -100,8 +101,8 @@ class Fragment:
         body patch.
 
         Chaining patches and corruption recovery rewrite body
-        instructions; the generated function and the templates bake the
-        old instructions in, so they must go.  The next visit recompiles
+        instructions; the generated function (or traced steps) and the
+        templates bake the old instructions in, so they must go.  The next visit recompiles
         and the next traced visit rebuilds against the patched body.
         """
         self._jit_code = None

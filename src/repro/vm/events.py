@@ -129,18 +129,20 @@ class Trace:
 
 
 def first_difference(trace, reference):
-    """Where ``trace`` first departs from ``reference``.
+    """Where ``trace`` first departs from ``reference``, in one line.
 
-    Returns ``(row, column)``: the first row whose fields differ and the
-    name of its first differing column (one of :attr:`Trace.COLUMNS`),
-    or ``(row, None)`` when the shorter trace ends at ``row`` and the
-    other goes on.  Returns None when both hold the same rows.
+    Names the first row whose fields differ, its first differing column
+    (one of :attr:`Trace.COLUMNS`) and both values, or the two lengths
+    when one trace is a prefix of the other.  Returns None when both
+    hold the same rows.
     """
     for row, (ours, theirs) in enumerate(zip(trace, reference)):
         if ours != theirs:
-            return row, next(name for name, mine, other
-                             in zip(Trace.COLUMNS, ours, theirs)
-                             if mine != other)
+            name, mine, other = next(
+                (name, mine, other) for name, mine, other
+                in zip(Trace.COLUMNS, ours, theirs) if mine != other)
+            return (f"row {row} column {name}: {mine!r}, reference "
+                    f"{other!r}")
     if len(trace) != len(reference):
-        return min(len(trace), len(reference)), None
+        return f"{len(trace)} rows, reference {len(reference)}"
     return None

@@ -16,21 +16,23 @@ the program halts, or a trap must be delivered.
 There are two execution engines (``VMConfig.exec_engine``).  ``naive``
 is the reference: every fragment visit walks the body instruction by
 instruction through the readable ``_execute`` dispatch.  ``jit``, the
-default, runs each fragment as one generated Python function
-(:mod:`repro.vm.jit`), compiled on the fragment's first entry, with or
-without trace collection; only a fragment whose compile failed takes
-the reference walk.  Both produce identical architected state, traces
-and ``VMStats``.
+default, builds each fragment's code on its first entry: untraced, one
+generated Python function (:mod:`repro.vm.jit`); with trace collection
+on, a list of prebuilt per-instruction steps that also append the
+trace rows (:mod:`repro.vm.steps`, which says why traced runs compile
+no source).  Only a fragment whose build failed takes the reference
+walk.  Both engines produce identical architected state, traces and
+``VMStats``.
 
 With trace collection on, each committed instruction appends one row to
 the :class:`~repro.vm.events.Trace`: a reference to the instruction's
 :class:`~repro.vm.events.Template` plus the four dynamic fields.  The
 template is built once per body instruction — by the walk on its first
-traced visit, or by the jit when it compiles the fragment, which bakes
-it into the generated code as a constant — and kept with the fragment
-(``Fragment._trace_templates``, dropped with the generated code by
-``Fragment.invalidate_compiled``).  The shared dispatch body's templates
-are built once per executor.  Untraced runs build no template.
+traced visit, or when the jit builds the fragment's steps, which bind
+it — and kept with the fragment (``Fragment._trace_templates``, dropped
+with the fragment's code by ``Fragment.invalidate_compiled``).  The
+shared dispatch body's templates are built once per executor.  Untraced
+runs build no template.
 """
 
 import enum
@@ -68,9 +70,11 @@ _COPY_IOPS = frozenset({IOp.COPY_TO_GPR, IOp.COPY_FROM_GPR})
 #: code belongs to (see ``FragmentExecutor._jit_for``).
 _EXECUTOR_SERIALS = itertools.count()
 
-#: Lazily bound ``repro.vm.jit.compile_fragment_jit`` (that module
-#: imports this one, so it cannot be imported at the top).
+#: Lazily bound ``repro.vm.jit.compile_fragment_jit`` and
+#: ``repro.vm.steps.build_traced_steps`` (those modules import this one,
+#: so they cannot be imported at the top).
 _compile_fragment_jit = None
+_build_traced_steps = None
 
 
 def _body_template(instr, fmt):
@@ -155,18 +159,20 @@ def _dispatch_templates(body):
     return templates
 
 
-def _release_generated_code(fragments, key):
-    """Drop the generated code executor ``key`` compiled for
-    ``fragments``, once that executor is gone.
+def _release_generated_code(tcache, key):
+    """Drop the code executor ``key`` built for the fragments live in
+    ``tcache``, once that executor is gone.
 
-    Generated code holds the fragments it branches to as constants, and
-    each fragment holds its code, so a loop of fragments is a reference
-    cycle, and with it everything the code binds: guest memory and, in a
-    traced run, the whole trace.  Dropping the code when its executor
-    dies lets reference counting free a finished run at once, instead
-    of at the next full collection.
+    Generated code (and a traced run's steps) holds the fragments it
+    branches to, and each fragment holds its code, so a loop of
+    fragments is a reference cycle, and with it everything the code
+    binds: guest memory and, in a traced run, the whole trace.  Dropping
+    the code when its executor dies lets reference counting free a
+    finished run at once, instead of at the next full collection.  A
+    fragment that leaves the cache earlier drops its code then
+    (``TranslationCache._forget_fragment``).
     """
-    for fragment in fragments:
+    for fragment in tcache.fragments:
         if fragment._jit_key == key:
             fragment._jit_code = None
 
@@ -226,13 +232,11 @@ class FragmentExecutor:
         self._stale = set()
         #: identity under which fragments cache generated code for us
         self._compile_key = next(_EXECUTOR_SERIALS)
-        #: every fragment we compiled code for, released when we die
-        self._compiled = []
-        weakref.finalize(self, _release_generated_code, self._compiled,
+        weakref.finalize(self, _release_generated_code, self.tcache,
                          self._compile_key)
-        #: body index of the instruction whose generated guard last
-        #: raised a trap (set by generated code, read by ``run`` to build
-        #: the precise ``ExecResult``)
+        #: body index of the instruction whose generated guard (or
+        #: traced step) last raised a trap (set by that code, read by
+        #: ``run`` to build the precise ``ExecResult``)
         self._jit_pei = None
         #: templates of the dispatch body's probe chain and of its final
         #: jump, built on the first traced dispatch
@@ -285,16 +289,17 @@ class FragmentExecutor:
         with staleness assertions for the modified format).
 
         Each fragment visit runs one of two ways.  Under the default
-        ``jit`` engine a visit calls the fragment's generated function
-        (:mod:`repro.vm.jit`), compiling it on first entry; when this
-        executor collects a trace, that function also appends the
-        fragment's trace rows.  A fragment whose compile failed, and
-        every visit under ``exec_engine="naive"``, walks the body
-        through the reference ``_execute`` dispatch.  The two are
-        observationally identical: generated code batches exactly the
-        statistics the walk counts per instruction, flushed before
-        every point where they can be observed, and appends each row
-        where and when the walk appends it.
+        ``jit`` engine a visit calls the fragment's code, built on first
+        entry: generated code (:mod:`repro.vm.jit`), or, when this
+        executor collects a trace, the fragment's prebuilt steps
+        (:mod:`repro.vm.steps`), which also append its trace rows.  A
+        fragment whose build failed, and every visit under
+        ``exec_engine="naive"``, walks the body through the reference
+        ``_execute`` dispatch.  The two are observationally identical:
+        the jit's code batches exactly the statistics the walk counts
+        per instruction, adding them before any point where they can be
+        observed, and its steps append each row where and when the walk
+        appends it.
         """
         verify = self.verify
         if verify and not self._integrity_ok(fragment):
@@ -396,10 +401,11 @@ class FragmentExecutor:
     # -- jit -----------------------------------------------------------------
 
     def _jit_for(self, frag):
-        """Compile the fragment's generated function for this executor.
+        """Build the fragment's code for this executor: its generated
+        function, or its traced steps when we collect a trace.
 
-        Returns ``None`` when the fragment cannot be compiled.  Generated
-        code is keyed per executor: it binds *our* translation cache,
+        Returns ``None`` when the fragment cannot be built.  The code
+        is keyed per executor: it binds *our* translation cache,
         memory and config, and a fragment can be handed to a different
         executor (tests do this after hand-mutating instructions), so a
         key mismatch simply recompiles.  A compile failure pins the
@@ -407,19 +413,26 @@ class FragmentExecutor:
         every visit; ``Fragment.invalidate_compiled`` clears both the
         code and the pin, so patched bodies get a fresh chance.
         """
-        global _compile_fragment_jit
+        global _compile_fragment_jit, _build_traced_steps
         if frag._jit_key != self._compile_key:
             frag._jit_key = self._compile_key
             frag._jit_code = None
             frag._jit_failed = False
         if frag._jit_failed:
             return None
-        if _compile_fragment_jit is None:
-            from repro.vm.jit import compile_fragment_jit
-            _compile_fragment_jit = compile_fragment_jit
+        if self.trace is not None:
+            if _build_traced_steps is None:
+                from repro.vm.steps import build_traced_steps
+                _build_traced_steps = build_traced_steps
+            build = _build_traced_steps
+        else:
+            if _compile_fragment_jit is None:
+                from repro.vm.jit import compile_fragment_jit
+                _compile_fragment_jit = compile_fragment_jit
+            build = _compile_fragment_jit
         started = perf_counter()
         try:
-            fn = _compile_fragment_jit(self, frag)
+            fn = build(self, frag)
         except Exception:
             # degrade, never die: the body walk is semantically complete
             frag._jit_failed = True
@@ -428,7 +441,6 @@ class FragmentExecutor:
         finally:
             self._jit_compile_timer.add(perf_counter() - started)
         frag._jit_code = fn
-        self._compiled.append(frag)
         self._jit_promotions.inc()
         return fn
 

@@ -35,20 +35,11 @@ Exactness guarantees (the engine-differential suites assert full
   the walk would perform at run time; valid fragments carry no tracking
   code at all.
 
-* when the executor collects a trace, the generated code also appends
-  each committed instruction's row, ``_row(<template>, <dynamic
-  fields>)``, at the point and in the cases where the body walk appends
-  it: the template is the walk's own (a compile-time constant), a load
-  or store that faults gets no row, a store whose SMC hook raises
-  ``RETRANSLATE`` keeps its row (appended in the cold handler), and
-  ``TO_DISPATCH`` hands its template to ``ex._do_dispatch``, which
-  appends the jump's and the shared dispatch body's rows.  Untraced
-  code is emitted exactly as if tracing did not exist.
-
 The caller (``FragmentExecutor.run``) compiles a fragment the first time
-a jit executor enters it, traced or not, and falls back to the body
-walk only for fragments whose compile failed.  An executor collects a
-trace for its whole life, so its serial alone keys the code.  Traps
+an untraced jit executor enters it and falls back to the body walk for
+fragments whose compile failed; a trace-collecting executor runs
+fragments as prebuilt steps instead (:mod:`repro.vm.steps`, which says
+why traced runs do not compile source).  Traps
 surface as precise ``ExecResult`` records, and chaining patches,
 corruption recovery and cache flushes drop generated functions through
 ``Fragment.invalidate_compiled``.
@@ -60,7 +51,7 @@ from repro.isa.semantics import CMOV_CONDITIONS, Trap, TrapKind
 from repro.memory.image import PAGE_MASK, PAGE_SHIFT
 from repro.utils.bitops import MASK64, sext
 from repro.vm.executor import _ALPHA_WEIGHTS, RAS_DEPTH, ExecResult, \
-    ExitReason, StalenessError, _body_template
+    ExitReason, StalenessError
 
 _ZERO_REG = 31
 
@@ -151,15 +142,6 @@ class _Emitter:
         }
         #: compile-time simulation of the strict modified-format stale set
         self.stale = set()
-        #: for a trace-collecting executor, the fragment's row templates
-        #: (shared with the body walk); None emits no rows
-        self.templates = None
-        if ex.trace is not None:
-            self.bind("_row", ex.trace.append)
-            self.templates = fragment._trace_templates
-            if self.templates is None:
-                self.templates = fragment._trace_templates = \
-                    [None] * len(fragment.body)
         # pending statistics deltas (flushed before observation points)
         self.pending_weight = 0
         self.pending_v = 0
@@ -268,37 +250,9 @@ class _Emitter:
                 else:
                     self.stale.add(dest)
 
-    def template_ref(self, index):
-        """Bind body instruction ``index``'s trace template, built on
-        first use and kept with the fragment as the walk keeps it, and
-        return its name."""
-        template = self.templates[index]
-        if template is None:
-            template = self.templates[index] = \
-                _body_template(self.fragment.body[index], self.fmt)
-        return self.bind(f"_t{index}", template)
-
-    def row(self, index, dynamic="", depth=1):
-        """Emit the trace-row append of body instruction ``index``: its
-        template, a compile-time constant, plus ``dynamic``, the source
-        of the row's other arguments.  Untraced code gets none."""
-        if self.templates is not None:
-            self.emit(f"_row({self.template_ref(index)}{dynamic})", depth)
-
-    def pei_handler(self, index, committed_row=None):
-        """The cold catch-up path for a potentially-excepting instruction.
-
-        ``committed_row`` is a store's row arguments: the SMC hook
-        raises ``RETRANSLATE`` after the write, so that store committed
-        and keeps its row, while a faulting access gets none.
-        """
-        if committed_row is not None and self.templates is not None:
-            self.bind("_TK_RETRANSLATE", TrapKind.RETRANSLATE)
-            self.emit("except _Trap as _e:")
-            self.emit("if _e.kind is _TK_RETRANSLATE:", 2)
-            self.row(index, committed_row, 3)
-        else:
-            self.emit("except _Trap:")
+    def pei_handler(self, index):
+        """The cold catch-up path for a potentially-excepting instruction."""
+        self.emit("except _Trap:")
         self.flush(depth=2, reset=False)
         self.emit(f"ex._jit_pei = {index}", 2)
         self.emit("raise", 2)
@@ -314,20 +268,18 @@ class _Emitter:
     def emit_instr(self, index, instr):
         iop = instr.iop
         if iop is IOp.ALU:
-            self._emit_alu(index, instr)
+            self._emit_alu(instr)
         elif iop is IOp.LOAD:
             self._emit_load(index, instr)
         elif iop is IOp.STORE:
             self._emit_store(index, instr)
         elif iop is IOp.COPY_TO_GPR:
-            self.row(index)
             if instr.gpr != _ZERO_REG:
                 self.emit(f"regs[{instr.gpr}] = "
                           f"_accs[{instr.acc}] & MASK64")
                 if self.track:
                     self.stale.discard(instr.gpr)
         elif iop is IOp.COPY_FROM_GPR:
-            self.row(index)     # the walk appends before its read
             self.check_gpr(instr.gpr)
             self.emit(f"_accs[{instr.acc}] = regs[{instr.gpr}]")
         elif iop is IOp.BRANCH:
@@ -337,20 +289,16 @@ class _Emitter:
             self.flush()
             self.cond_value(instr)
             self.emit(f"if {_BRANCH_EXPRS[instr.op]}:")
-            self.row(index, f", True, {instr.target!r}", 2)
             self.emit(f"return {goto}", 2)
-            self.row(index, ", False")
         elif iop is IOp.BR:
             goto = self.bind(f"_g{index}",
                              _resolve_goto(self.ex.tcache, instr.target))
             self.flush()
-            self.row(index, f", True, {instr.target!r}")
             self.emit(f"return {goto}")
             self.done = True
         elif iop is IOp.SET_VPC_BASE:
-            self.row(index)     # statistics and trace only
+            pass  # statistics only
         elif iop is IOp.SAVE_VRA:
-            self.row(index)
             if instr.gpr != _ZERO_REG:
                 self.emit(f"regs[{instr.gpr}] = "
                           f"{instr.vtarget & MASK64!r}")
@@ -359,13 +307,12 @@ class _Emitter:
         elif iop is IOp.PUSH_RAS:
             target = instr.target if instr.target is not None \
                 else self.ex.tcache.dispatch_address
-            self.row(index)
             self.emit(f"_ras.append(({instr.vtarget!r}, {target!r}))")
             self.emit(f"if len(_ras) > {RAS_DEPTH}:")
             self.emit("_ras.pop(0)", 2)
         elif iop is IOp.RET_RAS:
-            # Inlined ``_do_ret_ras``: pop, compare, count, and in traced
-            # code append the row, whose hit flag is also its RAS outcome.
+            # Inlined ``_do_ret_ras`` fast path: trace is always off in
+            # generated code, so the helper reduces to pop-compare-count.
             self.check_gpr(instr.gpr)
             self.bind("_frag_at", self.ex.tcache.fragment_at)
             self.bind("_count_ras", self.ex.stats.count_ras)
@@ -377,19 +324,15 @@ class _Emitter:
             self.emit("if _vp == _c and _f is not None "
                       "and _f.entry_vpc == _c:", 2)
             self.emit("_count_ras(True)", 3)
-            self.row(index, ", True, _ip, None, True", 3)
             self.emit('return ("goto", (_f, 0))', 3)
             self.emit("_count_ras(False)")
-            self.row(index, ", False, None, None, False")
         elif iop is IOp.LOAD_EMB:
-            self.row(index)
             self.emit(f"_accs[{instr.acc}] = {instr.vtarget!r}")
         elif iop is IOp.CALL_TRANSLATOR:
             exit_ = self.bind(f"_x{index}", (
                 "exit", ExecResult(ExitReason.UNTRANSLATED,
                                    vpc=instr.vtarget)))
             self.flush()
-            self.row(index, ", True")
             self.emit(f"return {exit_}")
             self.done = True
         elif iop is IOp.COND_CALL_TRANSLATOR:
@@ -400,30 +343,21 @@ class _Emitter:
             self.flush()
             self.cond_value(instr)
             self.emit(f"if {_BRANCH_EXPRS[instr.op]}:")
-            self.row(index, ", True", 2)
             self.emit(f"return {exit_}", 2)
-            self.row(index, ", False")
         elif iop is IOp.TO_DISPATCH:
             self.check_gpr(instr.gpr)
             ref = self.bind(f"_i{index}", instr)
             self.bind("_FMT", self.fmt)
             self.flush()
-            # traced code hands the helper its template, so the jump's
-            # row and the shared dispatch rows follow as in the walk
-            template = "" if self.templates is None \
-                else f", {self.template_ref(index)}"
-            self.emit(f"return ex._do_dispatch({ref}, regs, _FMT"
-                      f"{template})")
+            self.emit(f"return ex._do_dispatch({ref}, regs, _FMT)")
             self.done = True
         elif iop is IOp.HALT:
             exit_ = self.bind(f"_x{index}", (
                 "exit", ExecResult(ExitReason.HALT, vpc=instr.vpc)))
             self.flush()
-            self.row(index)
             self.emit(f"return {exit_}")
             self.done = True
         elif iop is IOp.PUTC:
-            self.row(index)     # the walk appends before its read
             self.check_gpr(16)
             self.emit("_con.append(regs[16] & 0xFF)")
         elif iop is IOp.SYSCALL:
@@ -432,7 +366,6 @@ class _Emitter:
             # that invalidates fragments raises the internal RETRANSLATE
             # trap, so the call sits under a PEI handler like any load.
             pal = self.bind("_pal", self.ex.pal.call)
-            self.row(index)
             self.emit("try:")
             self.emit(f"{pal}(regs, {instr.imm!r}, {instr.vpc!r}, True)", 2)
             self.pei_handler(index)
@@ -451,7 +384,7 @@ class _Emitter:
         elif instr.cond_src == "gpr2":
             self.check_gpr(instr.gpr2)
 
-    def _emit_alu(self, index, instr):
+    def _emit_alu(self, instr):
         op = instr.op
         a, _ = self.operand(instr, instr.src_a)
         b, _ = self.operand(instr, instr.src_b)
@@ -460,15 +393,14 @@ class _Emitter:
             old = (f"regs[{instr.dest_gpr}]"
                    if instr.dest_gpr is not None else "0")
             self.commit(instr, f"({b}) if {cond}({a}) else {old}", False)
+            return
+        inline = _INLINE_OPS.get(op)
+        if inline is not None:
+            template, masked = inline
+            self.commit(instr, template.format(a=a, b=b), masked)
         else:
-            inline = _INLINE_OPS.get(op)
-            if inline is not None:
-                template, masked = inline
-                self.commit(instr, template.format(a=a, b=b), masked)
-            else:
-                fn = self.bind(f"_op_{op}", IALU_OPS[op])
-                self.commit(instr, f"{fn}({a}, {b})", False)
-        self.row(index)
+            fn = self.bind(f"_op_{op}", IALU_OPS[op])
+            self.commit(instr, f"{fn}({a}, {b})", False)
 
     def _emit_alignment_check(self, instr, size):
         """Inline misalignment raise, identical payload to ``Memory``."""
@@ -510,7 +442,6 @@ class _Emitter:
             self.emit(f"_r = _from_bytes(_p[_o:_o + {size}], "
                       f"\"little\")", 3)
         self.pei_handler(index)
-        self.row(index, ", False, None, _a")
         if instr.mem_signed:
             self.emit(f"_r = _sext(_r, {8 * size})")
         # memory values (and their sign extensions) are < 2**64 already
@@ -548,8 +479,7 @@ class _Emitter:
         else:
             self.emit(f"_p[_o:_o + {size}] = ({dexpr}).to_bytes("
                       f"{size}, \"little\")", 3)
-        self.pei_handler(index, ", False, None, _a")
-        self.row(index, ", False, None, _a")
+        self.pei_handler(index)
 
     # -- assembly ------------------------------------------------------------
 
@@ -587,17 +517,14 @@ class _Emitter:
         return "\n".join([header] + hoists + [body, ""])
 
 
-#: Source text -> compiled code object of untraced fragments, shared
-#: process-wide (the :data:`repro.interp.interpreter.DECODE_CACHE`
-#: idiom).  The source is a pure function of the body semantics —
-#: executor-specific values enter through the exec namespace, never the
-#: code — so repeated runs of the same program (benchmark repetitions,
-#: differential reruns, harness workers) skip the ``compile()`` call,
-#: which dominates the jit's compile cost.  Keying by content also makes
-#: staleness impossible: a patched body emits different source, hence a
-#: different key.  Traced code stays out: an experiment traces each
-#: configuration once per process, so its entries would never hit and
-#: would only hold memory for the life of the process.
+#: Source text -> compiled code object, shared process-wide (the
+#: :data:`repro.interp.interpreter.DECODE_CACHE` idiom).  The source is a
+#: pure function of the body semantics — executor-specific values enter
+#: through the exec namespace, never the code — so repeated runs of the
+#: same program (benchmark repetitions, differential reruns, harness
+#: workers) skip the ``compile()`` call, which dominates the jit's compile
+#: cost.  Keying by content also makes staleness impossible: a patched
+#: body emits different source, hence a different key.
 _CODE_CACHE = {}
 
 
@@ -612,14 +539,12 @@ def compile_fragment_jit(ex, fragment):
     """
     emitter = _Emitter(ex, fragment)
     source = emitter.build()
-    traced = emitter.templates is not None
-    code = None if traced else _CODE_CACHE.get(source)
+    code = _CODE_CACHE.get(source)
     if code is None:
         code = compile(source,
                        f"<jit f{fragment.fid} @{fragment.entry_vpc:#x}>",
                        "exec")
-        if not traced:
-            _CODE_CACHE[source] = code
+        _CODE_CACHE[source] = code
     namespace = emitter.ns
     exec(code, namespace)
     # the function's globals are the namespace: leaving it there would

@@ -6,7 +6,8 @@ from repro.asm import assemble
 from repro.ildp_isa.opcodes import IFormat
 from repro.interp import Interpreter
 from repro.translator.chaining import ChainingPolicy
-from repro.vm import CoDesignedVM, Trace, VMConfig
+from repro.vm import CoDesignedVM, VMConfig
+from repro.vm.events import first_difference
 
 #: The paper's Fig. 2 kernel (the 164.gzip inner loop), wrapped in enough
 #: scaffolding to run: a CRC pass over a byte buffer through a table.
@@ -79,9 +80,8 @@ def run_cosim(source, config, max_v_instructions=1_000_000):
 def assert_traces_equal(ours, reference):
     """Two traces hold the same rows: all five columns equal, templates
     compared by value."""
-    for column in Trace.COLUMNS:
-        assert list(ours.column(column)) == \
-            list(reference.column(column)), column
+    difference = first_difference(ours, reference)
+    assert difference is None, difference
 
 
 def assert_cosim_equivalent(source, config, max_instructions=1_000_000):

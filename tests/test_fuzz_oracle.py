@@ -60,18 +60,17 @@ class TestCleanPrograms:
 
 class TestTracedEngine:
     def test_dropped_row_named_by_row_and_column(self, monkeypatch):
-        """Traced generated code that drops a row is a finding, named at
-        the first row and column where its trace departs from the naive
-        run's; untraced generated code is unaffected."""
-        from repro.vm.jit import _Emitter
+        """Traced steps that drop a row are a finding, named at the
+        first row and column where the trace departs from the naive
+        run's; the untraced jit run is unaffected."""
+        from repro.vm import steps
 
-        row = _Emitter.row
+        alu_step = steps._alu_step
 
-        def drop_first(emitter, index, dynamic="", depth=1):
-            if index:
-                row(emitter, index, dynamic, depth)
+        def rowless(instr, fmt, dest, append, template):
+            return alu_step(instr, fmt, dest, lambda *row: None, template)
 
-        monkeypatch.setattr(_Emitter, "row", drop_first)
+        monkeypatch.setattr(steps, "_alu_step", rowless)
         report = check_program(generate(21, 0), stages=("engine",))
         reasons = [failure["reason"] for failure in report["failures"]]
         assert reasons

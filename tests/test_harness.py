@@ -206,9 +206,10 @@ class TestTraceBlocks:
         template, taken, target, _mem_addr, ras_hit = rows[BLOCK_ROWS + 1]
         changed[BLOCK_ROWS + 1] = (template, taken, target, 0x9999, ras_hit)
         assert first_difference(Trace.from_rows(changed), trace) == \
-            (BLOCK_ROWS + 1, "mem_addr")
+            f"row {BLOCK_ROWS + 1} column mem_addr: 39321, reference " \
+            f"{rows[BLOCK_ROWS + 1][3]!r}"
         assert first_difference(Trace.from_rows(rows[:-1]), trace) == \
-            (BLOCK_ROWS + 2, None)
+            f"{BLOCK_ROWS + 2} rows, reference {BLOCK_ROWS + 3}"
 
     @pytest.mark.parametrize("producer", ("interpreter", "vm"))
     def test_producers_fill_full_small_blocks(self, producer):

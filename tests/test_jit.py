@@ -118,15 +118,17 @@ class TestParity:
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
     @pytest.mark.parametrize("source", (FIG2_KERNEL, CALL_KERNEL),
                              ids=("fig2", "call"))
-    def test_traced_visits_run_generated_code(self, source, fmt):
-        """Trace-collecting runs execute generated code, which appends
-        the rows the naive walk appends: every column and every
-        ``VMStats`` counter agree."""
+    def test_traced_visits_run_prebuilt_steps(self, source, fmt):
+        """Trace-collecting runs execute each fragment as prebuilt steps
+        (no generated source), which append the rows the naive walk
+        appends: every column and every ``VMStats`` counter agree."""
         jit = _run(source, _config(fmt=fmt, collect_trace=True))
         naive = _run(source, _config(engine="naive", fmt=fmt,
                                      collect_trace=True))
-        assert _promoted(jit), "generated code never ran"
-        assert "_row(" in _promoted(jit)[0]._jit_code._jit_source
+        assert _promoted(jit), "no fragment was built"
+        for fragment in _promoted(jit):
+            assert fragment._jit_code.__module__ == "repro.vm.steps"
+            assert not hasattr(fragment._jit_code, "_jit_source")
         assert len(jit.trace) == len(naive.trace) > 0
         assert_traces_equal(jit.trace, naive.trace)
         assert vars(jit.stats) == vars(naive.stats)
@@ -153,9 +155,9 @@ loop:   addq r3, 1, r3
 """
 
 #: case -> (source, VMConfig overrides, trap kind the run ends with or
-#: None when it halts, whether a stint leaves generated code through a
-#: trap).  GENTRAP_KERNEL's trap fires in its cold block, which is
-#: interpreted, after its loop has run generated code.
+#: None when it halts, whether a stint leaves its steps through a trap).
+#: GENTRAP_KERNEL's trap fires in its cold block, which is interpreted,
+#: after its loop has run as steps.
 _TRACED_DEOPTS = {
     "faulting-load": (FAULTING_LOAD, {}, TrapKind.ACCESS_VIOLATION, True),
     "faulting-store": (FAULTING_STORE, {}, TrapKind.ACCESS_VIOLATION,
@@ -196,8 +198,8 @@ class TestTrapDeopt:
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
     @pytest.mark.parametrize("case", sorted(_TRACED_DEOPTS))
     def test_traced_deopt_matches_naive(self, case, fmt):
-        """A traced stint that leaves generated code through a trap
-        keeps exactly the naive walk's rows: a faulting load or store
+        """A traced stint that leaves its steps through a trap keeps
+        exactly the naive walk's rows: a faulting load or store
         gets none, a store or protect call that forces RETRANSLATE keeps
         its row."""
         source, overrides, kind, deopts = _TRACED_DEOPTS[case]
@@ -213,7 +215,7 @@ class TestTrapDeopt:
             runs[engine] = (vm, trap)
         (jit_vm, jit_trap), (ref_vm, ref_trap) = runs["jit"], runs["naive"]
         counters = jit_vm.telemetry.summary()["counters"]
-        assert counters["jit.promotions"] >= 1, "generated code never ran"
+        assert counters["jit.promotions"] >= 1, "no fragment was built"
         assert (counters["jit.deopts"] >= 1) is deopts
         if kind is None:
             assert jit_trap is None and ref_trap is None

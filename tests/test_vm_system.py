@@ -177,6 +177,30 @@ class TestRunLifetime:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("collect_trace", (False, True),
+                             ids=("untraced", "traced"))
+    def test_flushed_fragments_are_freed_while_vm_lives(self,
+                                                        collect_trace):
+        """With the collector off, a cache flush frees the fragments it
+        forgets while their VM lives on: the cache drops each forgotten
+        fragment's code (generated code, or a traced run's steps), which
+        holds the fragments it branches to."""
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_vm("twolf", VMConfig(exec_engine="jit"),
+                            budget=20_000, collect_trace=collect_trace)
+            compiled = [weakref.ref(fragment)
+                        for fragment in result.tcache.fragments
+                        if fragment._jit_code is not None]
+            assert compiled
+            result.tcache.flush()
+            assert all(fragment() is None for fragment in compiled), \
+                "a flushed fragment outlived the flush"
+            assert result.vm.stats.fragments_created > 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("engine", ("jit", "naive"))
     def test_finished_run_frees_interpreter_and_guest_memory(self, engine):
         """With the cyclic collector off, a traced run's interpreter and
