@@ -30,7 +30,6 @@ from repro.faults.plan import DEFAULT_CHAOS_SPECS, HOSTILE_CHAOS_SPECS
 from repro.fuzz.gen import BUF_SIZE
 from repro.interp.interpreter import Halted, Interpreter
 from repro.isa.semantics import Trap
-from repro.translator.superblock import elided_by_translation
 from repro.vm.config import VMConfig
 from repro.vm.events import first_difference
 from repro.vm.system import BudgetExceeded, CoDesignedVM
@@ -121,7 +120,7 @@ def run_reference(fprog, budget=ORACLE_BUDGET):
             trap_kind = trap.kind.value
             trap_vpc = trap.vpc
             break
-        if not elided_by_translation(instr):
+        if not instr.elided:
             committed += 1
         steps += 1
     return Outcome(status, interp.state.pc, interp.state.regs,

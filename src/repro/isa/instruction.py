@@ -29,7 +29,8 @@ class Instruction:
     Rb is replaced by an 8-bit literal.
     """
 
-    __slots__ = ("mnemonic", "fmt", "kind", "ra", "rb", "rc", "imm", "islit")
+    __slots__ = ("mnemonic", "fmt", "kind", "ra", "rb", "rc", "imm", "islit",
+                 "elided")
 
     def __init__(self, mnemonic, ra=ZERO_REG, rb=ZERO_REG, rc=ZERO_REG,
                  imm=0, islit=False):
@@ -41,6 +42,16 @@ class Instruction:
         self.rc = rc
         self.imm = imm
         self.islit = islit
+        #: Whether translation emits no code for it: an architectural
+        #: no-op (an operate or LDA writing R31) or a plain BR, which
+        #: code straightening removes.  The VM counts these while
+        #: interpreting (``VMStats.interpreted_elided``), so it is
+        #: decided once here rather than per interpreted step.
+        if self.fmt is Format.OPERATE:
+            self.elided = rc == ZERO_REG
+        else:
+            self.elided = ra == ZERO_REG and \
+                self.kind in (Kind.LDA, Kind.UNCOND_BRANCH)
 
     # -- register roles ----------------------------------------------------
 

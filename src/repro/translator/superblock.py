@@ -7,7 +7,7 @@ following the interpreted path once a trace-start candidate becomes hot
 
 import enum
 
-from repro.isa.opcodes import Kind
+from repro.isa.opcodes import Format, Kind
 
 
 class EndReason(enum.Enum):
@@ -91,18 +91,10 @@ class Superblock:
 
 
 def _is_nop(instr):
-    """Architectural no-ops: operates writing R31 and BR-to-next quirks."""
-    from repro.isa.opcodes import Format
-
+    """Architectural no-ops: operates writing R31 and LDA/LDAH into R31
+    (``Instruction.elided`` adds plain BR, which straightening removes)."""
     if instr.fmt is Format.OPERATE and instr.rc == 31:
         return True
     if instr.kind is Kind.LDA and instr.ra == 31:
         return True
     return False
-
-
-def elided_by_translation(instr):
-    """True for instructions that produce no translated code at all:
-    architectural NOPs and plain BR (removed by code straightening)."""
-    return _is_nop(instr) or \
-        (instr.kind is Kind.UNCOND_BRANCH and instr.ra == 31)

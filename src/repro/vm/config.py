@@ -47,6 +47,11 @@ class VMConfig:
                  tcache_capacity_bytes=None,
                  max_host_steps=None,
                  flush_storm_window=1_000):
+        # a value string selects its member; anything else raises
+        # ValueError here rather than running with a format no engine
+        # matches
+        fmt = IFormat(fmt)
+        policy = ChainingPolicy(policy)
         if n_accumulators < 1:
             raise ValueError("need at least one accumulator")
         if threshold < 1:
@@ -150,9 +155,6 @@ class VMConfig:
     @classmethod
     def from_dict(cls, fields):
         """Rebuild a config from :meth:`to_dict` output."""
-        fields = dict(fields)
-        fields["fmt"] = IFormat(fields["fmt"])
-        fields["policy"] = ChainingPolicy(fields["policy"])
         return cls(**fields)
 
     def __repr__(self):

@@ -25,12 +25,7 @@ from repro.obs.trace import make_tracer
 from repro.tcache.cache import TCacheFull, TranslationCache
 from repro.translator.cost import TranslationCostModel
 from repro.translator.pipeline import TranslationError, Translator
-from repro.translator.superblock import (
-    EndReason,
-    Superblock,
-    SuperblockEntry,
-    elided_by_translation,
-)
+from repro.translator.superblock import EndReason, Superblock, SuperblockEntry
 from repro.utils.weak import weak_method
 from repro.vm.config import DEFAULT_MAX_SUPERBLOCK, VMConfig
 from repro.vm.events import Trace
@@ -41,6 +36,12 @@ from repro.vm.traps import VMTrap, reconstruct_state
 #: Failed translations of one entry PC before it is blacklisted to
 #: interpretation for the rest of the run.
 TRANSLATION_RETRY_LIMIT = 3
+
+# the interpreter stint compares against these by identity
+_JUMP = Kind.JUMP
+_COND_BRANCH = Kind.COND_BRANCH
+_INDIRECT_TARGET = CandidateKind.INDIRECT_TARGET
+_BACKWARD_TARGET = CandidateKind.BACKWARD_BRANCH_TARGET
 
 
 class BudgetExceeded(Exception):
@@ -118,7 +119,22 @@ class CoDesignedVM:
         :class:`VMTrap` with the reconstructed architected state attached.
         When ``VMConfig.max_host_steps`` is set, the fuel watchdog raises
         :class:`BudgetExceeded` (with partial stats) once the loop has
-        taken that many dispatch steps.
+        taken that many host steps: one per translated stint, one per
+        superblock capture and one per interpreted instruction.
+
+        Each pass of the outer loop enters translated code when the PC
+        is a fragment entry, captures and translates when it is a
+        trace-start candidate that just became hot, and otherwise
+        interprets a stint: an inner loop that runs the interpreter's
+        step with the fragment-entry map, the MRET candidate counters
+        and its own counts in locals, and leaves only when the next PC
+        is a fragment entry or a candidate (after this step has noted
+        any new candidate), the guest halts or traps, or the budget or
+        the fuel runs out.  So a PC that is neither costs two
+        dictionary misses besides the step.  Both maps are the live
+        ones that SMC invalidation, ``protect`` and flushes edit in
+        place, so an invalidation during a stint is seen at its next
+        instruction.
 
         Phase attribution reads the clock only around translated stints
         and superblock captures: ``phase.vm.interpret`` is the loop's
@@ -131,34 +147,43 @@ class CoDesignedVM:
         each once it has finished: a ``vm.translated`` span per
         translated stint, a ``vm.capture`` span per superblock
         capture+translation (the translator's stage spans nest inside
-        it), each stretch of interpreter steps between them as one
+        it), each stretch of interpreter stints between them as one
         ``vm.interpret`` span (a per-V-instruction span would swamp the
         trace), and one ``vm.run`` root around them all.
         """
         stats = self.stats
         state = self.state
         profiler = self.profiler
+        record_execution = profiler.record_execution
+        note_candidate = profiler.note_candidate
         tcache = self.tcache
+        # the live maps: the profiler and the cache edit them in place
+        # and never rebind them, so these names stay current
+        candidates = profiler._counters
+        entries = tcache._by_entry_vpc
+        step = self.interpreter.step
         tracer = self.tracer
         traced = tracer.enabled
         translated_s = capture_s = 0.0
         translated_n = capture_n = 0
         max_host_steps = self.config.max_host_steps
-        host_steps = 0
+        # host steps left before the watchdog trips (None: no watchdog)
+        fuel = max_host_steps
         # interpreted-instruction count where the open stretch began
         mark = stats.interpreted_instructions
         started = last = perf_counter()
         try:
             while not self.halted:
-                if max_host_steps is not None:
-                    host_steps += 1
-                    if host_steps > max_host_steps:
+                if fuel is not None:
+                    if fuel == 0:
                         raise BudgetExceeded(max_host_steps, stats)
+                    fuel -= 1
                 remaining = max_v_instructions - \
                     stats.total_v_instructions()
                 if remaining <= 0:
                     break
-                fragment = tcache.lookup(state.pc)
+                pc = state.pc
+                fragment = entries.get(pc)
                 if fragment is not None:
                     before = perf_counter()
                     if traced:
@@ -176,13 +201,12 @@ class CoDesignedVM:
                                 args={"fid": fragment.fid,
                                       "entry_vpc": fragment.entry_vpc})
                     continue
-                if profiler.record_execution(state.pc):
-                    start_vpc = state.pc
+                if record_execution(pc):
                     before = perf_counter()
                     if traced:
                         self._trace_interpret(last, before, mark)
                     try:
-                        self._capture_and_translate(start_vpc)
+                        self._capture_and_translate(pc)
                     finally:
                         last = perf_counter()
                         capture_s += last - before
@@ -191,9 +215,42 @@ class CoDesignedVM:
                         if traced:
                             tracer.add_complete(
                                 "vm.capture", before, last, cat="vm",
-                                args={"start_vpc": start_vpc})
+                                args={"start_vpc": pc})
                     continue
-                self._interpret_one()
+                # an interpreter stint: its first instruction is this
+                # pass's host step, each further one takes one more
+                if fuel is not None:
+                    remaining = min(remaining, fuel + 1)
+                left = remaining
+                elided = 0
+                try:
+                    while True:
+                        pc, instr, next_pc, taken, _ = step()
+                        left -= 1
+                        if instr.elided:
+                            elided += 1
+                        # MRET trace-start candidates (section 3.1);
+                        # a jump is always taken
+                        if taken:
+                            kind = instr.kind
+                            if kind is _JUMP:
+                                note_candidate(next_pc, _INDIRECT_TARGET)
+                            elif kind is _COND_BRANCH and next_pc <= pc:
+                                note_candidate(next_pc, _BACKWARD_TARGET)
+                        if not left or next_pc in entries or \
+                                next_pc in candidates:
+                            break
+                except Halted:
+                    self.halted = True
+                except Trap as trap:
+                    stats.traps_delivered += 1
+                    raise VMTrap(trap, state.copy()) from trap
+                finally:
+                    ran = remaining - left
+                    stats.interpreted_instructions += ran
+                    stats.interpreted_elided += elided
+                if fuel is not None:
+                    fuel -= ran - 1
         finally:
             ended = perf_counter()
             if traced:
@@ -329,29 +386,6 @@ class CoDesignedVM:
         if self.tcache.invalidate_fragment(fragment) == "flushed":
             self.stats.tcache_flushes += 1
 
-    # -- interpretation -------------------------------------------------------------
-
-    def _interpret_one(self):
-        try:
-            pc, instr, next_pc, taken, _ = self.interpreter.step()
-        except Halted:
-            self.halted = True
-            return
-        except Trap as trap:
-            self.stats.traps_delivered += 1
-            raise VMTrap(trap, self.state.copy()) from trap
-        self.stats.interpreted_instructions += 1
-        if elided_by_translation(instr):
-            self.stats.interpreted_elided += 1
-        # MRET trace-start candidates (section 3.1)
-        kind = instr.kind
-        if kind is Kind.JUMP:
-            self.profiler.note_candidate(next_pc,
-                                         CandidateKind.INDIRECT_TARGET)
-        elif kind is Kind.COND_BRANCH and taken and next_pc <= pc:
-            self.profiler.note_candidate(
-                next_pc, CandidateKind.BACKWARD_BRANCH_TARGET)
-
     # -- superblock capture -----------------------------------------------------------
 
     def _capture_and_translate(self, start_vpc):
@@ -382,7 +416,7 @@ class CoDesignedVM:
                 self.stats.traps_delivered += 1
                 raise VMTrap(trap, self.state.copy()) from trap
             self.stats.interpreted_instructions += 1
-            if elided_by_translation(instr):
+            if instr.elided:
                 self.stats.interpreted_elided += 1
             entries.append(SuperblockEntry(pc, instr, taken, next_pc,
                                            word=word))

@@ -147,6 +147,92 @@ def test_budget_exceeded_carries_partial_stats():
     assert excinfo.value.stats.total_v_instructions() > 0
 
 
+#: ``(workload, fmt, max_host_steps)`` -> ``(host_steps or None if the
+#: run halted first, interpreted_instructions, interpreted_elided,
+#: source_instructions_executed, iinstructions_executed,
+#: fragments_created)``, recorded when the run loop took one pass per
+#: interpreted instruction.  The fuel values straddle the first hot
+#: candidate's capture and translated entry (gzip at host steps 355 and
+#: 356, vortex at 306 and 307) and land inside interpreter stints.
+FUEL_PINS = {
+    ("gzip", "basic", 1): (1, 1, 0, 0, 0, 0),
+    ("gzip", "basic", 2): (2, 2, 0, 0, 0, 0),
+    ("gzip", "basic", 49): (49, 49, 0, 0, 0, 0),
+    ("gzip", "basic", 50): (50, 50, 0, 0, 0, 0),
+    ("gzip", "basic", 51): (51, 51, 0, 0, 0, 0),
+    ("gzip", "basic", 305): (305, 305, 0, 0, 0, 0),
+    ("gzip", "basic", 306): (306, 306, 0, 0, 0, 0),
+    ("gzip", "basic", 307): (307, 307, 0, 0, 0, 0),
+    ("gzip", "basic", 354): (354, 354, 0, 0, 0, 0),
+    ("gzip", "basic", 355): (355, 361, 0, 0, 0, 1),
+    ("gzip", "basic", 356): (356, 361, 0, 3227, 5533, 1),
+    ("gzip", "basic", 357): (357, 362, 0, 3227, 5533, 1),
+    ("gzip", "basic", 777): (777, 788, 0, 4867, 8199, 2),
+    ("gzip", "basic", 5000): (None, 1829, 0, 62266, 107904, 4),
+    ("gzip", "modified", 1): (1, 1, 0, 0, 0, 0),
+    ("gzip", "modified", 2): (2, 2, 0, 0, 0, 0),
+    ("gzip", "modified", 49): (49, 49, 0, 0, 0, 0),
+    ("gzip", "modified", 50): (50, 50, 0, 0, 0, 0),
+    ("gzip", "modified", 51): (51, 51, 0, 0, 0, 0),
+    ("gzip", "modified", 305): (305, 305, 0, 0, 0, 0),
+    ("gzip", "modified", 306): (306, 306, 0, 0, 0, 0),
+    ("gzip", "modified", 307): (307, 307, 0, 0, 0, 0),
+    ("gzip", "modified", 354): (354, 354, 0, 0, 0, 0),
+    ("gzip", "modified", 355): (355, 361, 0, 0, 0, 1),
+    ("gzip", "modified", 356): (356, 361, 0, 3227, 3689, 1),
+    ("gzip", "modified", 357): (357, 362, 0, 3227, 3689, 1),
+    ("gzip", "modified", 777): (777, 788, 0, 4867, 5535, 2),
+    ("gzip", "modified", 5000): (None, 1829, 0, 62266, 72009, 4),
+    ("vortex", "basic", 1): (1, 1, 1, 0, 0, 0),
+    ("vortex", "basic", 2): (2, 2, 1, 0, 0, 0),
+    ("vortex", "basic", 49): (49, 49, 1, 0, 0, 0),
+    ("vortex", "basic", 50): (50, 50, 1, 0, 0, 0),
+    ("vortex", "basic", 51): (51, 51, 1, 0, 0, 0),
+    ("vortex", "basic", 305): (305, 305, 1, 0, 0, 0),
+    ("vortex", "basic", 306): (306, 311, 1, 0, 0, 1),
+    ("vortex", "basic", 307): (307, 311, 1, 1230, 2051, 1),
+    ("vortex", "basic", 354): (354, 358, 1, 1230, 2051, 1),
+    ("vortex", "basic", 355): (355, 359, 1, 1230, 2051, 1),
+    ("vortex", "basic", 356): (356, 360, 1, 1230, 2051, 1),
+    ("vortex", "basic", 357): (357, 361, 1, 1230, 2051, 1),
+    ("vortex", "basic", 777): (777, 781, 1, 1230, 2051, 1),
+    ("vortex", "basic", 5000): (None, 2347, 1, 27199, 55291, 5),
+    ("vortex", "modified", 1): (1, 1, 1, 0, 0, 0),
+    ("vortex", "modified", 2): (2, 2, 1, 0, 0, 0),
+    ("vortex", "modified", 49): (49, 49, 1, 0, 0, 0),
+    ("vortex", "modified", 50): (50, 50, 1, 0, 0, 0),
+    ("vortex", "modified", 51): (51, 51, 1, 0, 0, 0),
+    ("vortex", "modified", 305): (305, 305, 1, 0, 0, 0),
+    ("vortex", "modified", 306): (306, 311, 1, 0, 0, 1),
+    ("vortex", "modified", 307): (307, 311, 1, 1230, 1436, 1),
+    ("vortex", "modified", 354): (354, 358, 1, 1230, 1436, 1),
+    ("vortex", "modified", 355): (355, 359, 1, 1230, 1436, 1),
+    ("vortex", "modified", 356): (356, 360, 1, 1230, 1436, 1),
+    ("vortex", "modified", 357): (357, 361, 1, 1230, 1436, 1),
+    ("vortex", "modified", 777): (777, 781, 1, 1230, 1436, 1),
+    ("vortex", "modified", 5000): (None, 2347, 1, 27199, 40392, 5),
+}
+
+
+@pytest.mark.parametrize("name,fmt,fuel", sorted(FUEL_PINS))
+def test_budget_exceeded_at_pinned_host_step(name, fmt, fuel):
+    """The watchdog trips at the same host step, with the same partial
+    stats, however the loop batches interpreted instructions."""
+    steps, *counts = FUEL_PINS[name, fmt, fuel]
+    config = VMConfig(fmt=fmt, max_host_steps=fuel)
+    try:
+        stats = run_vm(name, config, budget=HALT_BUDGET,
+                       collect_trace=False).stats
+        host_steps = None
+    except BudgetExceeded as exc:
+        stats, host_steps = exc.stats, exc.host_steps
+    assert host_steps == steps
+    assert [stats.interpreted_instructions, stats.interpreted_elided,
+            stats.source_instructions_executed,
+            stats.iinstructions_executed,
+            stats.fragments_created] == counts
+
+
 def test_watchdog_off_by_default():
     assert VMConfig().max_host_steps is None
 

@@ -11,7 +11,9 @@ compilation of every fragment on its first entry.
 import pytest
 
 from repro.asm import assemble
+from repro.harness.runner import run_vm
 from repro.ildp_isa.opcodes import IFormat
+from repro.translator.chaining import ChainingPolicy
 from repro.vm import CoDesignedVM, VMConfig
 from tests.conftest import CALL_KERNEL, FIG2_KERNEL, assert_traces_equal
 
@@ -34,6 +36,29 @@ class TestEngineSelection:
         config = VMConfig(exec_engine="naive")
         assert config.to_dict()["exec_engine"] == "naive"
         assert VMConfig.from_dict(config.to_dict()).exec_engine == "naive"
+
+    def test_config_takes_format_and_policy_values(self):
+        config = VMConfig(fmt="alpha", policy="no_pred")
+        assert config.fmt is IFormat.ALPHA
+        assert config.policy is ChainingPolicy.NO_PRED
+        rebuilt = VMConfig.from_dict(config.to_dict())
+        assert rebuilt.to_dict() == config.to_dict()
+        assert rebuilt.fmt is IFormat.ALPHA
+
+    @pytest.mark.parametrize("field", ("fmt", "policy"))
+    def test_config_rejects_unknown_format_and_policy(self, field):
+        with pytest.raises(ValueError):
+            VMConfig(**{field: "bogus"})
+
+    def test_format_value_runs_alike_under_both_engines(self):
+        """A format given by its value string selects the member, so
+        the naive walk writes the GPRs the jit writes."""
+        naive, jit = (run_vm("eon", VMConfig(fmt="alpha", exec_engine=engine),
+                             budget=60_000)
+                      for engine in ("naive", "jit"))
+        assert len(jit.trace) > 0
+        assert_traces_equal(jit.trace, naive.trace)
+        assert vars(jit.stats) == vars(naive.stats)
 
     def test_engines_share_result_cache_keys(self):
         naive = VMConfig(exec_engine="naive")

@@ -330,8 +330,9 @@ slot:   addq r3, 1, r3
 """
 
 
-def _smc_oneshot_program():
-    program = assemble(_SMC_ONESHOT)
+def _with_donor(source):
+    """Assemble ``source`` with ``addq r3, 2, r3`` stored at ``donor``."""
+    program = assemble(source)
     donor = encode(Instruction("addq", ra=3, rc=3, imm=2, islit=True))
     program.memory.write_bytes(program.symbols["donor"],
                                donor.to_bytes(4, "little"))
@@ -340,20 +341,20 @@ def _smc_oneshot_program():
 
 class TestSMCPrecision:
     def test_oneshot_patch_matches_interpreter(self):
-        reference = Interpreter(_smc_oneshot_program())
+        reference = Interpreter(_with_donor(_SMC_ONESHOT))
         reference.run(max_instructions=100_000)
         # 17 iterations before the patch lands mid-iteration at r2==3:
         # the patched +2 covers iterations r2 in {3, 2, 1}
         assert reference.console == [17 + 3 * 2]
         for engine in ENGINES:
-            vm = CoDesignedVM(_smc_oneshot_program(), _config(engine))
+            vm = CoDesignedVM(_with_donor(_SMC_ONESHOT), _config(engine))
             vm.run(max_v_instructions=100_000)
             assert vm.halted, engine
             assert vm.interpreter.console == reference.console, engine
 
     def test_oneshot_invalidation_is_precise(self):
         for engine in ENGINES:
-            vm = CoDesignedVM(_smc_oneshot_program(), _config(engine))
+            vm = CoDesignedVM(_with_donor(_SMC_ONESHOT), _config(engine))
             vm.run(max_v_instructions=100_000)
             stats = vm.stats
             assert stats.smc_detected == 1, engine
@@ -364,7 +365,7 @@ class TestSMCPrecision:
     def test_oneshot_stats_identical_across_engines(self):
         baseline = None
         for engine in ENGINES:
-            vm = CoDesignedVM(_smc_oneshot_program(), _config(engine))
+            vm = CoDesignedVM(_with_donor(_SMC_ONESHOT), _config(engine))
             vm.run(max_v_instructions=100_000)
             if baseline is None:
                 baseline = vars(vm.stats)
@@ -410,6 +411,105 @@ class TestSMCPrecision:
             assert stores == vm.stats.retranslate_deopts, engine
             assert sum(row[0].v_weight for row in rows) == \
                 vm.stats.source_instructions_executed, engine
+
+
+#: The hot inner loop is translated on the first outer pass; cold,
+#: interpreted code after the second pass patches its first word with a
+#: donor (``addq r3, 2, r3``) and the third pass re-enters it.  A stale
+#: translation would print 30 instead of 40.
+_SMC_COLD_STORE = """
+        .text
+_start: la   r5, donor
+        ldl  r6, 0(r5)
+        la   r7, slot
+        clr  r3
+        li   r8, 3
+outer:  li   r2, 10
+slot:   addq r3, 1, r3
+        subq r2, 1, r2
+        bne  r2, slot
+        cmpeq r8, 2, r4
+        beq  r4, skip
+        stl  r6, 0(r7)
+skip:   subq r8, 1, r8
+        bne  r8, outer
+        and  r3, 0x7f, r16
+        call_pal putc
+        call_pal halt
+        .data
+donor:  .space 4, 0
+"""
+
+#: The first call translates ``hot``'s loop on its own text page; cold,
+#: interpreted code then drops ``PROT_EXEC`` on that page and calls it
+#: again, so the re-entry must fetch through the interpreter and fault.
+_PROTECT_COLD_CALL = """
+        .text
+_start: clr  r3
+        li   r2, 10
+        bsr  r26, hot
+        and  r3, 0x7f, r16
+        call_pal putc
+        la   r16, hot
+        li   r17, 8
+        li   r18, {prot}
+        call_pal protect
+        li   r2, 10
+        bsr  r26, hot
+        call_pal halt
+        .align 4096
+hot:    addq r3, 1, r3
+        subq r2, 1, r2
+        bne  r2, hot
+        ret  r31, (r26)
+""".format(prot=PROT_READ | PROT_WRITE)
+
+
+class TestMidStintInvalidation:
+    """Interpreted code invalidates a translation and then runs into its
+    entry: the interpreter stint must see the edited entry map."""
+
+    def test_cold_store_into_translated_loop(self):
+        reference = Interpreter(_with_donor(_SMC_COLD_STORE))
+        reference.run(max_instructions=100_000)
+        assert reference.console == [40]
+        baseline = None
+        for engine in ENGINES:
+            vm = CoDesignedVM(_with_donor(_SMC_COLD_STORE), _config(engine))
+            vm.run(max_v_instructions=100_000)
+            assert vm.halted, engine
+            assert vm.interpreter.console == reference.console, engine
+            assert vm.state.regs == reference.state.regs, engine
+            stats = vm.stats
+            assert stats.smc_detected == 1, engine
+            assert stats.smc_invalidations == 1, engine
+            assert stats.retranslate_deopts == 0, engine
+            assert stats.tcache_flushes == 0, engine
+            if baseline is None:
+                baseline = vars(stats)
+            else:
+                assert vars(stats) == baseline, engine
+
+    def test_cold_protect_then_reentry_faults(self):
+        interp, reference = _interp_to_trap(assemble(_PROTECT_COLD_CALL))
+        assert reference is not None
+        assert reference.kind is TrapKind.PROTECTION_VIOLATION
+        assert interp.console == [10]
+        baseline = None
+        for engine in ENGINES:
+            vm, trap, state = _vm_to_trap(_PROTECT_COLD_CALL, engine)
+            assert trap is not None, engine
+            assert _payload(trap) == _payload(reference), engine
+            assert state.regs == interp.state.regs, engine
+            assert state.pc == interp.state.pc, engine
+            assert vm.interpreter.console == interp.console, engine
+            stats = vm.stats
+            assert stats.protect_invalidations == 1, engine
+            assert stats.retranslate_deopts == 0, engine
+            if baseline is None:
+                baseline = vars(stats)
+            else:
+                assert vars(stats) == baseline, engine
 
 
 # ---------------------------------------------------------------------------
