@@ -53,9 +53,9 @@ class IOp(enum.Enum):
     SYSCALL = "syscall"              # PAL syscall dispatch (imm = function)
 
     #: Enum members are singletons, so the identity hash is equivalent to
-    #: the default name-based hash — and much cheaper.  ``VMStats``
-    #: counters are keyed by IOp on every executed instruction, which
-    #: makes hashing measurably hot under both execution engines.
+    #: the default name-based hash — and much cheaper.  The body walk
+    #: looks every instruction's IOp up in a dict and a set (its ALPHA
+    #: weight, whether it is a copy), which makes hashing measurably hot.
     __hash__ = object.__hash__
 
 

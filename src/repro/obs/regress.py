@@ -21,10 +21,13 @@ reported but not gated.
 
 Wall-clock numbers only mean something relative to the machine that
 produced them, so the comparison honours the same machine-metadata guard
-the benchmarks themselves use: when the two records disagree on machine
-or run context (workloads, budget, reps, runs per rep, seed), the gate
-is *skipped with a warning* rather than failed — cross-machine
-comparisons are flagged, never gated.
+the benchmarks themselves use.  When the two records disagree on run
+context (workloads, budget, reps, runs per rep, seed), or either lacks
+its machine block, the whole gate is *skipped with a warning* rather
+than failed.  When only their machine blocks differ, the wall-clock
+metrics are reported, not gated, under that warning, while every
+count and each run's ``failed`` are still gated: they do not depend on
+the host.
 
 ``compare_benchmarks`` is pure (two dicts in, a :class:`Comparison`
 out); the CLI layer in :mod:`repro.cli` maps it to exit codes:
@@ -185,7 +188,9 @@ class Comparison:
     def __init__(self):
         self.deltas = []
         self.warnings = []
-        #: None while the gate applies; otherwise why it was skipped
+        #: None while the whole gate applies; otherwise what was skipped
+        #: and why: everything (no deltas), or, across machines, the
+        #: wall-clock metrics alone
         self.skipped = None
 
     @property
@@ -194,13 +199,15 @@ class Comparison:
 
     @property
     def ok(self):
-        """True when the gate passes (including when it was skipped)."""
-        return self.skipped is not None or not self.regressions
+        """True when no gated metric regressed (so also when the gate
+        was skipped)."""
+        return not self.regressions
 
     def render_lines(self):
         lines = []
         if self.skipped is not None:
-            lines.append(f"gate skipped: {self.skipped}")
+            scope = "wall-clock gate" if self.deltas else "gate"
+            lines.append(f"{scope} skipped: {self.skipped}")
         for warning in self.warnings:
             lines.append(f"warning: {warning}")
         regressed = self.regressions
@@ -208,7 +215,7 @@ class Comparison:
                        if d.verdict != "ok" or d.baseline != d.current]
         for delta in sorted(interesting, key=lambda d: d.name):
             lines.append("  " + delta.render())
-        if self.skipped is not None:
+        if self.skipped is not None and not self.deltas:
             lines.append("result: SKIPPED (not comparable)")
         elif regressed:
             lines.append(f"result: REGRESSED "
@@ -240,15 +247,24 @@ def _compare_one(name, kind, tolerance, slack, baseline, current):
     return MetricDelta(name, kind, baseline, current, verdict)
 
 
+def _host_independent(name, kind):
+    """Whether a metric means the same on every host: a count, or a
+    run's failed operations."""
+    return kind == "exact" or name.endswith(".failed")
+
+
 def compare_benchmarks(baseline, current, time_tolerance=TIME_TOLERANCE,
                        slack=TIME_SLACK_SECONDS):
     """Compare two benchmark records; returns a :class:`Comparison`.
 
     ``baseline`` and ``current`` are parsed benchmark JSON documents.
     The gate is skipped (with a warning, never a failure) when the two
-    records describe different run contexts or machines.  An end-to-end
-    record's metrics follow the baseline's ``end_to_end`` rules
-    (:func:`e2e_metrics`) instead of ``time_tolerance`` and ``slack``.
+    records describe different run contexts or either lacks machine
+    metadata.  Records from different machines gate only their counts
+    and runs' ``failed``; their other metrics are reported.  An
+    end-to-end record's metrics follow the baseline's ``end_to_end``
+    rules (:func:`e2e_metrics`) instead of ``time_tolerance`` and
+    ``slack``.
     """
     result = Comparison()
 
@@ -264,14 +280,15 @@ def compare_benchmarks(baseline, current, time_tolerance=TIME_TOLERANCE,
         result.skipped = ("missing machine metadata; wall-clock numbers "
                           "cannot be gated")
         return result
-    if base_machine != cur_machine:
+    cross_machine = base_machine != cur_machine
+    if cross_machine:
         differing = sorted(
             key for key in set(base_machine) | set(cur_machine)
             if base_machine.get(key) != cur_machine.get(key))
         result.skipped = (f"records are from different machines "
                           f"({', '.join(differing)} differ); wall-clock "
-                          f"numbers are not comparable across hosts")
-        return result
+                          f"numbers are not comparable across hosts, so "
+                          f"only counts and failures are gated")
 
     if baseline.get("benchmark") == E2E_BENCHMARK:
         rules = {rule["name"]: rule for rule in baseline["end_to_end"]}
@@ -288,6 +305,8 @@ def compare_benchmarks(baseline, current, time_tolerance=TIME_TOLERANCE,
                                    f"record")
             continue
         value, kind, tolerance = base_metrics[name]
+        if cross_machine and not _host_independent(name, kind):
+            kind = "reported"
         result.deltas.append(_compare_one(
             name, kind, tolerance, slack, value, cur_metrics[name][0]))
     for name in sorted(set(cur_metrics) - set(base_metrics)):

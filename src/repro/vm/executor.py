@@ -20,8 +20,11 @@ default, builds each fragment's code on its first entry: untraced, one
 generated Python function (:mod:`repro.vm.jit`); with trace collection
 on, a list of prebuilt per-instruction steps that also append the
 trace rows (:mod:`repro.vm.steps`, which says why traced runs compile
-no source).  Only a fragment whose build failed takes the reference
-walk.  Both engines produce identical architected state, traces and
+no source).  Both forms read one plan of the fragment
+(:func:`fragment_plan`): what a visit adds to ``VMStats`` when it leaves
+at each body index, and where the modified format's staleness check
+fires.  Only a fragment whose build failed takes the reference walk.
+Both engines produce identical architected state, traces and
 ``VMStats``.
 
 With trace collection on, each committed instruction appends one row to
@@ -65,6 +68,13 @@ RAS_DEPTH = 16
 
 #: The register-state copies Table 2 counts (``IInstruction.is_copy``).
 _COPY_IOPS = frozenset({IOp.COPY_TO_GPR, IOp.COPY_FROM_GPR})
+
+#: Opcodes after which control never reaches the next body instruction.
+_EXIT_IOPS = frozenset({IOp.BR, IOp.CALL_TRANSLATOR, IOp.TO_DISPATCH,
+                        IOp.HALT, IOp.GENTRAP})
+
+_STALE_MESSAGE = ("r{} read while operationally stale (usage analysis "
+                  "marked it non-operational)")
 
 #: Serial numbers identifying which executor a fragment's generated
 #: code belongs to (see ``FragmentExecutor._jit_for``).
@@ -141,6 +151,77 @@ def _body_template(instr, fmt):
         srcs = (16,)
     return Template(address, size, op_class, srcs, dst, instr.acc, acc_read,
                     instr.writes_acc(), instr.strand_start, None, v_weight)
+
+
+def _gpr_reads(instr):
+    """The GPRs body instruction ``instr`` reads through ``_read_gpr``,
+    in the walk's order."""
+    iop = instr.iop
+    if iop is IOp.ALU:
+        sources = (instr.src_a, instr.src_b)
+    elif iop is IOp.LOAD:
+        sources = (instr.addr_src,)
+    elif iop is IOp.STORE:
+        sources = (instr.addr_src, instr.data_src)
+    elif iop is IOp.BRANCH or iop is IOp.COND_CALL_TRANSLATOR:
+        sources = (instr.cond_src,)
+    elif iop is IOp.COPY_FROM_GPR or iop is IOp.RET_RAS or \
+            iop is IOp.TO_DISPATCH:
+        return (instr.gpr,)
+    elif iop is IOp.PUTC:
+        return (16,)
+    else:
+        return ()
+    return tuple(instr.gpr if source == "gpr" else instr.gpr2
+                 for source in sources
+                 if source == "gpr" or source == "gpr2")
+
+
+def fragment_plan(fragment):
+    """What a visit to ``fragment`` can do, worked out when the jit
+    builds its code (generated source or traced steps; both read this).
+
+    A visit enters at index 0 and a body is straight-line, so a visit
+    that leaves at index ``i`` has run exactly ``body[:i + 1]``.
+    Returns ``(totals, stop)``.  ``totals[i]``, for each index a visit
+    can reach, is what the walk adds to ``VMStats`` for those
+    instructions: ``(iinstructions_executed, copies_executed,
+    source_instructions_executed)``, ALPHA weights applied.  ``stop``
+    is the modified format's staleness stop, ``(index, gpr, stale)``:
+    the first instruction that reads a GPR the body made stale (its
+    reads checked in the walk's order), that GPR and the stale set
+    there; or None.  No index past the stop or an unconditional exit is
+    reachable.
+    """
+    alpha = fragment.fmt is IFormat.ALPHA
+    track = fragment.fmt is IFormat.MODIFIED
+    totals = []
+    weight = copies = v_weight = 0
+    stale = set()
+    for index, instr in enumerate(fragment.body):
+        iop = instr.iop
+        weight += _ALPHA_WEIGHTS.get(iop, 1) if alpha else 1
+        if iop in _COPY_IOPS:
+            copies += 1
+        v_weight += instr.v_weight
+        totals.append((weight, copies, v_weight))
+        if track:
+            for gpr in _gpr_reads(instr):
+                if gpr in stale:
+                    return totals, (index, gpr, frozenset(stale))
+            # the walk's ``_write_gpr`` calls
+            if iop is IOp.ALU or iop is IOp.LOAD:
+                dest = instr.dest_gpr
+                if dest is not None and dest != 31:
+                    if instr.operational:
+                        stale.discard(dest)
+                    else:
+                        stale.add(dest)
+            elif iop is IOp.COPY_TO_GPR or iop is IOp.SAVE_VRA:
+                stale.discard(instr.gpr)
+        if iop in _EXIT_IOPS:
+            break
+    return totals, None
 
 
 def _dispatch_templates(body):
@@ -254,9 +335,7 @@ class FragmentExecutor:
 
     def _read_gpr(self, regs, index, fmt):
         if fmt is IFormat.MODIFIED and index in self._stale:
-            raise StalenessError(
-                f"r{index} read while operationally stale (usage analysis "
-                "marked it non-operational)")
+            raise StalenessError(_STALE_MESSAGE.format(index))
         return regs[index]
 
     def _write_gpr(self, regs, index, value, operational=True):
@@ -296,9 +375,10 @@ class FragmentExecutor:
         fragment whose build failed, and every visit under
         ``exec_engine="naive"``, walks the body through the reference
         ``_execute`` dispatch.  The two are observationally identical:
-        the jit's code batches exactly the statistics the walk counts
-        per instruction, adding them before any point where they can be
-        observed, and its steps append each row where and when the walk
+        when a visit of the jit's code leaves the fragment, it adds the
+        statistics the walk counted per instruction up to there (the
+        prefix totals of ``fragment_plan``; nothing reads them inside a
+        visit), and its steps append each row where and when the walk
         appends it.
         """
         verify = self.verify
@@ -307,7 +387,6 @@ class FragmentExecutor:
                               fragment=fragment)
         regs = state.regs
         stats = self.stats
-        iop_counts = stats.iop_counts
         execute = self._execute
         traced = self.trace is not None
         jit = self.config.exec_engine == "jit"
@@ -347,10 +426,9 @@ class FragmentExecutor:
                 while True:
                     instr = body[index]
                     iop = instr.iop
-                    # VMStats' four per-instruction counters, inlined
+                    # VMStats' three per-instruction counters, inlined
                     stats.iinstructions_executed += \
                         _ALPHA_WEIGHTS.get(iop, 1) if alpha else 1
-                    iop_counts[iop] += 1
                     if iop in _COPY_IOPS:
                         stats.copies_executed += 1
                     stats.source_instructions_executed += instr.v_weight

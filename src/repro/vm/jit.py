@@ -1,16 +1,16 @@
 """JIT: lower fragments to straight-line Python source on first entry.
 
 The reference body walk (``FragmentExecutor.run`` over ``_execute``)
-pays an if/elif dispatch, four statistics increments and an outcome
+pays an if/elif dispatch, three statistics increments and an outcome
 check for every executed I-ISA instruction.  This module removes all of
 that: the whole body is emitted as *one* generated Python function —
 operands pre-resolved to ``regs[i]``/``_accs[i]`` index expressions, ALU
 semantics inlined where an expression reproduces the :data:`IALU_OPS`
 formula exactly (everything else calls the very same table function),
 branch targets pre-resolved to shared ``("goto", (fragment, 0))``
-outcomes, and the per-instruction statistics *batched*: the deltas are
-compile-time constants, so one flush of four attribute additions replaces
-dozens of per-step increments.
+outcomes, and the per-instruction statistics added once per visit, at
+the exit it leaves by, as compile-time constants: the prefix totals of
+the fragment's plan (``repro.vm.executor.fragment_plan``).
 
 The generated function has the signature ``fn(ex, regs, state)`` and
 returns the outcome protocol of ``_execute``: ``("goto", (fragment,
@@ -20,20 +20,22 @@ returns the outcome protocol of ``_execute``: ``("goto", (fragment,
 Exactness guarantees (the engine-differential suites assert full
 ``vars(VMStats)`` equality against the naive engine):
 
-* statistics are flushed before every point the body walk could observe
-  them — conditional and unconditional exits, the RAS/dispatch helpers
-  (which call ``stats.count_ras``/``count_dispatch``), and trap raises;
+* a visit enters at index 0 and a body is straight-line, so a visit
+  that leaves at body index ``i`` ran exactly the instructions up to
+  ``i``: every exit — a taken branch, a RAS hit, call-translator,
+  dispatch, halt, a trap handler, the staleness raise and the fall-off
+  — adds the plan's totals for its index, and a not-taken branch adds
+  nothing; nothing reads those counters inside a visit (the budget
+  check runs between visits);
 * each potentially-excepting instruction (LOAD/STORE) sits in its own
-  ``try/except Trap`` whose *cold* handler performs the catch-up flush
+  ``try/except Trap`` whose *cold* handler adds the statistics
   (including the trapping instruction), records the body index for
   precise-state reconstruction, and re-raises — the hot path pays
   nothing (CPython 3.11 zero-cost exceptions);
-* the strict modified-format staleness check is *simulated at compile
-  time*: control only enters fragments at index 0 and bodies are
-  straight-line, so the stale set at each instruction is static.  A
-  simulated violation compiles to the same :class:`StalenessError` raise
-  the walk would perform at run time; valid fragments carry no tracking
-  code at all.
+* the strict modified-format staleness check is decided at build time:
+  the plan names the first instruction that reads a stale GPR, which
+  compiles to the same :class:`StalenessError` raise the walk would
+  perform at run time; valid fragments carry no tracking code at all.
 
 The caller (``FragmentExecutor.run``) compiles a fragment the first time
 an untraced jit executor enters it and falls back to the body walk for
@@ -50,8 +52,8 @@ from repro.ildp_isa.semantics import IALU_OPS
 from repro.isa.semantics import CMOV_CONDITIONS, Trap, TrapKind
 from repro.memory.image import PAGE_MASK, PAGE_SHIFT
 from repro.utils.bitops import MASK64, sext
-from repro.vm.executor import _ALPHA_WEIGHTS, RAS_DEPTH, ExecResult, \
-    ExitReason, StalenessError
+from repro.vm.executor import _EXIT_IOPS, _STALE_MESSAGE, RAS_DEPTH, \
+    ExecResult, ExitReason, StalenessError, fragment_plan
 
 _ZERO_REG = 31
 
@@ -95,32 +97,6 @@ _BRANCH_EXPRS = {
     "blbs": "_c & 1",
 }
 
-_STALE_MESSAGE = ("r{index} read while operationally stale (usage "
-                  "analysis marked it non-operational)")
-
-
-def _resolve_goto(tcache, target):
-    """Pre-resolved ``("goto", ...)`` outcome for a direct transfer.
-
-    Fragment entry addresses are stable for the life of the translation
-    cache (a flush drops every fragment, including the one being
-    compiled), and any patch that rewrites a branch drops the generated
-    code (see ``TranslationCache._apply_patches``).
-    """
-    fragment = tcache.fragment_at(target)
-    if fragment is None:  # pragma: no cover - layout guarantees entries
-        raise AssertionError(
-            f"control transfer to non-entry address {target:#x}")
-    return ("goto", (fragment, 0))
-
-
-class _Stale(Exception):
-    """Compile-time signal: this instruction reads a stale register."""
-
-    def __init__(self, index):
-        super().__init__(index)
-        self.index = index
-
 
 class _Emitter:
     """Builds the source text and exec namespace for one fragment."""
@@ -130,7 +106,6 @@ class _Emitter:
         self.fragment = fragment
         self.fmt = fragment.fmt
         self.alpha = self.fmt is IFormat.ALPHA
-        self.track = self.fmt is IFormat.MODIFIED
         self.fname = f"_jit_f{fragment.fid}"
         self.lines = []
         self.ns = {
@@ -140,14 +115,9 @@ class _Emitter:
             "_StalenessError": StalenessError,
             "_sext": sext,
         }
-        #: compile-time simulation of the strict modified-format stale set
-        self.stale = set()
-        # pending statistics deltas (flushed before observation points)
-        self.pending_weight = 0
-        self.pending_v = 0
-        self.pending_copies = 0
-        self.pending_iops = {}
-        self.done = False
+        #: per reachable body index, the statistics of a visit that
+        #: leaves there; and the modified format's staleness stop
+        self.totals, self.stop = fragment_plan(fragment)
 
     # -- low-level helpers ---------------------------------------------------
 
@@ -158,55 +128,24 @@ class _Emitter:
         self.ns[name] = value
         return name
 
-    def charge(self, instr):
-        """Accumulate one instruction's statistics into the pending batch."""
-        weight = _ALPHA_WEIGHTS.get(instr.iop, 1) if self.alpha else 1
-        self.pending_weight += weight
-        self.pending_iops[instr.iop] = \
-            self.pending_iops.get(instr.iop, 0) + 1
-        if instr.is_copy():
-            self.pending_copies += 1
-        self.pending_v += instr.v_weight
-
-    def flush(self, depth=1, reset=True):
-        """Emit the pending statistics increments.
-
-        ``reset=False`` is the PEI except-handler variant: the handler
-        re-raises, so the hot path's later flush must still cover the
-        same instructions.
-        """
-        if self.pending_weight:
-            self.emit(f"_stats.iinstructions_executed += "
-                      f"{self.pending_weight}", depth)
-        for iop, count in self.pending_iops.items():
-            name = self.bind(f"_k_{iop.name}", iop)
-            self.emit(f"_iops[{name}] += {count}", depth)
-        if self.pending_copies:
-            self.emit(f"_stats.copies_executed += {self.pending_copies}",
+    def count(self, index, depth=1):
+        """Emit the statistics of a visit that leaves at body ``index``:
+        the plan's prefix totals for it."""
+        weight, copies, v_weight = self.totals[index]
+        self.emit(f"_stats.iinstructions_executed += {weight}", depth)
+        if copies:
+            self.emit(f"_stats.copies_executed += {copies}", depth)
+        if v_weight:
+            self.emit(f"_stats.source_instructions_executed += {v_weight}",
                       depth)
-        if self.pending_v:
-            self.emit(f"_stats.source_instructions_executed += "
-                      f"{self.pending_v}", depth)
-        if reset:
-            self.pending_weight = 0
-            self.pending_v = 0
-            self.pending_copies = 0
-            self.pending_iops = {}
-
-    def check_gpr(self, index):
-        """Compile-time equivalent of the runtime staleness assertion."""
-        if self.track and index in self.stale:
-            raise _Stale(index)
 
     def operand(self, instr, source):
         """Operand expression plus whether its value is already < 2**64."""
         if source == "acc":
             return f"_accs[{instr.acc}]", False
         if source == "gpr":
-            self.check_gpr(instr.gpr)
             return f"regs[{instr.gpr}]", True
         if source == "gpr2":
-            self.check_gpr(instr.gpr2)
             return f"regs[{instr.gpr2}]", True
         if source == "imm":
             return repr(instr.imm), 0 <= instr.imm <= MASK64
@@ -243,17 +182,12 @@ class _Emitter:
                 self.emit(f"_accs[{acc}] = _r")
                 self.emit("regs[{0}] = _r{1}".format(
                     dest, "" if masked else " & MASK64"))
-            if self.track:
-                operational = True if self.alpha else instr.operational
-                if operational:
-                    self.stale.discard(dest)
-                else:
-                    self.stale.add(dest)
 
     def pei_handler(self, index):
-        """The cold catch-up path for a potentially-excepting instruction."""
+        """The cold path of a potentially-excepting instruction: add the
+        visit's statistics, record the body index, re-raise."""
         self.emit("except _Trap:")
-        self.flush(depth=2, reset=False)
+        self.count(index, 2)
         self.emit(f"ex._jit_pei = {index}", 2)
         self.emit("raise", 2)
 
@@ -277,33 +211,24 @@ class _Emitter:
             if instr.gpr != _ZERO_REG:
                 self.emit(f"regs[{instr.gpr}] = "
                           f"_accs[{instr.acc}] & MASK64")
-                if self.track:
-                    self.stale.discard(instr.gpr)
         elif iop is IOp.COPY_FROM_GPR:
-            self.check_gpr(instr.gpr)
             self.emit(f"_accs[{instr.acc}] = regs[{instr.gpr}]")
         elif iop is IOp.BRANCH:
-            goto = self.bind(f"_g{index}",
-                             _resolve_goto(self.ex.tcache, instr.target))
-            self.check_gpr_source(instr)
-            self.flush()
+            goto = self.bind(f"_g{index}", self.ex._transfer(instr.target))
             self.cond_value(instr)
             self.emit(f"if {_BRANCH_EXPRS[instr.op]}:")
+            self.count(index, 2)
             self.emit(f"return {goto}", 2)
         elif iop is IOp.BR:
-            goto = self.bind(f"_g{index}",
-                             _resolve_goto(self.ex.tcache, instr.target))
-            self.flush()
+            goto = self.bind(f"_g{index}", self.ex._transfer(instr.target))
+            self.count(index)
             self.emit(f"return {goto}")
-            self.done = True
         elif iop is IOp.SET_VPC_BASE:
             pass  # statistics only
         elif iop is IOp.SAVE_VRA:
             if instr.gpr != _ZERO_REG:
                 self.emit(f"regs[{instr.gpr}] = "
                           f"{instr.vtarget & MASK64!r}")
-                if self.track:
-                    self.stale.discard(instr.gpr)
         elif iop is IOp.PUSH_RAS:
             target = instr.target if instr.target is not None \
                 else self.ex.tcache.dispatch_address
@@ -313,10 +238,8 @@ class _Emitter:
         elif iop is IOp.RET_RAS:
             # Inlined ``_do_ret_ras`` fast path: trace is always off in
             # generated code, so the helper reduces to pop-compare-count.
-            self.check_gpr(instr.gpr)
             self.bind("_frag_at", self.ex.tcache.fragment_at)
             self.bind("_count_ras", self.ex.stats.count_ras)
-            self.flush()
             self.emit(f"_c = regs[{instr.gpr}] & 0xFFFFFFFFFFFFFFFC")
             self.emit("if _ras:")
             self.emit("_vp, _ip = _ras.pop()", 2)
@@ -324,6 +247,7 @@ class _Emitter:
             self.emit("if _vp == _c and _f is not None "
                       "and _f.entry_vpc == _c:", 2)
             self.emit("_count_ras(True)", 3)
+            self.count(index, 3)
             self.emit('return ("goto", (_f, 0))', 3)
             self.emit("_count_ras(False)")
         elif iop is IOp.LOAD_EMB:
@@ -332,33 +256,27 @@ class _Emitter:
             exit_ = self.bind(f"_x{index}", (
                 "exit", ExecResult(ExitReason.UNTRANSLATED,
                                    vpc=instr.vtarget)))
-            self.flush()
+            self.count(index)
             self.emit(f"return {exit_}")
-            self.done = True
         elif iop is IOp.COND_CALL_TRANSLATOR:
             exit_ = self.bind(f"_x{index}", (
                 "exit", ExecResult(ExitReason.UNTRANSLATED,
                                    vpc=instr.vtarget)))
-            self.check_gpr_source(instr)
-            self.flush()
             self.cond_value(instr)
             self.emit(f"if {_BRANCH_EXPRS[instr.op]}:")
+            self.count(index, 2)
             self.emit(f"return {exit_}", 2)
         elif iop is IOp.TO_DISPATCH:
-            self.check_gpr(instr.gpr)
             ref = self.bind(f"_i{index}", instr)
             self.bind("_FMT", self.fmt)
-            self.flush()
+            self.count(index)
             self.emit(f"return ex._do_dispatch({ref}, regs, _FMT)")
-            self.done = True
         elif iop is IOp.HALT:
             exit_ = self.bind(f"_x{index}", (
                 "exit", ExecResult(ExitReason.HALT, vpc=instr.vpc)))
-            self.flush()
+            self.count(index)
             self.emit(f"return {exit_}")
-            self.done = True
         elif iop is IOp.PUTC:
-            self.check_gpr(16)
             self.emit("_con.append(regs[16] & 0xFF)")
         elif iop is IOp.SYSCALL:
             # PAL syscalls read/write architected GPRs directly through
@@ -370,19 +288,11 @@ class _Emitter:
             self.emit(f"{pal}(regs, {instr.imm!r}, {instr.vpc!r}, True)", 2)
             self.pei_handler(index)
         elif iop is IOp.GENTRAP:
-            self.flush()
+            self.count(index)
             self.emit(f"ex._jit_pei = {index}")
             self.emit(f"raise _Trap(_TK_GENTRAP, {instr.vpc!r})")
-            self.done = True
         else:
             raise NotImplementedError(f"cannot jit {iop}")
-
-    def check_gpr_source(self, instr):
-        """Staleness check for a branch/cond-call condition operand."""
-        if instr.cond_src == "gpr":
-            self.check_gpr(instr.gpr)
-        elif instr.cond_src == "gpr2":
-            self.check_gpr(instr.gpr2)
 
     def _emit_alu(self, instr):
         op = instr.op
@@ -484,24 +394,22 @@ class _Emitter:
     # -- assembly ------------------------------------------------------------
 
     def build(self):
-        for index, instr in enumerate(self.fragment.body):
-            if self.done:
-                break  # unreachable tail after an unconditional exit
-            self.charge(instr)
-            try:
-                self.emit_instr(index, instr)
-            except _Stale as stale:
+        reachable = self.fragment.body[:len(self.totals)]
+        for index, instr in enumerate(reachable):
+            if self.stop is not None and index == self.stop[0]:
                 # the walk counts the instruction, then ``_read_gpr``
                 # raises; straight-line bodies make this a static fact
-                self.flush()
-                self.emit("raise _StalenessError("
-                          f"{_STALE_MESSAGE.format(index=stale.index)!r})")
-                self.done = True
-        if not self.done:
-            # control fell off the body: the walk indexes past the body
-            # list; raise the identical error with the stats caught up
-            self.flush()
-            self.emit('raise IndexError("list index out of range")')
+                message = _STALE_MESSAGE.format(self.stop[1])
+                self.count(index)
+                self.emit(f"raise _StalenessError({message!r})")
+                break
+            self.emit_instr(index, instr)
+        else:
+            if instr.iop not in _EXIT_IOPS:
+                # control fell off the body: the walk indexes past the
+                # body list; raise the identical error, statistics added
+                self.count(index)
+                self.emit('raise IndexError("list index out of range")')
 
         body = "\n".join(self.lines)
         hoists = []
@@ -511,8 +419,6 @@ class _Emitter:
                            ("_ras", "ex.ras")):
             if name in body:
                 hoists.append(f"    {name} = {expr}")
-        if "_iops" in body:
-            hoists.append("    _iops = _stats.iop_counts")
         header = f"def {self.fname}(ex, regs, state):"
         return "\n".join([header] + hoists + [body, ""])
 

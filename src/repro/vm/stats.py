@@ -6,8 +6,6 @@ percentages, static code-byte expansion, output-register usage histograms
 (weighted by fragment execution counts), dispatch and RAS behaviour.
 """
 
-from collections import Counter
-
 from repro.translator.usage import ValueClass
 
 #: Instructions a threaded interpreter spends per interpreted instruction
@@ -28,13 +26,11 @@ class VMStats:
         self.copies_executed = 0
         #: V-ISA instructions executed inside translated code
         self.source_instructions_executed = 0
-        self.iop_counts = Counter()
         self.dispatch_runs = 0
         self.dispatch_instructions = 0
         self.ras_hits = 0
         self.ras_misses = 0
         self.fragments_created = 0
-        self.superblocks_captured = 0
         self.translated_source_instructions = 0
         #: fid -> static usage-class histogram of the fragment's superblock
         self.fragment_usage = {}
@@ -73,7 +69,6 @@ class VMStats:
     def note_translation(self, result):
         """Record a finished translation (fragment + analyses)."""
         self.fragments_created += 1
-        self.superblocks_captured += 1
         fragment = result.fragment
         self.translated_source_instructions += fragment.source_instr_count
         self.premature_terminations += fragment.premature_terminations

@@ -7,9 +7,9 @@ its trace row, exactly where and when the body walk (``_execute``)
 appends it.  What the walk pays per instruction and the steps do not:
 the if/elif dispatch (each step is specialised to its opcode, operands
 and format when built), the template lookup (the template is bound into
-the step), and the four statistics increments (the visit adds the
-cumulative deltas of the instructions it ran, once, when it leaves the
-fragment).
+the step), and the three statistics increments (the visit adds the
+prefix totals of the fragment's plan for the index it leaves at, once,
+when it leaves the fragment, as generated code does).
 
 Traced runs do not use generated source (:mod:`repro.vm.jit`) because
 of ``compile()``'s memory: CPython 3.11's parser holds about 100 bytes
@@ -28,18 +28,17 @@ column and ``vars(VMStats)`` with the naive walk):
   walk's statement order; every other opcode runs the walk's own code
   for its instruction (``_do_dispatch``, or ``_execute``);
 * statistics reach ``VMStats`` when the visit leaves the fragment, by a
-  return, a trap or an error; nothing reads those four counters inside
+  return, a trap or an error; nothing reads those three counters inside
   a visit (the budget check runs between visits);
 * a trap is reported like the walk reports it: the trapping instruction
   is counted, ``trap.vpc`` is its V-PC and ``ex._jit_pei`` its body
   index;
-* the strict modified-format staleness check is simulated when the
-  steps are built, as the jit does: control enters fragments at index 0
-  and bodies are straight-line, so the stale set at each instruction is
-  static.  An instruction that reads a stale register runs the walk's
-  code with the executor's stale set primed to the simulated one, so it
-  raises :class:`StalenessError` at the same point; so does every
-  walk-run instruction of the modified format.
+* the strict modified-format staleness check is the plan's staleness
+  stop (``repro.vm.executor.fragment_plan``), as in generated code: the
+  instruction that reads a stale register runs the walk's code with the
+  executor's stale set primed to the plan's, so it raises
+  :class:`StalenessError` at the same point, after any row the walk
+  appends first.
 
 A step holds the fragments it branches to, like generated code, so the
 executor drops its steps when it dies (see
@@ -53,8 +52,7 @@ from repro.ildp_isa.semantics import IALU_OPS
 from repro.isa.semantics import BRANCH_CONDITIONS, CMOV_CONDITIONS, Trap, \
     TrapKind
 from repro.utils.bitops import MASK64, sext
-from repro.vm.executor import _ALPHA_WEIGHTS, RAS_DEPTH, FragmentExecutor, \
-    _body_template
+from repro.vm.executor import RAS_DEPTH, _body_template, fragment_plan
 
 _ZERO_REG = 31
 
@@ -67,25 +65,6 @@ _SPECIALISED = frozenset({
     IOp.ALU, IOp.LOAD, IOp.STORE, IOp.COPY_TO_GPR, IOp.COPY_FROM_GPR,
     IOp.BRANCH, IOp.BR, IOp.SET_VPC_BASE, IOp.SAVE_VRA, IOp.LOAD_EMB,
     IOp.PUSH_RAS, IOp.RET_RAS})
-
-#: the GPRs each opcode reads through the walk's ``_read_gpr``
-_READS = {
-    IOp.ALU: lambda instr: _gpr_reads(instr, instr.src_a, instr.src_b),
-    IOp.LOAD: lambda instr: _gpr_reads(instr, instr.addr_src),
-    IOp.STORE: lambda instr: _gpr_reads(instr, instr.addr_src,
-                                        instr.data_src),
-    IOp.COPY_FROM_GPR: lambda instr: (instr.gpr,),
-    IOp.BRANCH: lambda instr: _gpr_reads(instr, instr.cond_src),
-    IOp.COND_CALL_TRANSLATOR: lambda instr: _gpr_reads(instr,
-                                                       instr.cond_src),
-    IOp.RET_RAS: lambda instr: (instr.gpr,),
-    IOp.TO_DISPATCH: lambda instr: (instr.gpr,),
-    IOp.PUTC: lambda instr: (16,),
-}
-
-#: opcodes after which control never reaches the next instruction
-_EXITS = frozenset({IOp.BR, IOp.CALL_TRANSLATOR, IOp.TO_DISPATCH,
-                    IOp.HALT, IOp.GENTRAP})
 
 
 def _operand(instr, source):
@@ -102,37 +81,14 @@ def _operand(instr, source):
     return _CONST, 0  # "zero" and None
 
 
-def _gpr_reads(instr, *sources):
-    """The GPRs the given operand sources read."""
-    return tuple(value for kind, value in
-                 (_operand(instr, source) for source in sources)
-                 if kind is _REG)
-
-
-def _charge(stats, iops, totals):
-    """Add one visit's statistics: the cumulative deltas of the
-    instructions it ran.  ``totals`` counts the opcodes it ran in the
-    order of ``iops``, the fragment's opcodes by first occurrence, so
-    an opcode the visit did not reach gets no key."""
-    weight, v_weight, copies, counts = totals
+def _charge(stats, totals):
+    """Add one visit's statistics: the plan's prefix totals for the body
+    index it left at."""
+    weight, copies, v_weight = totals
     stats.iinstructions_executed += weight
-    iop_counts = stats.iop_counts
-    for iop, count in zip(iops, counts):
-        iop_counts[iop] += count
     if copies:
         stats.copies_executed += copies
     stats.source_instructions_executed += v_weight
-
-
-def _goto(ex, target):
-    """The shared ``("goto", ...)`` outcome of a direct transfer, as the
-    walk's ``_transfer`` resolves it (patches drop the steps, as they
-    drop generated code)."""
-    fragment = ex.tcache.fragment_at(target)
-    if fragment is None:  # pragma: no cover - layout guarantees entries
-        raise AssertionError(
-            f"control transfer to non-entry address {target:#x}")
-    return ("goto", (fragment, 0))
 
 
 def _alu_step(instr, fmt, dest, append, template):
@@ -266,27 +222,29 @@ def _br_step(goto, target, append, template):
     return step
 
 
-def _walk_step(instr, fmt, template, stale):
-    """A step that runs the walk's ``_execute`` for ``instr``.  In the
-    modified format the executor's stale set is first made the simulated
-    one, so the walk's staleness check sees what it would see."""
+def _walk_step(instr, fmt, template):
+    """A step that runs the walk's ``_execute`` for ``instr``."""
     iop = instr.iop
     if iop is IOp.TO_DISPATCH:
-        run = FragmentExecutor._do_dispatch
-    else:
-        def run(ex, instr, regs, fmt, template):
-            return ex._execute(instr, iop, regs, fmt, template)
-    if fmt is not IFormat.MODIFIED:
         def step(ex, regs, accs):
-            return run(ex, instr, regs, fmt, template)
-        return step
-    stale = frozenset(stale)
+            return ex._do_dispatch(instr, regs, fmt, template)
+    else:
+        def step(ex, regs, accs):
+            return ex._execute(instr, iop, regs, fmt, template)
+    return step
 
-    def primed(ex, regs, accs):
+
+def _stale_step(instr, fmt, template, stale):
+    """The staleness stop's step: the walk's code for ``instr`` with the
+    executor's stale set made the plan's ``stale``, so it raises the
+    walk's :class:`StalenessError`."""
+    walk = _walk_step(instr, fmt, template)
+
+    def step(ex, regs, accs):
         ex._stale.clear()
         ex._stale.update(stale)
-        return run(ex, instr, regs, fmt, template)
-    return primed
+        return walk(ex, regs, accs)
+    return step
 
 
 def _simple_step(iop, instr, append, template, copy_dest):
@@ -335,8 +293,7 @@ def build_traced_steps(ex, fragment):
     """
     body = fragment.body
     fmt = fragment.fmt
-    alpha = fmt is IFormat.ALPHA
-    track = fmt is IFormat.MODIFIED
+    totals, stop = fragment_plan(fragment)
     append = ex.trace.append
     memory = ex.memory
     templates = fragment._trace_templates
@@ -344,35 +301,20 @@ def build_traced_steps(ex, fragment):
         templates = fragment._trace_templates = [None] * len(body)
 
     steps = []
-    totals = []         # per index: statistics of the body up to it
-    weight = v_weight = copies = 0
-    iops = {}
-    stale = set()       # the simulated modified-format stale set
-    for index, instr in enumerate(body):
+    for index, instr in enumerate(body[:len(totals)]):
         iop = instr.iop
-        weight += _ALPHA_WEIGHTS.get(iop, 1) if alpha else 1
-        iops[iop] = iops.get(iop, 0) + 1
-        if instr.is_copy():
-            copies += 1
-        v_weight += instr.v_weight
-        totals.append((weight, v_weight, copies, tuple(iops.values())))
         template = templates[index]
         if template is None:
             template = templates[index] = _body_template(instr, fmt)
-
-        if track and iop in _READS and \
-                stale.intersection(_READS[iop](instr)):
-            # the walk raises StalenessError here, on every visit
-            steps.append(_walk_step(instr, fmt, template, stale))
-            break
-
         # the GPR a result commits to (the walk's ``_commit_result``)
         dest = instr.dest_gpr if fmt is not IFormat.BASIC else None
         if dest == _ZERO_REG:
             dest = None
         copy_dest = instr.gpr if instr.gpr != _ZERO_REG else None
-        if iop not in _SPECIALISED:
-            step = _walk_step(instr, fmt, template, stale)
+        if stop is not None and index == stop[0]:
+            step = _stale_step(instr, fmt, template, stop[2])
+        elif iop not in _SPECIALISED:
+            step = _walk_step(instr, fmt, template)
         elif iop is IOp.ALU:
             step = _alu_step(instr, fmt, dest, append, template)
         elif iop is IOp.LOAD:
@@ -380,11 +322,11 @@ def build_traced_steps(ex, fragment):
         elif iop is IOp.STORE:
             step = _store_step(instr, memory.store, append, template)
         elif iop is IOp.BRANCH:
-            step = _branch_step(instr, _goto(ex, instr.target), append,
+            step = _branch_step(instr, ex._transfer(instr.target), append,
                                 template)
         elif iop is IOp.BR:
-            step = _br_step(_goto(ex, instr.target), instr.target, append,
-                            template)
+            step = _br_step(ex._transfer(instr.target), instr.target,
+                            append, template)
         elif iop is IOp.RET_RAS:
             step = _ret_ras_step(instr, ex.tcache.fragment_at, append,
                                  template)
@@ -396,23 +338,8 @@ def build_traced_steps(ex, fragment):
             step = _simple_step(iop, instr, append, template, copy_dest)
         steps.append(step)
 
-        if track:
-            if iop is IOp.ALU or iop is IOp.LOAD:
-                if dest is not None:
-                    if instr.operational:
-                        stale.discard(dest)
-                    else:
-                        stale.add(dest)
-            elif iop is IOp.COPY_TO_GPR or iop is IOp.SAVE_VRA:
-                if copy_dest is not None:
-                    stale.discard(copy_dest)
-        if iop in _EXITS:
-            break  # the rest of the body is unreachable
-
     position = {step: index for index, step in enumerate(steps)}
     vpcs = [instr.vpc for instr in body[:len(steps)]]
-    totals = totals[:len(steps)]
-    iops = tuple(iops)
 
     def visit(ex, regs, state):
         accs = ex.accs
@@ -423,12 +350,12 @@ def build_traced_steps(ex, fragment):
                     break
         except BaseException as error:
             index = position[step]
-            _charge(ex.stats, iops, totals[index])
+            _charge(ex.stats, totals[index])
             if isinstance(error, Trap):
                 error.vpc = vpcs[index]
                 ex._jit_pei = index
             raise
-        _charge(ex.stats, iops, totals[position[step]])
+        _charge(ex.stats, totals[position[step]])
         if outcome is None:
             # control fell off the body: the walk indexes past the body
             # list and raises this

@@ -20,6 +20,7 @@ from repro.ildp_isa.opcodes import IFormat
 from repro.translator.chaining import ChainingPolicy
 from repro.vm.config import VMConfig
 from repro.workloads import WORKLOAD_NAMES
+from tests.conftest import ALL_FORMATS, assert_traces_equal
 
 #: Enough for every workload to halt naturally (gzip, the longest, needs
 #: ~64k interpreter steps).
@@ -65,16 +66,24 @@ def test_other_chaining_policies_match_interpreter(name, policy):
     _assert_equivalent(name, VMConfig(fmt=IFormat.MODIFIED, policy=policy))
 
 
-@pytest.mark.parametrize("name", WORKLOAD_NAMES)
-def test_execution_engines_agree(name):
+def _engine_runs(name, fmt, collect_trace):
+    """``name`` run to halt under each engine, keyed by engine."""
+    return {engine: run_vm(name, VMConfig(fmt=fmt, exec_engine=engine),
+                           budget=HALT_BUDGET, collect_trace=collect_trace)
+            for engine in ("naive", "jit")}
+
+
+# the modified format keeps each workload's bare id, as it had when it
+# was the only format checked here
+@pytest.mark.parametrize("name, fmt", [
+    pytest.param(name, fmt, id=name if fmt is IFormat.MODIFIED
+                 else f"{name}-{fmt.value}")
+    for fmt in ALL_FORMATS for name in WORKLOAD_NAMES])
+def test_execution_engines_agree(name, fmt):
     """Both execution engines must be bit-identical: same architected
     state, console, committed counts, and every ``VMStats`` counter, on
-    every workload."""
-    results = {}
-    for engine in ("naive", "jit"):
-        config = VMConfig(fmt=IFormat.MODIFIED, exec_engine=engine)
-        results[engine] = run_vm(name, config, budget=HALT_BUDGET,
-                                 collect_trace=False)
+    every workload in every format."""
+    results = _engine_runs(name, fmt, collect_trace=False)
     naive, jit = results["naive"], results["jit"]
 
     assert any(f._jit_code is not None for f in jit.vm.tcache.fragments), \
@@ -86,4 +95,19 @@ def test_execution_engines_agree(name):
     assert jit.vm.console_text() == naive.vm.console_text()
     assert jit.stats.committed_v_instructions() == \
         naive.stats.committed_v_instructions()
+    assert vars(jit.stats) == vars(naive.stats)
+
+
+@pytest.mark.parametrize("name", ("gzip", "perlbmk", "crafty"))
+@pytest.mark.parametrize("fmt", ALL_FORMATS, ids=lambda fmt: fmt.value)
+def test_traced_execution_engines_agree(name, fmt):
+    """Traced, the jit's steps append the naive walk's rows, column by
+    column, and leave the same ``VMStats``."""
+    results = _engine_runs(name, fmt, collect_trace=True)
+    naive, jit = results["naive"], results["jit"]
+
+    assert jit.vm.telemetry.summary()["counters"]["jit.promotions"], \
+        "jit engine never built a fragment"
+    assert jit.vm.halted and naive.vm.halted
+    assert_traces_equal(jit.trace, naive.trace)
     assert vars(jit.stats) == vars(naive.stats)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.asm import assemble
-from repro.ildp_isa.opcodes import IFormat
+from repro.ildp_isa.opcodes import IFormat, IOp
 from repro.translator.chaining import ChainingPolicy
 from repro.vm import CoDesignedVM, VMConfig
 from repro.vm.executor import RAS_DEPTH
@@ -77,9 +77,9 @@ loop:   and r1, 0x7f, r16
                                      VMConfig(fmt=IFormat.MODIFIED))
         assert len(vm.interpreter.console) == 70
         # the loop was hot: most putcs ran from translated code
-        assert vm.stats.iop_counts.get(
-            __import__("repro.ildp_isa.opcodes",
-                       fromlist=["IOp"]).IOp.PUTC, 0) > 0
+        assert any(fragment.execution_count > 0 and
+                   any(instr.iop is IOp.PUTC for instr in fragment.body)
+                   for fragment in vm.tcache.fragments)
 
 
 class TestModeSwitching:

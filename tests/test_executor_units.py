@@ -10,7 +10,7 @@ from repro.memory.image import Memory
 from repro.tcache.cache import TranslationCache
 from repro.tcache.fragment import Fragment
 from repro.vm.config import VMConfig
-from repro.vm.executor import ExitReason, FragmentExecutor
+from repro.vm.executor import ExitReason, FragmentExecutor, fragment_plan
 from repro.vm.stats import VMStats
 
 
@@ -198,3 +198,44 @@ class TestControl:
         result2 = executor2.run(source, state2)
         assert result2.reason is ExitReason.TRAP   # fell into the GENTRAP
         assert executor2.stats.ras_misses == 1
+
+
+class TestFragmentPlan:
+    def test_prefix_totals_stop_at_the_first_exit(self, machine):
+        """ALPHA weights 2 for embedded addresses and call-translators;
+        the halt after the call-translator is unreachable."""
+        _executor, tcache, _state, _memory = machine
+        fragment = build_fragment([
+            IInstruction(IOp.SET_VPC_BASE, vpc=0x1000),
+            IInstruction(IOp.LOAD_EMB, acc=0, vtarget=0x5000, vpc=0x1000),
+            IInstruction(IOp.SAVE_VRA, gpr=26, vtarget=0x1010, vpc=0x1004),
+            IInstruction(IOp.COPY_FROM_GPR, acc=1, gpr=3, vpc=0x1008),
+            IInstruction(IOp.CALL_TRANSLATOR, vtarget=0x5000, vpc=0x100C),
+            IInstruction(IOp.HALT),
+        ], fmt=IFormat.ALPHA)
+        tcache.add(fragment)
+        totals, stop = fragment_plan(fragment)
+        assert stop is None
+        # (iinstructions, copies, V-ISA instructions) up to each index
+        assert totals == [(1, 0, 1), (3, 0, 1), (5, 0, 2), (6, 1, 3),
+                          (8, 1, 4)]
+
+    def test_staleness_stop(self, machine):
+        """A copy to r5 makes it current again; the branch on the stale
+        r6 is the stop."""
+        _executor, tcache, _state, _memory = machine
+        fragment = build_fragment([
+            IInstruction(IOp.ALU, op="addq", acc=0, src_a="zero",
+                         src_b="imm", imm=1, islit=True, dest_gpr=5),
+            IInstruction(IOp.COPY_TO_GPR, acc=0, gpr=5),
+            IInstruction(IOp.LOAD, acc=1, addr_src="gpr", gpr=5),
+            IInstruction(IOp.ALU, op="addq", acc=2, src_a="zero",
+                         src_b="imm", imm=2, islit=True, dest_gpr=6),
+            IInstruction(IOp.BRANCH, op="bne", cond_src="gpr", gpr=6,
+                         target=0),
+            IInstruction(IOp.HALT),
+        ], fmt=IFormat.MODIFIED)
+        tcache.add(fragment)
+        totals, stop = fragment_plan(fragment)
+        assert stop == (4, 6, frozenset({6}))
+        assert len(totals) == 5

@@ -13,9 +13,17 @@ import pytest
 
 import repro.vm.executor as executor_mod
 from repro.asm import assemble
-from repro.ildp_isa.opcodes import IFormat
+from repro.ildp_isa.instruction import IInstruction
+from repro.ildp_isa.opcodes import IFormat, IOp
+from repro.interp.state import ArchState
 from repro.isa.semantics import TrapKind
+from repro.memory.image import Memory
+from repro.tcache.cache import TranslationCache
+from repro.tcache.fragment import Fragment
 from repro.vm import CoDesignedVM, VMConfig, VMTrap
+from repro.vm.events import Trace
+from repro.vm.executor import FragmentExecutor, StalenessError
+from repro.vm.stats import VMStats
 from tests.conftest import (
     ALL_FORMATS,
     CALL_KERNEL,
@@ -69,11 +77,34 @@ class TestPromotion:
         vm = _run(FIG2_KERNEL, _config())
         source = _promoted(vm)[0]._jit_code._jit_source
         assert source.startswith("def _jit_f")
-        # batched statistics: one compile-time-constant flush, not
-        # per-instruction increments
+        # compile-time-constant statistics, not per-instruction
+        # increments
         assert "_stats.iinstructions_executed +=" in source
         # every fragment ends in an explicit outcome
         assert "return" in source
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    @pytest.mark.parametrize("source", (FIG2_KERNEL, CALL_KERNEL),
+                             ids=("fig2", "call"))
+    def test_statistics_only_at_exits(self, source, fmt):
+        """A visit adds its statistics once, at the exit it leaves by:
+        every return is preceded by ``_stats`` additions, and every run
+        of them is followed by a return or a raise (after a trap
+        handler's body index), so a not-taken branch runs none."""
+        vm = _run(source, _config(fmt=fmt))
+        assert _promoted(vm)
+        for fragment in _promoted(vm):
+            text = fragment._jit_code._jit_source
+            lines = [line.strip() for line in text.splitlines()] + [""]
+            for number, line in enumerate(lines[:-1]):
+                after = lines[number + 1]
+                if line.startswith("_stats.") and \
+                        not after.startswith("_stats."):
+                    if after.startswith("ex._jit_pei = "):
+                        after = lines[number + 2]
+                    assert after.startswith(("return", "raise")), text
+                if line.startswith("return"):
+                    assert lines[number - 1].startswith("_stats."), text
 
     def test_compile_failure_degrades_to_tier1(self, monkeypatch):
         """A fragment whose compile raises runs through the body walk
@@ -231,6 +262,73 @@ class TestTrapDeopt:
         counters = vm.telemetry.summary()["counters"]
         assert counters["jit.promotions"] >= 1
         assert counters["jit.deopts"] >= 1
+
+
+def _stale_body(case):
+    """A fresh modified-format body whose first ALU writes r5
+    non-operationally (so r5 is stale), then the case's read of r5: a
+    load, a store of an accumulator, or a store whose data r6 is stale
+    too; then a halt."""
+    tail = {
+        "load": [IInstruction(IOp.LOAD, acc=1, addr_src="gpr", gpr=5,
+                              vpc=0x1004)],
+        "store": [IInstruction(IOp.STORE, acc=0, addr_src="gpr", gpr=5,
+                               data_src="acc", vpc=0x1004)],
+        "store-stale-data": [
+            IInstruction(IOp.ALU, op="addq", acc=1, src_a="zero",
+                         src_b="imm", imm=7, islit=True, dest_gpr=6,
+                         operational=False, vpc=0x1004),
+            IInstruction(IOp.STORE, addr_src="gpr", gpr=5,
+                         data_src="gpr2", gpr2=6, vpc=0x1008)],
+    }[case]
+    return [IInstruction(IOp.ALU, op="addq", acc=0, src_a="zero",
+                         src_b="imm", imm=0x2000, islit=True, dest_gpr=5,
+                         operational=False, vpc=0x1000),
+            *tail, IInstruction(IOp.HALT, vpc=0x100C)]
+
+
+class TestStalenessStop:
+    @staticmethod
+    def _stopped_run(case, engine, traced):
+        """Run the case's body once as a fresh fragment; returns the
+        StalenessError's text, the stats, the executor's jit counters
+        and the trace."""
+        body = _stale_body(case)
+        memory = Memory()
+        memory.map_segment("data", 0x2000, 0x1000)
+        tcache = TranslationCache()
+        fragment = Fragment(entry_vpc=0x1000, fmt=IFormat.MODIFIED,
+                            body=body, exits=[], pei_table=[],
+                            source_instr_count=len(body) - 1,
+                            n_accumulators=4)
+        tcache.add(fragment)
+        stats = VMStats()
+        trace = Trace() if traced else None
+        executor = FragmentExecutor(
+            VMConfig(fmt=IFormat.MODIFIED, exec_engine=engine), tcache,
+            memory, [], stats, trace=trace)
+        with pytest.raises(StalenessError) as excinfo:
+            executor.run(fragment, ArchState(0x1000))
+        counters = executor.telemetry.summary()["counters"]
+        return str(excinfo.value), vars(stats), counters, trace
+
+    @pytest.mark.parametrize("case", ("load", "store",
+                                      "store-stale-data"))
+    def test_engines_stop_on_the_same_read(self, case):
+        """The walk reads a store's address before its data, so each
+        body stops on r5; generated code and traced steps raise the
+        same error with the same statistics, and neither build fails."""
+        runs = {(engine, traced): self._stopped_run(case, engine, traced)
+                for engine in ("naive", "jit") for traced in (False, True)}
+        message, stats, _counters, trace = runs["naive", True]
+        assert message.startswith("r5 read while operationally stale")
+        for (engine, traced), run in runs.items():
+            assert run[0] == message, (engine, traced)
+            assert run[1] == stats, (engine, traced)
+            if engine == "jit":
+                assert run[2]["jit.compile_failures"] == 0, traced
+                assert run[2]["jit.promotions"] == 1, traced
+        assert_traces_equal(runs["jit", True][3], trace)
 
 
 #: Two alternating hot loops under one outer loop.  The ``warm`` loop

@@ -302,3 +302,44 @@ class TestEndToEndRecord:
         assert comparison.ok
         doubled = [d for d in comparison.deltas if d.current != d.baseline]
         assert doubled and all(d.kind == "reported" for d in doubled)
+
+    @staticmethod
+    def on_other_platform(record):
+        doc = copy.deepcopy(record)
+        doc["machine"]["platform"] += "-other"
+        return doc
+
+    @staticmethod
+    def compare_files(tmp_path, record, current):
+        paths = []
+        for name, doc in (("base.json", record), ("fresh.json", current)):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc))
+            paths.append(str(path))
+        out = io.StringIO()
+        return main(["bench-compare", *paths], out=out), out.getvalue()
+
+    def test_other_platform_still_gates_counts(self, record, tmp_path):
+        # counts do not depend on the host, so records from another
+        # kernel release still gate them
+        current = self.on_other_platform(record)
+        current["runs"]["fig8-trace"]["metrics"]["vm.i_insns"]["value"] += 1
+        code, text = self.compare_files(tmp_path, record, current)
+        assert code == 1
+        (line,) = [line for line in text.splitlines()
+                   if "fig8-trace.vm.i_insns:" in line]
+        assert line.endswith("[exact] regressed")
+        assert "result: REGRESSED (1 of" in text
+
+    def test_other_platform_reports_timings_ungated(self, record, tmp_path):
+        current = self.on_other_platform(record)
+        for run in current["runs"].values():
+            for metric in run["metrics"].values():
+                if metric["unit"] != "count":
+                    metric["value"] *= 2
+        code, text = self.compare_files(tmp_path, record, current)
+        assert code == 0
+        assert "records are from different machines (platform differ)" \
+            in text
+        assert "fig9.ref_cpu_s" in text and "[reported] ok" in text
+        assert "result: OK" in text
